@@ -30,21 +30,17 @@ import (
 )
 
 var (
-	n            = flag.Int("n", 50_000, "instructions per core")
-	seed         = flag.Uint64("seed", 42, "trace seed")
-	suite        = flag.String("suite", "both", "parallel, sequential or both")
-	format       = flag.String("format", "text", "output format for -table 4 and -fig 10: text, csv or json")
-	jobs         = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
-	quiet        = flag.Bool("q", false, "suppress the sweep summary on stderr")
-	histOut      = flag.String("hist-out", "", "write latency-distribution histograms to this file (empty with -hist-format set = stdout)")
-	histFormat   = flag.String("hist-format", "", "histogram format, text or json; setting it (or -hist-out) enables histogram collection")
-	statusAddr   = flag.String("status-addr", "", "serve live sweep status, expvar and pprof on this address (e.g. localhost:6060)")
-	stepModeName = flag.String("step-mode", "skip", "clock stepper: skip (two-level, default) or naive (tick every cycle); outputs are byte-identical")
-	listModels   = flag.Bool("list-models", false, "print the machine-model roster and exit")
+	n          = flag.Int("n", 50_000, "instructions per core")
+	seed       = flag.Uint64("seed", 42, "trace seed")
+	suite      = flag.String("suite", "both", "parallel, sequential or both")
+	format     = flag.String("format", "text", "output format for -table 4 and -fig 10: text, csv or json")
+	jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
+	quiet      = flag.Bool("q", false, "suppress the sweep summary on stderr")
+	histOut    = flag.String("hist-out", "", "write latency-distribution histograms to this file (empty with -hist-format set = stdout)")
+	histFormat = flag.String("hist-format", "", "histogram format, text or json; setting it (or -hist-out) enables histogram collection")
+	statusAddr = flag.String("status-addr", "", "serve live sweep status, histograms and pprof on this address (e.g. localhost:6060)")
+	listModels = flag.Bool("list-models", false, "print the machine-model roster and exit")
 )
-
-// stepMode is the parsed -step-mode, resolved at the top of main.
-var stepMode sesa.StepMode
 
 // histRuns accumulates the per-job histogram runs, in job order, across
 // every sweep the invocation performs.
@@ -105,8 +101,7 @@ func benchmarkJobs(profiles []sesa.Profile, models []sesa.Model) []sesa.SweepJob
 	js := make([]sesa.SweepJob, 0, len(profiles)*len(models))
 	for _, p := range profiles {
 		for _, m := range models {
-			js = append(js, sesa.SweepJob{Profile: p, Model: m, InstPerCore: *n, Seed: *seed,
-				StepMode: stepMode})
+			js = append(js, sesa.SweepJob{Profile: p, Model: m, InstPerCore: *n, Seed: *seed})
 		}
 	}
 	return js
@@ -129,11 +124,6 @@ func main() {
 		os.Exit(2)
 	}
 	slog.SetDefault(logger.With(telemetry.KeyComponent, "sesa-bench"))
-
-	if stepMode, err = sesa.ParseStepMode(*stepModeName); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 
 	if *statusAddr != "" {
 		progress = sesa.NewSweepProgress()
@@ -305,8 +295,7 @@ func figLitmus(fig int) {
 	fmt.Printf("  allowed (370-TSO): %v\n", t.Allowed(sesa.Checker370TSO).Sorted())
 	variant := sesa.WithSBPressure(t, 3)
 	for _, model := range sesa.AllModels() {
-		res, err := sesa.RunLitmusTraced(variant, model, 10, *seed,
-			func(_ int, m *sesa.SimMachine) { m.SetStepMode(stepMode) })
+		res, err := sesa.RunLitmus(variant, model, 10, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -36,7 +36,6 @@ var modelPairs = []modelPair{
 func main() {
 	testName := flag.String("test", "", "litmus test name or comma-separated list (default: all)")
 	alloyDir := flag.String("export-alloy", "", "also write each selected test as a memalloy-style candidate-execution module (<name>.als) into this directory")
-	stepModeName := flag.String("step-mode", "skip", "accepted for CLI uniformity with the simulator binaries; the exhaustive checker is untimed, so the value has no effect")
 	listModels := flag.Bool("list-models", false, "print the machine-model roster and exit")
 	logFlags := config.TelemetryFlags()
 	flag.Parse()
@@ -52,11 +51,6 @@ func main() {
 		os.Exit(1)
 	}
 	slog.SetDefault(logger.With(telemetry.KeyComponent, "sesa-check"))
-
-	if _, err := sesa.ParseStepMode(*stepModeName); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 
 	if err := run(os.Stdout, *testName, *alloyDir); err != nil {
 		fmt.Fprintln(os.Stderr, err)

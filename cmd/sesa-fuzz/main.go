@@ -12,8 +12,7 @@
 //	sesa-fuzz [-seed S] [-count N] [-budget threads=3,ops=4,addrs=2,fences=1,rmws=1]
 //	          [-models all|x86,370-SLFSoS-key,...] [-jobs N]
 //	          [-sim-iters N] [-pressure N] [-small=true|false]
-//	          [-corpus dir] [-repro-dir dir] [-export-alloy dir]
-//	          [-step-mode skip|naive] [-list-models]
+//	          [-corpus dir] [-repro-dir dir] [-export-alloy dir] [-list-models]
 //
 // Program i of a run uses generator seed S+i, so any program of a large run
 // is reproduced alone by `sesa-fuzz -seed <its seed> -count 1` with the same
@@ -45,7 +44,6 @@ type options struct {
 	simIters int
 	pressure int
 	small    bool
-	stepMode sesa.StepMode
 	corpus   string
 	reproDir string
 	alloyDir string
@@ -65,7 +63,6 @@ func main() {
 	corpus := flag.String("corpus", "", "replay every *.litmus file in this directory before generating")
 	reproDir := flag.String("repro-dir", "", "write failing programs (full + minimized ConsistencyChecker text) into this directory")
 	alloyDir := flag.String("export-alloy", "", "write a memalloy-style candidate-execution module per program into this directory")
-	stepModeName := flag.String("step-mode", "skip", "simulation clock for witness runs: skip (two-level, default) or naive")
 	listModels := flag.Bool("list-models", false, "print the valid machine-model names and exit")
 	logFlags := config.TelemetryFlags()
 	flag.Parse()
@@ -91,9 +88,6 @@ func main() {
 		fatal(err)
 	}
 	if opt.models, err = sesa.ParseModels(*modelsSpec); err != nil {
-		fatal(err)
-	}
-	if opt.stepMode, err = sesa.ParseStepMode(*stepModeName); err != nil {
 		fatal(err)
 	}
 	if opt.count < 0 {
@@ -123,7 +117,6 @@ func run(w io.Writer, opt options) (failures int, err error) {
 		Pressure:    opt.pressure,
 		SmallConfig: opt.small,
 		SimSeed:     opt.simSeed,
-		StepMode:    opt.stepMode,
 	}
 
 	interesting := 0

@@ -39,7 +39,6 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write interval metrics to this file (.json for JSON, else CSV)")
 	histOut := flag.String("hist-out", "", "write latency-distribution histograms to this file (empty with -hist-format set = stdout)")
 	histFormat := flag.String("hist-format", "", "histogram format, text or json; setting it (or -hist-out) enables histogram collection")
-	stepModeName := flag.String("step-mode", "skip", "clock stepper: skip (two-level, default) or naive (tick every cycle); outputs are byte-identical")
 	listModels := flag.Bool("list-models", false, "print the machine-model roster and exit")
 	logFlags := config.TelemetryFlags()
 	flag.Parse()
@@ -56,12 +55,6 @@ func main() {
 		os.Exit(1)
 	}
 	slog.SetDefault(logger.With(telemetry.KeyComponent, "sesa-litmus"))
-
-	stepMode, err := sesa.ParseStepMode(*stepModeName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 
 	if *traceOut != "" && *traceFormat != "chrome" && *traceFormat != "kanata" {
 		fmt.Fprintf(os.Stderr, "unknown -trace-format %q (want %s)\n", *traceFormat, sesa.ValidTraceFormats)
@@ -137,7 +130,6 @@ func main() {
 				var iterSets []*sesa.HistSet
 				res, err = sesa.RunLitmusTraced(variant, model, *iters, *seed,
 					func(iter int, m *sesa.SimMachine) {
-						m.SetStepMode(stepMode)
 						if traceOpts != nil {
 							tr := sesa.NewTracer(m.Config().Cores, *traceOpts)
 							m.AttachTracer(tr)
@@ -162,8 +154,7 @@ func main() {
 					}
 				}
 			} else {
-				res, err = sesa.RunLitmusTraced(variant, model, *iters, *seed,
-					func(_ int, m *sesa.SimMachine) { m.SetStepMode(stepMode) })
+				res, err = sesa.RunLitmus(variant, model, *iters, *seed)
 			}
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)

@@ -40,8 +40,7 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write interval metrics to this file (.json for JSON, else CSV)")
 	histOut := flag.String("hist-out", "", "write latency-distribution histograms to this file (empty with -hist-format set = stdout)")
 	histFormat := flag.String("hist-format", "", "histogram format, text or json; setting it (or -hist-out) enables histogram collection")
-	statusAddr := flag.String("status-addr", "", "serve live sweep status, expvar and pprof on this address (e.g. localhost:6060)")
-	stepModeName := flag.String("step-mode", "skip", "clock stepper: skip (two-level, default) or naive (tick every cycle); outputs are byte-identical")
+	statusAddr := flag.String("status-addr", "", "serve live sweep status, histograms and pprof on this address (e.g. localhost:6060)")
 	listModels := flag.Bool("list-models", false, "print the machine-model roster and exit")
 	logFlags := config.TelemetryFlags()
 	flag.Parse()
@@ -58,12 +57,6 @@ func main() {
 		os.Exit(1)
 	}
 	slog.SetDefault(logger.With(telemetry.KeyComponent, "sesa-sim"))
-
-	stepMode, err := sesa.ParseStepMode(*stepModeName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 
 	if *traceOut != "" && *traceFormat != "chrome" && *traceFormat != "kanata" {
 		fmt.Fprintf(os.Stderr, "unknown -trace-format %q (want %s)\n", *traceFormat, sesa.ValidTraceFormats)
@@ -163,7 +156,6 @@ func main() {
 			}
 			j.Trace = traceOpts
 			j.Hists = wantHists
-			j.StepMode = stepMode
 			js[i] = j
 		}
 		var summary sesa.SweepSummary
@@ -184,7 +176,6 @@ func main() {
 		var err error
 		if replay != nil {
 			cfg := sesa.DefaultConfig(model)
-			cfg.StepMode = stepMode
 			if len(replay) > cfg.Cores {
 				cfg.Cores = len(replay)
 			}

@@ -229,22 +229,12 @@ var stepModeNames = [...]string{
 	StepNaive: "naive",
 }
 
-// String returns the -step-mode flag spelling of the mode.
+// String names the mode: "skip" or "naive".
 func (m StepMode) String() string {
 	if int(m) >= 0 && int(m) < len(stepModeNames) {
 		return stepModeNames[m]
 	}
 	return fmt.Sprintf("step-mode(%d)", int(m))
-}
-
-// ParseStepMode parses a -step-mode flag value.
-func ParseStepMode(s string) (StepMode, error) {
-	for m, name := range stepModeNames {
-		if s == name {
-			return StepMode(m), nil
-		}
-	}
-	return 0, fmt.Errorf("config: unknown step mode %q (want skip or naive)", s)
 }
 
 // Core holds the out-of-order core parameters (Table III, top).
@@ -331,6 +321,8 @@ type Config struct {
 	Jitter     int
 	JitterSeed uint64
 	// StepMode selects the clock stepper; the zero value is StepSkip.
+	// StepNaive is the oracle the skip clock is checked against, so only
+	// tests and the benchmark set it.
 	StepMode StepMode
 }
 

@@ -41,15 +41,15 @@ import (
 
 // WireJob is the serialized form of one runner.Job, mirroring the sweep
 // service's job spec: everything the job's observable result depends on,
-// spelled with the parseable names (model, step mode) rather than internal
-// enum values, so the two sides need only agree on the protocol, not on
-// binary layout.
+// spelled with the parseable model name rather than an internal enum value,
+// so the two sides need only agree on the protocol, not on binary layout.
+// The clock stepper does not travel: both steppers produce identical
+// results, and workers run the default skip clock.
 type WireJob struct {
 	Profile     string `json:"profile"`
 	Model       string `json:"model"`
 	InstPerCore int    `json:"inst_per_core"`
 	Seed        uint64 `json:"seed"`
-	StepMode    string `json:"step_mode,omitempty"`
 	MaxCycles   uint64 `json:"max_cycles,omitempty"`
 	Hists       bool   `json:"hists,omitempty"`
 }
@@ -64,23 +64,20 @@ func EncodeJob(j runner.Job) (WireJob, error) {
 	if j.Trace != nil {
 		return WireJob{}, errors.New("fleet: traced jobs are not wire-encodable")
 	}
-	w := WireJob{
+	return WireJob{
 		Profile:     j.Profile.Name,
 		Model:       j.Model.String(),
 		InstPerCore: j.InstPerCore,
 		Seed:        j.Seed,
 		MaxCycles:   j.MaxCycles,
 		Hists:       j.Hists,
-	}
-	if j.StepMode != config.StepSkip {
-		w.StepMode = j.StepMode.String()
-	}
-	return w, nil
+	}, nil
 }
 
-// Resolve translates the wire job back into a runner job. It is the inverse
-// of EncodeJob: the resolved job produces the same content address and the
-// same results as the original.
+// Resolve validates the wire job and translates it into a runner job. It is
+// the inverse of EncodeJob — the resolved job produces the same content
+// address and the same results as the original — and also the sweep
+// service's validator for submitted jobs.
 func (w WireJob) Resolve() (runner.Job, error) {
 	p, ok := trace.Lookup(w.Profile)
 	if !ok {
@@ -89,12 +86,6 @@ func (w WireJob) Resolve() (runner.Job, error) {
 	model, err := config.ParseModel(w.Model)
 	if err != nil {
 		return runner.Job{}, fmt.Errorf("fleet: job %q: %w", w.Profile, err)
-	}
-	step := config.StepSkip
-	if w.StepMode != "" {
-		if step, err = config.ParseStepMode(w.StepMode); err != nil {
-			return runner.Job{}, fmt.Errorf("fleet: job %q: %w", w.Profile, err)
-		}
 	}
 	if w.InstPerCore <= 0 {
 		return runner.Job{}, fmt.Errorf("fleet: job %q: inst_per_core must be positive, got %d",
@@ -105,7 +96,6 @@ func (w WireJob) Resolve() (runner.Job, error) {
 		Model:       model,
 		InstPerCore: w.InstPerCore,
 		Seed:        w.Seed,
-		StepMode:    step,
 		MaxCycles:   w.MaxCycles,
 		Hists:       w.Hists,
 	}, nil

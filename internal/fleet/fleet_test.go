@@ -431,14 +431,19 @@ func TestWireJobRejectsCustomConfig(t *testing.T) {
 	}
 }
 
-// TestWireJobRoundTrip: Resolve is EncodeJob's inverse.
+// TestWireJobRoundTrip: Resolve is EncodeJob's inverse, and the stepper,
+// which never changes a result, does not travel.
 func TestWireJobRoundTrip(t *testing.T) {
 	orig := testJobs(t, 1, true)[0]
-	orig.StepMode = config.StepNaive
 	orig.MaxCycles = 123456
 	w, err := EncodeJob(orig)
 	if err != nil {
 		t.Fatal(err)
+	}
+	naive := orig
+	naive.StepMode = config.StepNaive
+	if wn, err := EncodeJob(naive); err != nil || wn != w {
+		t.Errorf("naive job encodes as %+v (err %v), want its skip twin's %+v", wn, err, w)
 	}
 	blob, err := json.Marshal(w)
 	if err != nil {

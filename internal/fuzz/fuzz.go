@@ -9,7 +9,6 @@ import (
 	"sesa/internal/checker"
 	"sesa/internal/config"
 	"sesa/internal/litmus"
-	"sesa/internal/sim"
 )
 
 // Mismatch kinds.
@@ -184,9 +183,9 @@ func witness(p checker.Program, m config.Model, modelIdx int, opt Options) (chec
 	observed := make(checker.OutcomeSet)
 	for vi, v := range variants {
 		for ci, cfg := range configs {
+			cfg.StepMode = opt.StepMode
 			seed := opt.SimSeed + uint64(modelIdx)*1000003 + uint64(vi)*101 + uint64(ci)*17
-			res, err := litmus.RunConfigTraced(v, cfg, opt.SimIters, seed,
-				func(_ int, mach *sim.Machine) { mach.SetStepMode(opt.StepMode) })
+			res, err := litmus.RunConfigTraced(v, cfg, opt.SimIters, seed, nil)
 			if err != nil {
 				return nil, err
 			}

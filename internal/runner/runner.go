@@ -221,8 +221,10 @@ func (p Pool) runJob(ctx context.Context, i int, j Job) Result {
 	p.Progress.JobStarted(i, j.Name())
 	start := time.Now()
 	r := p.runOne(ctx, i, j)
+	end := time.Now()
+	r.Wall = end.Sub(start)
 	if p.OnJobSpan != nil {
-		p.OnJobSpan(i, j.Name(), start, time.Now())
+		p.OnJobSpan(i, j.Name(), start, end)
 	}
 	p.Progress.JobDone(&r)
 	return r
@@ -231,8 +233,6 @@ func (p Pool) runJob(ctx context.Context, i int, j Job) Result {
 // runOne executes a single job on the calling goroutine.
 func (p Pool) runOne(ctx context.Context, i int, j Job) Result {
 	res := Result{Job: j, Index: i}
-	jobStart := time.Now()
-	defer func() { res.Wall = time.Since(jobStart) }()
 
 	var cfg config.Config
 	if j.Config != nil {

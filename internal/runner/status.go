@@ -2,14 +2,12 @@ package runner
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sesa/internal/hist"
@@ -276,37 +274,6 @@ func (p *Progress) Histograms() *hist.Collector {
 	return c
 }
 
-// statusSource is what the expvar callbacks read; expvar publication is
-// process-global and once-only, so the callbacks indirect through this
-// getter to always report the most recently constructed handler's sweep.
-var statusSource atomic.Value // of func() *Progress
-
-// currentProgress resolves the most recently installed getter (nil-safe).
-func currentProgress() *Progress {
-	if get, ok := statusSource.Load().(func() *Progress); ok && get != nil {
-		return get()
-	}
-	return nil
-}
-
-// publishExpvars installs the sesa.sweep and sesa.histograms expvars.
-//
-// Known limitation: expvar publication is process-global and permanent, so
-// these two vars can only ever describe ONE sweep — whichever handler was
-// installed most recently (a daemon running sweeps back to back silently
-// repoints them). They are kept for /debug/vars compatibility; anything
-// that needs to observe several sweeps side by side should scrape the
-// /metrics endpoint instead, whose per-sweep families are namespaced by a
-// sweep="sw-NNNNNN" label (see internal/telemetry and serve.registerMetrics).
-var publishExpvars = sync.OnceFunc(func() {
-	expvar.Publish("sesa.sweep", expvar.Func(func() any {
-		return currentProgress().Snapshot()
-	}))
-	expvar.Publish("sesa.histograms", expvar.Func(func() any {
-		return currentProgress().Histograms().Summaries()
-	}))
-})
-
 // StatusHandler returns the live-introspection handler without binding a
 // listener, so daemons (sesa-serve) can mount the same endpoints on their own
 // mux. get is called once per request and returns the Progress to report —
@@ -315,17 +282,11 @@ var publishExpvars = sync.OnceFunc(func() {
 //
 //	/status         sweep progress snapshot (JSON)
 //	/histograms     merged latency histograms of completed jobs (JSON)
-//	/debug/vars     expvar counters, including sesa.sweep
 //	/debug/pprof/   runtime profiling
-//
-// The expvar counters are process-global; they follow the most recently
-// constructed handler's getter.
 func StatusHandler(get func() *Progress) http.Handler {
 	if get == nil {
 		get = func() *Progress { return nil }
 	}
-	statusSource.Store(get)
-	publishExpvars()
 
 	mux := http.NewServeMux()
 	writeJSON := func(w http.ResponseWriter, v any) {
@@ -340,7 +301,6 @@ func StatusHandler(get func() *Progress) http.Handler {
 	mux.HandleFunc("/histograms", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, get().Histograms().Summaries())
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

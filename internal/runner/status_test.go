@@ -80,15 +80,15 @@ func TestServeStatus(t *testing.T) {
 	}}
 	Pool{Workers: 1, Progress: pr}.Run(jobs)
 
-	get := func(path string, into any) {
+	get := func(path string, want int, into any) {
 		t.Helper()
 		resp, err := http.Get(fmt.Sprintf("http://%s%s", addr, path))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %s", path, resp.Status)
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s: %s, want %d", path, resp.Status, want)
 		}
 		if into != nil {
 			if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
@@ -98,25 +98,25 @@ func TestServeStatus(t *testing.T) {
 	}
 
 	var snap Snapshot
-	get("/status", &snap)
+	get("/status", http.StatusOK, &snap)
 	if snap.TotalJobs != 1 || snap.Done != 1 || snap.Failed != 0 {
 		t.Errorf("/status = %+v", snap)
 	}
 	if snap.Insts == 0 {
 		t.Error("/status reports no retired instructions")
 	}
+	if len(snap.Jobs) != 1 || snap.Jobs[0].WallSeconds <= 0 || snap.Jobs[0].CyclesPerSecond <= 0 {
+		t.Errorf("/status job_throughput = %+v, want a positive wall time and rate", snap.Jobs)
+	}
 
 	var hists map[string]hist.Summary
-	get("/histograms", &hists)
+	get("/histograms", http.StatusOK, &hists)
 	if hists["load-l1"].Count == 0 {
 		t.Errorf("/histograms missing load-l1: %v", hists)
 	}
 
-	var vars map[string]json.RawMessage
-	get("/debug/vars", &vars)
-	if _, ok := vars["sesa.sweep"]; !ok {
-		t.Errorf("expvar missing sesa.sweep: have %d vars", len(vars))
-	}
+	// /status and /histograms are the whole sweep surface: no expvars.
+	get("/debug/vars", http.StatusNotFound, nil)
 
-	get("/debug/pprof/cmdline", nil)
+	get("/debug/pprof/cmdline", http.StatusOK, nil)
 }

@@ -38,15 +38,21 @@ func stepJobs(t *testing.T, mode config.StepMode) []Job {
 	return jobs
 }
 
-// TestStepModesIdenticalSweep is the two-level clock's acceptance criterion
-// at the sweep level: a traced, histogrammed sweep produces identical
-// statistics, characterizations, trace files, metrics series and histogram
-// reports under naive and skip stepping.
-func TestStepModesIdenticalSweep(t *testing.T) {
-	cache := trace.NewCache()
-	naive, _ := Pool{Workers: 1, Cache: cache}.Run(stepJobs(t, config.StepNaive))
-	skip, _ := Pool{Workers: 1, Cache: cache}.Run(stepJobs(t, config.StepSkip))
+// table4Jobs builds the Table IV smoke sweep (sesa-bench -table 4 -n 2000
+// -seed 42): every profile of both suites on 370-SLFSoS-key.
+func table4Jobs(mode config.StepMode) []Job {
+	var jobs []Job
+	for _, p := range append(trace.ParallelProfiles(), trace.SequentialProfiles()...) {
+		jobs = append(jobs, Job{Profile: p, Model: config.SLFSoSKey370, InstPerCore: 2_000, Seed: 42,
+			StepMode: mode})
+	}
+	return jobs
+}
 
+// checkSameResults fails t unless every job succeeded under both steppers
+// with identical statistics and characterization.
+func checkSameResults(t *testing.T, naive, skip []Result) {
+	t.Helper()
 	for i := range naive {
 		if naive[i].Err != nil || skip[i].Err != nil {
 			t.Fatalf("job %d failed: naive=%v skip=%v", i, naive[i].Err, skip[i].Err)
@@ -60,6 +66,19 @@ func TestStepModesIdenticalSweep(t *testing.T) {
 				i, naive[i].Char, skip[i].Char)
 		}
 	}
+}
+
+// TestStepModesIdenticalSweep is the two-level clock's acceptance criterion
+// at the sweep level: a traced, histogrammed sweep produces identical
+// statistics, characterizations, trace files, metrics series and histogram
+// reports under naive and skip stepping. The Table IV smoke sweep, whose
+// skip-clock table a golden pins, must match too, which keeps the naive
+// stepper pinned to that golden.
+func TestStepModesIdenticalSweep(t *testing.T) {
+	cache := trace.NewCache()
+	naive, _ := Pool{Workers: 1, Cache: cache}.Run(stepJobs(t, config.StepNaive))
+	skip, _ := Pool{Workers: 1, Cache: cache}.Run(stepJobs(t, config.StepSkip))
+	checkSameResults(t, naive, skip)
 
 	cn, kn := exportAll(t, naive)
 	cs, ks := exportAll(t, skip)
@@ -86,4 +105,11 @@ func TestStepModesIdenticalSweep(t *testing.T) {
 	if !bytes.Equal(hn, hs) {
 		t.Errorf("histogram report differs between step modes:\n--- naive ---\n%s\n--- skip ---\n%s", hn, hs)
 	}
+
+	table4Naive, _ := Pool{Cache: cache}.Run(table4Jobs(config.StepNaive))
+	table4Skip, _ := Pool{Cache: cache}.Run(table4Jobs(config.StepSkip))
+	if len(table4Skip) != 61 {
+		t.Fatalf("Table IV smoke has %d jobs, want 61", len(table4Skip))
+	}
+	checkSameResults(t, table4Naive, table4Skip)
 }

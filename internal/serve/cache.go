@@ -12,12 +12,13 @@ import (
 )
 
 // jobKey canonicalizes one job into its content address: a hash over the
-// fully resolved machine configuration (model and step mode applied, exactly
-// as the runner resolves them), the workload profile, the trace scale and
-// seed, the effective cycle bound, and whether histograms were attached.
-// Everything a job's observable result depends on is in the key; everything
-// it does not (submission order, worker count, wall clock) is out, so two
-// submissions of the same experiment always collide — which is the point.
+// fully resolved machine configuration (model applied exactly as the runner
+// applies it), the workload profile, the trace scale and seed, the
+// effective cycle bound, and whether histograms were attached. Everything a
+// job's observable result depends on is in the key; everything it does not
+// (submission order, worker count, wall clock, the clock stepper, whose two
+// modes give identical results) is out, so two submissions of the same
+// experiment always collide — which is the point.
 //
 // %#v is a faithful canonical form here: both structs are flat value types
 // (ints, bools, float64s, strings) and Go prints float64s with shortest
@@ -28,7 +29,6 @@ func jobKey(j runner.Job) string {
 		cfg = *j.Config
 	}
 	cfg.Model = j.Model
-	cfg.StepMode = j.StepMode
 	h := sha256.New()
 	fmt.Fprintf(h, "cfg=%#v\nprofile=%#v\nn=%d\nseed=%d\nmax=%d\nhists=%t\n",
 		cfg, j.Profile, j.InstPerCore, j.Seed, j.DefaultMaxCycles(), j.Hists)

@@ -7,10 +7,9 @@ import (
 	"net/http"
 	"strconv"
 
-	"sesa/internal/config"
+	"sesa/internal/fleet"
 	"sesa/internal/report"
 	"sesa/internal/runner"
-	"sesa/internal/trace"
 )
 
 // JobSpec is the wire form of one benchmark job, mirroring the sesa-bench
@@ -24,8 +23,6 @@ type JobSpec struct {
 	InstPerCore int `json:"inst_per_core"`
 	// Seed seeds the trace generator.
 	Seed uint64 `json:"seed"`
-	// StepMode is "skip" (default when empty) or "naive".
-	StepMode string `json:"step_mode,omitempty"`
 	// MaxCycles optionally overrides the default liveness bound.
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
 }
@@ -40,35 +37,12 @@ type SweepRequest struct {
 	Histograms bool `json:"histograms,omitempty"`
 }
 
-// resolve translates a wire job into a runner job.
+// resolve validates a wire job and translates it into a runner job through
+// the fleet's wire-job resolver, so a job is accepted by the daemon exactly
+// when a fleet worker would accept it.
 func (sp JobSpec) resolve(hists bool) (runner.Job, error) {
-	p, ok := trace.Lookup(sp.Profile)
-	if !ok {
-		return runner.Job{}, fmt.Errorf("serve: unknown profile %q", sp.Profile)
-	}
-	model, err := config.ParseModel(sp.Model)
-	if err != nil {
-		return runner.Job{}, fmt.Errorf("serve: job %q: %w", sp.Profile, err)
-	}
-	step := config.StepSkip
-	if sp.StepMode != "" {
-		if step, err = config.ParseStepMode(sp.StepMode); err != nil {
-			return runner.Job{}, fmt.Errorf("serve: job %q: %w", sp.Profile, err)
-		}
-	}
-	if sp.InstPerCore <= 0 {
-		return runner.Job{}, fmt.Errorf("serve: job %q: inst_per_core must be positive, got %d",
-			sp.Profile, sp.InstPerCore)
-	}
-	return runner.Job{
-		Profile:     p,
-		Model:       model,
-		InstPerCore: sp.InstPerCore,
-		Seed:        sp.Seed,
-		StepMode:    step,
-		MaxCycles:   sp.MaxCycles,
-		Hists:       hists,
-	}, nil
+	return fleet.WireJob{Profile: sp.Profile, Model: sp.Model, InstPerCore: sp.InstPerCore,
+		Seed: sp.Seed, MaxCycles: sp.MaxCycles, Hists: hists}.Resolve()
 }
 
 // SweepStatus is the GET /v1/sweeps/{id} (and submission) response.
@@ -143,7 +117,7 @@ func (e *admissionError) Error() string {
 //	GET    /healthz                 liveness probe
 //
 // plus the live-introspection endpoints every sesa sweep has: /status,
-// /histograms, /debug/vars and /debug/pprof, reporting the running sweep.
+// /histograms and /debug/pprof, reporting the running sweep.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
@@ -199,7 +173,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	for i, sp := range req.Jobs {
 		j, err := sp.resolve(req.Histograms)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: job %d: %w", i, err))
 			return
 		}
 		jobs[i] = j

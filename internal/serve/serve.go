@@ -196,9 +196,8 @@ func NewFleet(o Options) (*Server, error) {
 // guarantees is not nested inside the registry lock.
 //
 // Per-sweep families are labeled sweep="sw-NNNNNN" and cover the queued,
-// running and most recently finished sweeps — a bounded window, unlike the
-// process-global /debug/vars counters (see runner.StatusHandler), which can
-// only ever follow one sweep at a time.
+// running and most recently finished sweeps — a bounded window, unlike
+// /status and /histograms, which follow the running sweep only.
 func (s *Server) registerMetrics() {
 	s.reg.GaugeFunc("sesa_serve_queue_depth",
 		"Sweeps waiting in the admission queue.", func() []telemetry.Sample {

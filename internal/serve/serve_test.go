@@ -395,6 +395,7 @@ func TestValidation(t *testing.T) {
 		"unknown profile": `{"jobs":[{"profile":"nope","model":"x86","inst_per_core":100}]}`,
 		"unknown model":   `{"jobs":[{"profile":"radix","model":"nope","inst_per_core":100}]}`,
 		"bad step mode":   `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":100,"step_mode":"warp"}]}`,
+		"naive step mode": `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":100,"step_mode":"naive"}]}`,
 		"zero insts":      `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":0}]}`,
 		"unknown field":   `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":100,"bogus":1}]}`,
 		"not json":        `not json`,
@@ -443,8 +444,8 @@ func TestValidation(t *testing.T) {
 }
 
 // TestJobKeyCanonical locks in the content address: equal resolved jobs share
-// a key, different parameters do not, and explicit defaults hash like
-// implicit ones.
+// a key, different parameters do not, explicit defaults hash like implicit
+// ones, and the stepper, which never changes a result, is left out.
 func TestJobKeyCanonical(t *testing.T) {
 	p, _ := trace.Lookup("radix")
 	base := runner.Job{Profile: p, Model: config.X86, InstPerCore: 1000, Seed: 1}
@@ -458,11 +459,15 @@ func TestJobKeyCanonical(t *testing.T) {
 	if jobKey(base) != jobKey(explicit) {
 		t.Error("explicit default config hashes differently from implicit")
 	}
+	naive := base
+	naive.StepMode = config.StepNaive
+	if jobKey(base) != jobKey(naive) {
+		t.Error("a naive-stepped job hashes differently from its skip twin")
+	}
 	for name, j := range map[string]runner.Job{
 		"model": {Profile: p, Model: config.SLFSoSKey370, InstPerCore: 1000, Seed: 1},
 		"n":     {Profile: p, Model: config.X86, InstPerCore: 2000, Seed: 1},
 		"seed":  {Profile: p, Model: config.X86, InstPerCore: 1000, Seed: 2},
-		"step":  {Profile: p, Model: config.X86, InstPerCore: 1000, Seed: 1, StepMode: config.StepNaive},
 		"bound": {Profile: p, Model: config.X86, InstPerCore: 1000, Seed: 1, MaxCycles: 5},
 		"hists": {Profile: p, Model: config.X86, InstPerCore: 1000, Seed: 1, Hists: true},
 		"profile": func() runner.Job {

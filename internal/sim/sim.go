@@ -70,10 +70,6 @@ type Machine struct {
 	hier  *mem.Hierarchy
 	cores []*core.Core
 
-	// stepMode selects naive cycle-by-cycle stepping or the two-level
-	// clock that skips quiescent ranges; both produce byte-identical
-	// observable output.
-	stepMode config.StepMode
 	// quiet records whether the last Step was fully quiescent — the
 	// precondition for skipAhead.
 	quiet bool
@@ -95,11 +91,10 @@ func New(cfg config.Config, workload string) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		cfg:      cfg,
-		clock:    sched.NewClock(cfg.Cores),
-		net:      noc.New(cfg.NoC, cfg.Jitter, cfg.JitterSeed),
-		stepMode: cfg.StepMode,
-		Stats:    stats.New(cfg.Model.String(), workload, cfg.Cores),
+		cfg:   cfg,
+		clock: sched.NewClock(cfg.Cores),
+		net:   noc.New(cfg.NoC, cfg.Jitter, cfg.JitterSeed),
+		Stats: stats.New(cfg.Model.String(), workload, cfg.Cores),
 	}
 	m.hier = mem.NewHierarchy(cfg.Cores, cfg.Mem, m.net, &m.clock.EventQueue)
 	m.cores = make([]*core.Core, cfg.Cores)
@@ -108,13 +103,6 @@ func New(cfg config.Config, workload string) (*Machine, error) {
 	}
 	return m, nil
 }
-
-// SetStepMode overrides the configured clock stepper. Call before Run; the
-// mode only affects how the clock advances, never what it observes.
-func (m *Machine) SetStepMode(mode config.StepMode) { m.stepMode = mode }
-
-// StepMode returns the active clock stepper.
-func (m *Machine) StepMode() config.StepMode { return m.stepMode }
 
 // AttachTracer wires the observability sink through the cores and the
 // memory hierarchy. Call before the first Step; nil detaches.
@@ -301,7 +289,7 @@ const cancelCheckMask = 1024 - 1
 // records how far it got, and the final metrics interval is emitted, so
 // partial statistics stay readable.
 func (m *Machine) RunContext(ctx context.Context, maxCycles uint64) error {
-	skip := m.stepMode == config.StepSkip
+	skip := m.cfg.StepMode == config.StepSkip
 	// Quiescence wake reports feed skipAhead and nothing else: under the
 	// naive stepper the per-tick wake scan is dead work, so turn it off.
 	for _, c := range m.cores {

@@ -4,13 +4,11 @@ import "sesa/internal/sim"
 
 // Option configures a System at construction. Options consolidate the
 // cross-cutting concerns that used to require post-construction setters —
-// workload naming, pipeline tracing, latency histograms, the clock stepper —
-// into one call:
+// workload naming, pipeline tracing, latency histograms — into one call:
 //
 //	sys, err := sesa.New(cfg,
 //		sesa.WithWorkloadName("mp-demo"),
-//		sesa.WithHistograms(hists),
-//		sesa.WithStepMode(sesa.StepNaive))
+//		sesa.WithHistograms(hists))
 //
 // The attach methods (AttachTracer, AttachHists, and the workload argument
 // of NewSystem) remain as the imperative equivalents; an option and its
@@ -22,7 +20,6 @@ type sysOptions struct {
 	workload string
 	tracer   *Tracer
 	hists    *HistSet
-	stepMode *StepMode
 }
 
 // WithWorkloadName names the run in statistics and reports, as NewSystem's
@@ -45,13 +42,6 @@ func WithHistograms(h *HistSet) Option {
 	return func(o *sysOptions) { o.hists = h }
 }
 
-// WithStepMode overrides the configuration's clock stepper (skip or naive).
-// The mode only affects how the clock advances, never what it observes: both
-// steppers produce byte-identical statistics, traces and histograms.
-func WithStepMode(m StepMode) Option {
-	return func(o *sysOptions) { o.stepMode = &m }
-}
-
 // New builds a machine from the configuration and applies the options. It is
 // the constructor behind NewSystem; the options cover everything that must
 // happen between construction and Run.
@@ -70,9 +60,6 @@ func New(cfg Config, opts ...Option) (*System, error) {
 	}
 	if o.hists != nil {
 		s.AttachHists(o.hists)
-	}
-	if o.stepMode != nil {
-		m.SetStepMode(*o.stepMode)
 	}
 	return s, nil
 }

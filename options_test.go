@@ -68,11 +68,12 @@ func TestNewWithStepModeAndSinks(t *testing.T) {
 	cfg := sesa.SmallConfig(2, sesa.X86)
 	hists := sesa.NewHistSet(cfg.Cores)
 	tracer := sesa.NewTracer(cfg.Cores, sesa.TraceOptions{MetricsInterval: 100})
-	sys, err := sesa.New(cfg,
+	naive := cfg
+	naive.StepMode = sesa.StepNaive
+	sys, err := sesa.New(naive,
 		sesa.WithWorkloadName("sinks"),
 		sesa.WithTrace(tracer),
-		sesa.WithHistograms(hists),
-		sesa.WithStepMode(sesa.StepNaive))
+		sesa.WithHistograms(hists))
 	if err != nil {
 		t.Fatal(err)
 	}

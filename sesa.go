@@ -74,7 +74,8 @@ func SkylakeConfig(cores int, m Model) Config { return config.Skylake(cores, m) 
 // experimentation and tests that need to provoke evictions.
 func SmallConfig(cores int, m Model) Config { return config.Small(cores, m) }
 
-// StepMode selects how the machine advances its simulation clock.
+// StepMode selects how the machine advances its simulation clock; a machine
+// reads it from Config.StepMode.
 type StepMode = config.StepMode
 
 // The two clock steppers: the default two-level skip clock, and the naive
@@ -83,9 +84,6 @@ const (
 	StepSkip  = config.StepSkip
 	StepNaive = config.StepNaive
 )
-
-// ParseStepMode parses a -step-mode flag value ("skip" or "naive").
-func ParseStepMode(s string) (StepMode, error) { return config.ParseStepMode(s) }
 
 // ParseModel parses a model name as printed by Model.String ("x86",
 // "370-NoSpec", ...), the inverse used by flags and the sesa-serve job JSON.
@@ -156,8 +154,8 @@ type System struct {
 // NewSystem builds a machine; workload names the run in statistics. It is a
 // thin wrapper over New(cfg, WithWorkloadName(workload)), kept so the
 // original two-argument constructor keeps compiling everywhere; new code
-// that also needs tracing, histograms or a step-mode override should call
-// New with the corresponding options.
+// that also needs tracing or histograms should call New with the
+// corresponding options.
 func NewSystem(cfg Config, workload string) (*System, error) {
 	return New(cfg, WithWorkloadName(workload))
 }

@@ -62,7 +62,7 @@ func NewSweepProgress() *SweepProgress { return runner.NewProgress() }
 
 // ServeStatus starts the live-introspection HTTP server on addr and returns
 // the bound address. It serves /status and /histograms as JSON plus
-// /debug/vars (expvar) and /debug/pprof.
+// /debug/pprof.
 func ServeStatus(addr string, p *SweepProgress) (string, error) {
 	return runner.ServeStatus(addr, p)
 }
