@@ -18,15 +18,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"runtime"
 
 	"sesa"
-	"sesa/internal/config"
 	"sesa/internal/report"
 	"sesa/internal/stats"
-	"sesa/internal/telemetry"
 )
 
 var (
@@ -110,20 +107,12 @@ func benchmarkJobs(profiles []sesa.Profile, models []sesa.Model) []sesa.SweepJob
 func main() {
 	table := flag.Int("table", 0, "regenerate a table (1-4)")
 	fig := flag.Int("fig", 0, "regenerate a figure (1-5, 9, 10)")
-	logFlags := config.TelemetryFlags()
 	flag.Parse()
 
 	if *listModels {
 		fmt.Print(sesa.ListModels())
 		return
 	}
-
-	logger, err := telemetry.NewLogger(os.Stderr, logFlags.LogLevel, logFlags.LogFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	slog.SetDefault(logger.With(telemetry.KeyComponent, "sesa-bench"))
 
 	if *statusAddr != "" {
 		progress = sesa.NewSweepProgress()
@@ -132,7 +121,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		slog.Info("status endpoints up", "addr", "http://"+addr+"/status")
+		fmt.Fprintf(os.Stderr, "status endpoints up at http://%s/status\n", addr)
 	}
 
 	switch {

@@ -9,14 +9,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"sesa"
-	"sesa/internal/config"
-	"sesa/internal/telemetry"
 )
 
 // modelPair cross-validates one operational model against its axiomatic
@@ -37,20 +34,12 @@ func main() {
 	testName := flag.String("test", "", "litmus test name or comma-separated list (default: all)")
 	alloyDir := flag.String("export-alloy", "", "also write each selected test as a memalloy-style candidate-execution module (<name>.als) into this directory")
 	listModels := flag.Bool("list-models", false, "print the machine-model roster and exit")
-	logFlags := config.TelemetryFlags()
 	flag.Parse()
 
 	if *listModels {
 		fmt.Print(sesa.ListModels())
 		return
 	}
-
-	logger, err := telemetry.NewLogger(os.Stderr, logFlags.LogLevel, logFlags.LogFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	slog.SetDefault(logger.With(telemetry.KeyComponent, "sesa-check"))
 
 	if err := run(os.Stdout, *testName, *alloyDir); err != nil {
 		fmt.Fprintln(os.Stderr, err)

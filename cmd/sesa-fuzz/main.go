@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -31,8 +30,6 @@ import (
 	"strings"
 
 	"sesa"
-	"sesa/internal/config"
-	"sesa/internal/telemetry"
 )
 
 type options struct {
@@ -64,14 +61,7 @@ func main() {
 	reproDir := flag.String("repro-dir", "", "write failing programs (full + minimized ConsistencyChecker text) into this directory")
 	alloyDir := flag.String("export-alloy", "", "write a memalloy-style candidate-execution module per program into this directory")
 	listModels := flag.Bool("list-models", false, "print the valid machine-model names and exit")
-	logFlags := config.TelemetryFlags()
 	flag.Parse()
-
-	logger, lerr := telemetry.NewLogger(os.Stderr, logFlags.LogLevel, logFlags.LogFormat)
-	if lerr != nil {
-		fatal(lerr)
-	}
-	slog.SetDefault(logger.With(telemetry.KeyComponent, "sesa-fuzz"))
 
 	if *listModels {
 		fmt.Print(sesa.ListModels())

@@ -16,14 +16,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"sort"
 	"strings"
 
 	"sesa"
-	"sesa/internal/config"
-	"sesa/internal/telemetry"
 )
 
 func main() {
@@ -40,7 +37,6 @@ func main() {
 	histOut := flag.String("hist-out", "", "write latency-distribution histograms to this file (empty with -hist-format set = stdout)")
 	histFormat := flag.String("hist-format", "", "histogram format, text or json; setting it (or -hist-out) enables histogram collection")
 	listModels := flag.Bool("list-models", false, "print the machine-model roster and exit")
-	logFlags := config.TelemetryFlags()
 	flag.Parse()
 
 	if *listModels {
@@ -48,13 +44,6 @@ func main() {
 		return
 	}
 	wantHists := *histOut != "" || *histFormat != ""
-
-	logger, err := telemetry.NewLogger(os.Stderr, logFlags.LogLevel, logFlags.LogFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	slog.SetDefault(logger.With(telemetry.KeyComponent, "sesa-litmus"))
 
 	if *traceOut != "" && *traceFormat != "chrome" && *traceFormat != "kanata" {
 		fmt.Fprintf(os.Stderr, "unknown -trace-format %q (want %s)\n", *traceFormat, sesa.ValidTraceFormats)

@@ -92,7 +92,7 @@ func main() {
 			MaxAttempts: *fleetAttempts,
 		}
 	}
-	srv, err := serve.NewFleet(opts)
+	srv, err := serve.New(opts)
 	if err != nil {
 		log.Error("invalid server options", "error", err)
 		os.Exit(1)

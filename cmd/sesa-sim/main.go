@@ -15,13 +15,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"runtime"
 
 	"sesa"
-	"sesa/internal/config"
-	"sesa/internal/telemetry"
 )
 
 func main() {
@@ -42,7 +39,6 @@ func main() {
 	histFormat := flag.String("hist-format", "", "histogram format, text or json; setting it (or -hist-out) enables histogram collection")
 	statusAddr := flag.String("status-addr", "", "serve live sweep status, histograms and pprof on this address (e.g. localhost:6060)")
 	listModels := flag.Bool("list-models", false, "print the machine-model roster and exit")
-	logFlags := config.TelemetryFlags()
 	flag.Parse()
 
 	if *listModels {
@@ -50,13 +46,6 @@ func main() {
 		return
 	}
 	wantHists := *histOut != "" || *histFormat != ""
-
-	logger, err := telemetry.NewLogger(os.Stderr, logFlags.LogLevel, logFlags.LogFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	slog.SetDefault(logger.With(telemetry.KeyComponent, "sesa-sim"))
 
 	if *traceOut != "" && *traceFormat != "chrome" && *traceFormat != "kanata" {
 		fmt.Fprintf(os.Stderr, "unknown -trace-format %q (want %s)\n", *traceFormat, sesa.ValidTraceFormats)
@@ -145,7 +134,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			slog.Info("status endpoints up", "addr", "http://"+addr+"/status")
+			fmt.Fprintf(os.Stderr, "status endpoints up at http://%s/status\n", addr)
 		}
 		js := make([]sesa.SweepJob, len(models))
 		for i, model := range models {

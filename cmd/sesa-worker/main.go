@@ -10,18 +10,16 @@
 // leasing, finishes and reports its in-flight batch, and deregisters so
 // the coordinator requeues immediately instead of waiting out the lease.
 //
-// With -status-addr the worker serves its own observability surface, in
-// parity with every other sesa process: GET /metrics (lease and batch
-// counters in Prometheus text format), /debug/pprof and /healthz.
+// With -status-addr the worker serves the introspection endpoints every
+// sesa process serves: /metrics (lease and batch counters in Prometheus text
+// format), /healthz, /debug/pprof/, and /status and /histograms, which stay
+// empty because a worker's sweeps belong to its coordinator.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -31,6 +29,7 @@ import (
 
 	"sesa/internal/config"
 	"sesa/internal/fleet"
+	"sesa/internal/runner"
 	"sesa/internal/telemetry"
 )
 
@@ -39,7 +38,7 @@ func main() {
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers for each leased batch")
 	name := flag.String("name", "", "worker label in the coordinator's status table (default: hostname)")
 	poll := flag.Duration("poll", 200*time.Millisecond, "idle re-lease interval when the coordinator has no work")
-	statusAddr := flag.String("status-addr", "", "serve /metrics, /debug/pprof and /healthz on this address (\":0\" picks a free port)")
+	statusAddr := flag.String("status-addr", "", "serve /metrics, /healthz, /debug/pprof and empty /status and /histograms on this address (\":0\" picks a free port)")
 	logFlags := config.TelemetryFlags()
 	flag.Parse()
 
@@ -71,24 +70,12 @@ func main() {
 	})
 
 	if *statusAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("GET /metrics", reg.Handler())
-		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprintln(w, "ok")
-		})
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		ln, err := net.Listen("tcp", *statusAddr)
+		addr, err := runner.ServeStatus(*statusAddr, runner.StatusHandler(nil, reg))
 		if err != nil {
 			log.Error("status listener failed", "error", err)
 			os.Exit(1)
 		}
-		go func() { _ = http.Serve(ln, mux) }()
-		log.Info("status endpoints up", "addr", "http://"+ln.Addr().String())
+		log.Info("status endpoints up", "addr", "http://"+addr)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -2,10 +2,11 @@ package config
 
 import "flag"
 
-// Telemetry holds the structured-logging flag values every sesa binary
-// accepts. The strings are parsed by internal/telemetry (NewLogger), which
-// owns the level/format vocabulary; config only carries them from the
-// command line so all seven cmd/ binaries spell the flags identically.
+// Telemetry holds the structured-logging flag values of the two daemons,
+// sesa-serve and sesa-worker; the batch CLIs do not log. The strings are
+// parsed by internal/telemetry (NewLogger), which owns the level/format
+// vocabulary; config only carries them from the command line so both
+// daemons spell the flags identically.
 type Telemetry struct {
 	// LogLevel is the minimum level emitted: debug, info, warn or error.
 	LogLevel string
@@ -14,15 +15,12 @@ type Telemetry struct {
 	LogFormat string
 }
 
-// RegisterTelemetryFlags registers the shared -log-level and -log-format
-// flags on fs and returns the destination struct. Call before flag.Parse.
-func RegisterTelemetryFlags(fs *flag.FlagSet) *Telemetry {
+// TelemetryFlags registers the shared -log-level and -log-format flags on
+// the process-global flag set and returns the destination struct. Call
+// before flag.Parse.
+func TelemetryFlags() *Telemetry {
 	t := &Telemetry{}
-	fs.StringVar(&t.LogLevel, "log-level", "info", "structured-log level: debug, info, warn or error")
-	fs.StringVar(&t.LogFormat, "log-format", "text", "structured-log encoding: text or json")
+	flag.StringVar(&t.LogLevel, "log-level", "info", "structured-log level: debug, info, warn or error")
+	flag.StringVar(&t.LogFormat, "log-format", "text", "structured-log encoding: text or json")
 	return t
 }
-
-// TelemetryFlags registers the shared logging flags on the process-global
-// flag set (the form the cmd/ binaries use).
-func TelemetryFlags() *Telemetry { return RegisterTelemetryFlags(flag.CommandLine) }

@@ -691,15 +691,37 @@ func (c *Coordinator) Deregister(req DeregisterRequest) error {
 	return nil
 }
 
-// WorkerStatus snapshots the per-worker rows for /status, ordered by worker
-// id (registration order).
-func (c *Coordinator) WorkerStatus() []runner.WorkerStatus {
+// WorkerStatus is one fleet worker's row in GET /v1/fleet/workers: how much
+// work the coordinator has entrusted to it and what came back.
+type WorkerStatus struct {
+	ID   string `json:"id"`
+	Name string `json:"name,omitempty"`
+	// Cores is the worker's advertised parallel job capacity.
+	Cores int `json:"cores"`
+	// Leased counts batches currently held under lease; Completed, Failed
+	// and Retried are cumulative: batches the worker finished, leases it
+	// lost to expiry, and re-leased batches (a prior holder lost them) it
+	// picked up.
+	Leased    int `json:"leased"`
+	Completed int `json:"completed"`
+	Failed    int `json:"failed"`
+	Retried   int `json:"retried"`
+	// LastHeartbeatSeconds is the age of the worker's most recent
+	// register/lease/heartbeat/complete call.
+	LastHeartbeatSeconds float64 `json:"last_heartbeat_seconds"`
+	// Draining marks a worker that announced it is deregistering.
+	Draining bool `json:"draining,omitempty"`
+}
+
+// WorkerStatus snapshots the per-worker rows, ordered by worker id
+// (registration order).
+func (c *Coordinator) WorkerStatus() []WorkerStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := time.Now()
-	rows := make([]runner.WorkerStatus, 0, len(c.workers))
+	rows := make([]WorkerStatus, 0, len(c.workers))
 	for _, w := range c.workers {
-		rows = append(rows, runner.WorkerStatus{
+		rows = append(rows, WorkerStatus{
 			ID:                   w.id,
 			Name:                 w.name,
 			Cores:                w.cores,

@@ -141,13 +141,13 @@ func leaseUntil(t *testing.T, c *Coordinator, workerID string, timeout time.Dura
 	}
 }
 
-func statusRow(rows []runner.WorkerStatus, id string) (runner.WorkerStatus, bool) {
+func statusRow(rows []WorkerStatus, id string) (WorkerStatus, bool) {
 	for _, r := range rows {
 		if r.ID == id {
 			return r, true
 		}
 	}
-	return runner.WorkerStatus{}, false
+	return WorkerStatus{}, false
 }
 
 // TestLeaseExpiryReassignment is the heart of the failure model: a worker

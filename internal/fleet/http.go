@@ -17,7 +17,7 @@ import (
 //	POST /heartbeat   renew leases, learn which batches to abandon
 //	POST /complete    report a finished batch's results
 //	POST /deregister  graceful departure; held batches are requeued
-//	GET  /workers     per-worker status rows (the /status fleet table)
+//	GET  /workers     per-worker status rows
 //
 // Requests with an unknown worker id get 410 Gone — the worker's cue to
 // re-register after a coordinator restart.

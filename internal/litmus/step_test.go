@@ -3,6 +3,8 @@ package litmus
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -122,15 +124,29 @@ func TestStepModesAgreeOnLitmusSuite(t *testing.T) {
 		}
 	}
 
+	// The pipeline-trace and histogram smoke: both steppers must reproduce
+	// the goldens CI diffs the sesa-litmus output against.
 	t.Run("smoke/trace+hist", func(t *testing.T) {
 		naive, skip := traceSmoke(t, config.StepNaive), traceSmoke(t, config.StepSkip)
-		for _, format := range []string{"chrome", "kanata", "hist-text"} {
-			if len(skip[format]) == 0 {
-				t.Errorf("%s: empty output", format)
+		for _, c := range []struct{ format, golden string }{
+			{"chrome", "trace_n6_slfsoskey_iters2.golden.json"},
+			{"kanata", "trace_n6_slfsoskey_iters2.golden.kanata"},
+			{"hist-text", "hist_n6_slfsoskey_iters2.golden"},
+		} {
+			if len(skip[c.format]) == 0 {
+				t.Errorf("%s: empty output", c.format)
 			}
-			if !bytes.Equal(naive[format], skip[format]) {
+			if !bytes.Equal(naive[c.format], skip[c.format]) {
 				t.Errorf("%s: naive and skip output differ (%d vs %d bytes)",
-					format, len(naive[format]), len(skip[format]))
+					c.format, len(naive[c.format]), len(skip[c.format]))
+			}
+			want, err := os.ReadFile(filepath.Join("..", "..", "testdata", c.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(skip[c.format], want) {
+				t.Errorf("%s: output differs from testdata/%s (%d vs %d bytes)",
+					c.format, c.golden, len(skip[c.format]), len(want))
 			}
 		}
 	})

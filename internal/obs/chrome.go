@@ -22,49 +22,61 @@ import (
 // hand-built JSON, so a fixed seed produces byte-identical files no matter
 // how many sweep workers ran the simulation.
 func WriteChrome(w io.Writer, runs []Run) error {
-	bw := bufio.NewWriter(w)
-	cw := &chromeWriter{w: bw}
-	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
+	cw := NewChromeWriter(w)
 	for pid, run := range runs {
-		cw.meta(pid, -1, "process_name", run.Name)
+		cw.Meta(pid, -1, "process_name", run.Name)
 		for c := 0; c < run.Tracer.Cores(); c++ {
-			cw.meta(pid, 2*c, "thread_name", fmt.Sprintf("core %d", c))
-			cw.meta(pid, 2*c+1, "thread_name", fmt.Sprintf("core %d gate", c))
+			cw.Meta(pid, 2*c, "thread_name", fmt.Sprintf("core %d", c))
+			cw.Meta(pid, 2*c+1, "thread_name", fmt.Sprintf("core %d gate", c))
 		}
 		for c := 0; c < run.Tracer.Cores(); c++ {
 			cw.core(pid, c, run.Tracer.Core(c))
 		}
 	}
-	fmt.Fprintf(bw, "\n]}\n")
-	if cw.err != nil {
-		return cw.err
-	}
-	return bw.Flush()
+	return cw.Close()
 }
 
-// chromeWriter hand-builds the trace-event array (no maps anywhere, so
-// field order is fixed and output is reproducible byte for byte).
-type chromeWriter struct {
+// ChromeWriter writes one Chrome trace-event JSON document. Every event is
+// hand-built JSON (no maps anywhere), so field order is fixed and a document
+// is reproducible byte for byte. The pipeline trace above and the sweep
+// service's span timeline (telemetry.Timeline.WriteChrome) both render
+// through it.
+type ChromeWriter struct {
 	w       *bufio.Writer
 	started bool
-	err     error
 }
 
-// sep writes the separating comma before every event but the first.
-func (cw *chromeWriter) sep() {
+// NewChromeWriter writes the document header to w. Finish with Close.
+func NewChromeWriter(w io.Writer) *ChromeWriter {
+	cw := &ChromeWriter{w: bufio.NewWriter(w)}
+	fmt.Fprintf(cw.w, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
+	return cw
+}
+
+// Event writes one event, formatted as by fmt.Fprintf, preceded by the
+// separating comma when it is not the first.
+func (cw *ChromeWriter) Event(format string, a ...any) {
 	if cw.started {
 		fmt.Fprintf(cw.w, ",\n")
 	}
 	cw.started = true
+	fmt.Fprintf(cw.w, format, a...)
 }
 
-func (cw *chromeWriter) meta(pid, tid int, kind, name string) {
-	cw.sep()
+// Meta writes a metadata event naming a process (tid < 0) or a thread;
+// kind is "process_name" or "thread_name".
+func (cw *ChromeWriter) Meta(pid, tid int, kind, name string) {
 	if tid < 0 {
-		fmt.Fprintf(cw.w, "{\"ph\":\"M\",\"pid\":%d,\"name\":%q,\"args\":{\"name\":%q}}", pid, kind, name)
+		cw.Event("{\"ph\":\"M\",\"pid\":%d,\"name\":%q,\"args\":{\"name\":%q}}", pid, kind, name)
 		return
 	}
-	fmt.Fprintf(cw.w, "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":%q,\"args\":{\"name\":%q}}", pid, tid, kind, name)
+	cw.Event("{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":%q,\"args\":{\"name\":%q}}", pid, tid, kind, name)
+}
+
+// Close writes the document footer and flushes.
+func (cw *ChromeWriter) Close() error {
+	fmt.Fprintf(cw.w, "\n]}\n")
+	return cw.w.Flush()
 }
 
 // span tracks one in-flight instruction between its dispatch and its
@@ -89,7 +101,7 @@ func (s *span) instLabel() string {
 }
 
 // core emits one core's events onto its two tracks.
-func (cw *chromeWriter) core(pid, coreID int, t *CoreTracer) {
+func (cw *ChromeWriter) core(pid, coreID int, t *CoreTracer) {
 	events := t.Events()
 	tid := 2 * coreID
 	gateTid := tid + 1
@@ -132,12 +144,10 @@ func (cw *chromeWriter) core(pid, coreID int, t *CoreTracer) {
 			cw.instant(pid, tid, fmt.Sprintf("SLF hit [%#x]", ev.Addr), ev.Cycle,
 				fmt.Sprintf("{\"seq\":%d,\"key\":%d}", ev.Seq, ev.Key))
 		case KGateClose:
-			cw.sep()
-			fmt.Fprintf(cw.w, "{\"name\":\"gate closed\",\"cat\":\"gate\",\"ph\":\"B\",\"ts\":%d,\"pid\":%d,\"tid\":%d,\"args\":{\"key\":%d}}",
+			cw.Event("{\"name\":\"gate closed\",\"cat\":\"gate\",\"ph\":\"B\",\"ts\":%d,\"pid\":%d,\"tid\":%d,\"args\":{\"key\":%d}}",
 				ev.Cycle, pid, gateTid, ev.Key)
 		case KGateReopen:
-			cw.sep()
-			fmt.Fprintf(cw.w, "{\"name\":\"gate closed\",\"cat\":\"gate\",\"ph\":\"E\",\"ts\":%d,\"pid\":%d,\"tid\":%d,\"args\":{\"key\":%d}}",
+			cw.Event("{\"name\":\"gate closed\",\"cat\":\"gate\",\"ph\":\"E\",\"ts\":%d,\"pid\":%d,\"tid\":%d,\"args\":{\"key\":%d}}",
 				ev.Cycle, pid, gateTid, ev.Key)
 		case KSquash:
 			cw.instant(pid, tid, fmt.Sprintf("squash (%s)", ev.Cause), ev.Cycle,
@@ -158,25 +168,23 @@ func (cw *chromeWriter) core(pid, coreID int, t *CoreTracer) {
 }
 
 // inst emits one instruction-lifetime complete event.
-func (cw *chromeWriter) inst(pid, tid int, s *span, cat string, end uint64) {
-	cw.sep()
+func (cw *ChromeWriter) inst(pid, tid int, s *span, cat string, end uint64) {
 	name := s.instLabel()
 	if s.slf {
 		name += " (SLF)"
 	}
-	fmt.Fprintf(cw.w, "{\"name\":%q,\"cat\":%q,\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":%d,\"args\":{\"seq\":%d,\"idx\":%d,\"issue\":%d,\"perform\":%d}}",
+	cw.Event("{\"name\":%q,\"cat\":%q,\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":%d,\"args\":{\"seq\":%d,\"idx\":%d,\"issue\":%d,\"perform\":%d}}",
 		name, cat, s.dispatch, end-s.dispatch, pid, tid, s.seq, s.traceIdx, s.issue, s.perform)
 }
 
 // instant emits one thread-scoped instant event; args is a pre-rendered
 // JSON object or "".
-func (cw *chromeWriter) instant(pid, tid int, name string, ts uint64, args string) {
-	cw.sep()
+func (cw *ChromeWriter) instant(pid, tid int, name string, ts uint64, args string) {
 	if args == "" {
-		fmt.Fprintf(cw.w, "{\"name\":%q,\"cat\":\"mem\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%d,\"pid\":%d,\"tid\":%d}",
+		cw.Event("{\"name\":%q,\"cat\":\"mem\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%d,\"pid\":%d,\"tid\":%d}",
 			name, ts, pid, tid)
 		return
 	}
-	fmt.Fprintf(cw.w, "{\"name\":%q,\"cat\":\"mem\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%d,\"pid\":%d,\"tid\":%d,\"args\":%s}",
+	cw.Event("{\"name\":%q,\"cat\":\"mem\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%d,\"pid\":%d,\"tid\":%d,\"args\":%s}",
 		name, ts, pid, tid, args)
 }

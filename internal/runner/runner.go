@@ -113,6 +113,13 @@ func (r *Result) Canceled() bool {
 	return errors.Is(r.Err, context.Canceled) || errors.Is(r.Err, context.DeadlineExceeded)
 }
 
+// Failure is the result's row in status and results documents; call it only
+// when Err is set.
+func (r *Result) Failure() JobFailure {
+	return JobFailure{Index: r.Index, Name: r.Job.Name(), Error: r.Err.Error(),
+		TimedOut: r.TimedOut(), Canceled: r.Canceled()}
+}
+
 // CyclesPerSecond is the job's host-side simulation throughput: simulated
 // cycles delivered per wall-clock second. Like Wall it is non-deterministic
 // and must stay out of byte-identical table output.
@@ -201,7 +208,7 @@ func (p Pool) RunContext(ctx context.Context, jobs []Job) ([]Result, report.Swee
 		close(idx)
 		wg.Wait()
 	}
-	return results, p.summarize(results, n, time.Since(start))
+	return results, Summarize(results, n, time.Since(start), p.Cache)
 }
 
 // runJob wraps runOne with progress notifications (nil-safe no-ops when the
@@ -282,8 +289,10 @@ func (p Pool) runOne(ctx context.Context, i int, j Job) Result {
 	return res
 }
 
-// summarize aggregates the sweep-level quantities.
-func (p Pool) summarize(results []Result, workers int, wall time.Duration) report.SweepSummary {
+// Summarize aggregates the sweep-level quantities of a result set run by
+// the given number of workers in the given wall time. cache, when non-nil,
+// supplies the trace-cache counters.
+func Summarize(results []Result, workers int, wall time.Duration, cache *trace.Cache) report.SweepSummary {
 	s := report.SweepSummary{Jobs: len(results), Workers: workers, WallSeconds: wall.Seconds()}
 	for i := range results {
 		r := &results[i]
@@ -301,8 +310,8 @@ func (p Pool) summarize(results []Result, workers int, wall time.Duration) repor
 			s.SimInsts += r.Stats.Total().RetiredInsts
 		}
 	}
-	if p.Cache != nil {
-		s.TraceCacheHits, s.TraceCacheMisses = p.Cache.Stats()
+	if cache != nil {
+		s.TraceCacheHits, s.TraceCacheMisses = cache.Stats()
 	}
 	s.CyclesPerSec = s.CyclesPerSecond()
 	s.InstsPerSec = s.InstsPerSecond()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sesa/internal/hist"
+	"sesa/internal/telemetry"
 )
 
 // Progress tracks a live sweep for the -status-addr HTTP endpoint. The pool
@@ -35,31 +36,6 @@ type Progress struct {
 	rates    []JobThroughput
 	merged   *hist.Collector
 	hists    bool
-	fleet    func() []WorkerStatus
-}
-
-// WorkerStatus is one fleet worker's row in the /status report: how much
-// work the coordinator has entrusted to it and what came back. The runner
-// defines the type (the fleet coordinator fills it via AttachFleet) so the
-// status surface stays in one package.
-type WorkerStatus struct {
-	ID   string `json:"id"`
-	Name string `json:"name,omitempty"`
-	// Cores is the worker's advertised parallel job capacity.
-	Cores int `json:"cores"`
-	// Leased counts batches currently held under lease; Completed, Failed
-	// and Retried are cumulative: batches the worker finished, leases it
-	// lost to expiry, and re-leased batches (a prior holder lost them) it
-	// picked up.
-	Leased    int `json:"leased"`
-	Completed int `json:"completed"`
-	Failed    int `json:"failed"`
-	Retried   int `json:"retried"`
-	// LastHeartbeatSeconds is the age of the worker's most recent
-	// register/lease/heartbeat/complete call.
-	LastHeartbeatSeconds float64 `json:"last_heartbeat_seconds"`
-	// Draining marks a worker that announced it is deregistering.
-	Draining bool `json:"draining,omitempty"`
 }
 
 // JobThroughput is one completed job's host-side simulation throughput.
@@ -71,7 +47,7 @@ type JobThroughput struct {
 	InstsPerSecond  float64 `json:"insts_per_second"`
 }
 
-// JobFailure describes one failed job in the status report.
+// JobFailure describes one failed job in status and results documents.
 type JobFailure struct {
 	Index    int    `json:"index"`
 	Name     string `json:"name"`
@@ -110,27 +86,12 @@ type Snapshot struct {
 	InstsPerSecond  float64 `json:"insts_per_second"`
 	// Jobs lists each completed job's individual throughput, in job order.
 	Jobs []JobThroughput `json:"job_throughput,omitempty"`
-	// FleetWorkers lists the coordinator's per-worker rows when the sweep
-	// runs on a fleet (absent for local sweeps).
-	FleetWorkers []WorkerStatus `json:"fleet_workers,omitempty"`
 }
 
 // NewProgress returns an empty progress tracker to hand to Pool.Progress
-// and ServeStatus.
+// and StatusHandler.
 func NewProgress() *Progress {
 	return &Progress{running: make(map[int]string), merged: hist.NewCollector()}
-}
-
-// AttachFleet installs a per-worker status source (the fleet coordinator's
-// worker table); Snapshot includes its rows as FleetWorkers. Attach before
-// the sweep starts — the callback is invoked outside the progress lock.
-func (p *Progress) AttachFleet(fn func() []WorkerStatus) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fleet = fn
 }
 
 // Begin resets the tracker for a sweep of n jobs. Sequential sweeps may reuse
@@ -181,17 +142,15 @@ func (p *Progress) JobDone(r *Result) {
 		p.end = time.Now()
 	}
 	if r.Err != nil {
+		f := r.Failure()
 		p.failed++
-		to, ca := r.TimedOut(), r.Canceled()
-		if to {
+		if f.TimedOut {
 			p.timedOut++
 		}
-		if ca {
+		if f.Canceled {
 			p.canceled++
 		}
-		p.failures = append(p.failures, JobFailure{
-			Index: r.Index, Name: r.Job.Name(), Error: r.Err.Error(), TimedOut: to, Canceled: ca,
-		})
+		p.failures = append(p.failures, f)
 	}
 	if r.Stats != nil {
 		p.cycles += r.Stats.Cycles
@@ -247,14 +206,6 @@ func (p *Progress) Snapshot() Snapshot {
 	}
 	s.Jobs = append([]JobThroughput(nil), p.rates...)
 	sort.Slice(s.Jobs, func(a, b int) bool { return s.Jobs[a].Index < s.Jobs[b].Index })
-	fleet := p.fleet
-	if fleet != nil {
-		// The worker table has its own lock; release ours first.
-		p.mu.Unlock()
-		rows := fleet()
-		p.mu.Lock()
-		s.FleetWorkers = rows
-	}
 	return s
 }
 
@@ -274,16 +225,20 @@ func (p *Progress) Histograms() *hist.Collector {
 	return c
 }
 
-// StatusHandler returns the live-introspection handler without binding a
-// listener, so daemons (sesa-serve) can mount the same endpoints on their own
-// mux. get is called once per request and returns the Progress to report —
-// for a CLI sweep that is a fixed tracker, for a daemon whichever sweep is
-// currently running; nil is allowed and serves empty snapshots. Endpoints:
+// StatusHandler returns the live-introspection handler every sesa process
+// serves: the -status-addr listener of the CLIs and sesa-worker, and the
+// sesa-serve daemon, which mounts it beside its API. get is called once per
+// request and returns the Progress to report — for a CLI sweep that is a
+// fixed tracker, for a daemon whichever sweep is currently running; a nil
+// get, or a nil Progress, serves empty snapshots. reg backs /metrics; nil
+// serves an empty exposition. Endpoints:
 //
 //	/status         sweep progress snapshot (JSON)
 //	/histograms     merged latency histograms of completed jobs (JSON)
+//	/metrics        Prometheus text exposition of reg
+//	/healthz        liveness probe
 //	/debug/pprof/   runtime profiling
-func StatusHandler(get func() *Progress) http.Handler {
+func StatusHandler(get func() *Progress, reg *telemetry.Registry) http.Handler {
 	if get == nil {
 		get = func() *Progress { return nil }
 	}
@@ -301,6 +256,11 @@ func StatusHandler(get func() *Progress) http.Handler {
 	mux.HandleFunc("/histograms", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, get().Histograms().Summaries())
 	})
+	mux.Handle("/metrics", reg.Handler())
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintln(w, "ok")
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -309,16 +269,11 @@ func StatusHandler(get func() *Progress) http.Handler {
 	return mux
 }
 
-// ServeStatus starts the live-introspection HTTP server on addr and returns
-// the bound address (useful with ":0"). It serves StatusHandler's endpoints
-// for the fixed tracker p. The server lives until the process exits; CLI
-// sweeps are short-lived relative to the process, so there is no shutdown
-// plumbing (daemons use StatusHandler on their own server instead).
-func ServeStatus(addr string, p *Progress) (string, error) {
-	if p == nil {
-		return "", fmt.Errorf("runner: ServeStatus needs a non-nil Progress")
-	}
-	h := StatusHandler(func() *Progress { return p })
+// ServeStatus serves h on a new listener bound to addr and returns the bound
+// address (useful with ":0"). The server lives until the process exits; the
+// processes that use it keep it for their whole life, so there is no
+// shutdown plumbing.
+func ServeStatus(addr string, h http.Handler) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("runner: status server: %w", err)

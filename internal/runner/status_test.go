@@ -69,7 +69,7 @@ func TestProgressNilSafe(t *testing.T) {
 
 func TestServeStatus(t *testing.T) {
 	pr := NewProgress()
-	addr, err := ServeStatus("127.0.0.1:0", pr)
+	addr, err := ServeStatus("127.0.0.1:0", StatusHandler(func() *Progress { return pr }, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,5 +118,7 @@ func TestServeStatus(t *testing.T) {
 	// /status and /histograms are the whole sweep surface: no expvars.
 	get("/debug/vars", http.StatusNotFound, nil)
 
+	get("/healthz", http.StatusOK, nil)
+	get("/metrics", http.StatusOK, nil)
 	get("/debug/pprof/cmdline", http.StatusOK, nil)
 }

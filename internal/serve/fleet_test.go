@@ -19,7 +19,7 @@ import (
 // gracefully at cleanup.
 func newFleetTestServer(t *testing.T, fc config.Fleet, n int) (*Server, *httptest.Server, []*fleet.Worker) {
 	t.Helper()
-	s, err := NewFleet(Options{MaxWorkers: 2, Fleet: &fc})
+	s, err := New(Options{MaxWorkers: 2, Fleet: &fc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,16 +142,21 @@ func TestFleetByteIdentity(t *testing.T) {
 		t.Errorf("fleet summary counters differ:\nfleet: %+v\nlocal: %+v", gs, ws)
 	}
 
-	// Per-worker rows ride the sweep's status document.
-	code, st := getStatus(t, ts, fst.ID)
-	if code != http.StatusOK {
-		t.Fatalf("status: HTTP %d", code)
+	// Per-worker rows are served by the coordinator's protocol surface.
+	resp, err := http.Get(ts.URL + "/v1/fleet/workers")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Progress == nil || len(st.Progress.FleetWorkers) != 2 {
-		t.Fatalf("status fleet_workers = %+v, want 2 rows", st.Progress)
+	defer resp.Body.Close()
+	var rows []fleet.WorkerStatus
+	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
+		t.Fatalf("GET /v1/fleet/workers: HTTP %d: %v", resp.StatusCode, err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("fleet worker rows = %+v, want 2", rows)
 	}
 	batches := 0
-	for _, row := range st.Progress.FleetWorkers {
+	for _, row := range rows {
 		if row.ID == "" || row.Cores != 1 {
 			t.Errorf("worker row %+v missing id or cores", row)
 		}

@@ -71,23 +71,7 @@ type SweepResults struct {
 	CacheHits int                          `json:"cache_hits"`
 	Table     report.CharacterizationTable `json:"table4"`
 	Summary   report.SweepSummary          `json:"summary"`
-	Failures  []SweepFailure               `json:"failures,omitempty"`
-}
-
-// SweepFailure reports one failed job in a results document.
-type SweepFailure struct {
-	Index    int    `json:"index"`
-	Name     string `json:"name"`
-	Error    string `json:"error"`
-	TimedOut bool   `json:"timed_out"`
-	Canceled bool   `json:"canceled"`
-}
-
-// CacheStats is the GET /v1/cache response.
-type CacheStats struct {
-	Entries int    `json:"entries"`
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
+	Failures  []runner.JobFailure          `json:"failures,omitempty"`
 }
 
 // errDraining rejects submissions during graceful drain.
@@ -112,12 +96,11 @@ func (e *admissionError) Error() string {
 //	GET    /v1/sweeps/{id}/timeline the sweep's span timeline as Chrome-trace
 //	                                JSON (open in ui.perfetto.dev)
 //	DELETE /v1/sweeps/{id}          cancel (mid-run cancellation frees workers)
-//	GET    /v1/cache                content-addressed result cache counters
-//	GET    /metrics                 Prometheus text exposition
-//	GET    /healthz                 liveness probe
 //
-// plus the live-introspection endpoints every sesa sweep has: /status,
-// /histograms and /debug/pprof, reporting the running sweep.
+// plus runner.StatusHandler's endpoints, which every sesa process serves:
+// /status and /histograms report the running sweep, /metrics renders the
+// telemetry registry (the result-cache counters among it), and /healthz
+// and /debug/pprof/ complete the set.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
@@ -125,16 +108,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sweeps/{id}/results", s.handleResults)
 	mux.HandleFunc("GET /v1/sweeps/{id}/timeline", s.handleTimeline)
 	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/cache", s.handleCache)
-	mux.Handle("GET /metrics", s.reg.Handler())
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	sh := runner.StatusHandler(s.currentProgress)
-	mux.Handle("/status", sh)
-	mux.Handle("/histograms", sh)
-	mux.Handle("/debug/", sh)
+	sh := runner.StatusHandler(s.currentProgress, s.reg)
+	for _, path := range []string{"/status", "/histograms", "/metrics", "/healthz", "/debug/pprof/"} {
+		mux.Handle(path, sh)
+	}
 	if s.fleet != nil {
 		// Coordinator mode: the worker protocol (register/lease/heartbeat/
 		// complete/deregister) plus GET /v1/fleet/workers status rows.
@@ -259,13 +236,7 @@ func resultsDoc(sw *sweep) SweepResults {
 	for i := range sw.results {
 		r := &sw.results[i]
 		if r.Err != nil {
-			doc.Failures = append(doc.Failures, SweepFailure{
-				Index:    r.Index,
-				Name:     r.Job.Name(),
-				Error:    r.Err.Error(),
-				TimedOut: r.TimedOut(),
-				Canceled: r.Canceled(),
-			})
+			doc.Failures = append(doc.Failures, r.Failure())
 			continue
 		}
 		doc.Table.Rows = append(doc.Table.Rows, r.Char)
@@ -338,9 +309,4 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", sw.id+".trace.json"))
 	_ = sw.timeline.WriteChrome(w)
-}
-
-func (s *Server) handleCache(w http.ResponseWriter, _ *http.Request) {
-	hits, misses, size := s.cache.stats()
-	writeJSON(w, http.StatusOK, CacheStats{Entries: size, Hits: hits, Misses: misses})
 }

@@ -13,8 +13,8 @@
 //     running one; submissions past the bound get 429 with Retry-After, so
 //     overload is explicit back-pressure instead of unbounded memory;
 //   - a content-addressed result cache: every completed job is stored under
-//     the canonical hash of (config, profile, n, seed, step mode, cycle
-//     bound, histograms), so a resubmitted experiment is served from memory
+//     the canonical hash of (config, profile, n, seed, cycle bound,
+//     histograms), so a resubmitted experiment is served from memory
 //     without re-simulation — byte-identical, because jobs are
 //     deterministic;
 //   - graceful drain: Drain stops admission (503), lets the queue finish
@@ -145,20 +145,8 @@ type Server struct {
 
 // New builds a Server and starts its dispatcher. Callers own the HTTP
 // listener; mount Handler on it. Shut down with Drain (graceful) or Close
-// (immediate).
-func New(o Options) *Server {
-	s, err := NewFleet(o)
-	if err != nil {
-		// Only fleet options can fail validation; plain servers cannot
-		// reach this.
-		panic(err)
-	}
-	return s
-}
-
-// NewFleet is New with fleet-option validation surfaced (New panics on bad
-// fleet parameters; the CLI wants the error).
-func NewFleet(o Options) (*Server, error) {
+// (immediate). Only invalid fleet options return an error.
+func New(o Options) (*Server, error) {
 	if o.MaxQueued == 0 {
 		o.MaxQueued = DefaultMaxQueued
 	}
@@ -295,7 +283,7 @@ func (s *Server) submit(title string, jobs []runner.Job) (*sweep, error) {
 		sw := &sweep{title: title, jobs: jobs, keys: keys, done: make(chan struct{})}
 		sw.results = cached
 		sw.cacheHits = len(jobs)
-		sw.summary = summarize(cached, 0, 0)
+		sw.summary = runner.Summarize(cached, 0, 0, trace.Shared())
 		sw.state = stateDone
 		close(sw.done)
 		s.mu.Lock()
@@ -335,9 +323,6 @@ func (s *Server) submit(title string, jobs []runner.Job) (*sweep, error) {
 		progress: runner.NewProgress(),
 		admitted: time.Now(),
 		done:     make(chan struct{}),
-	}
-	if s.fleet != nil {
-		sw.progress.AttachFleet(s.fleet.WorkerStatus)
 	}
 	sw.id = s.nextIDLocked()
 	sw.timeline = telemetry.NewTimeline(sw.id)
@@ -527,7 +512,7 @@ func (s *Server) runSweep(sw *sweep) {
 
 	canceled := ctx.Err() != nil
 	aggStart := time.Now()
-	sum := summarize(results, workers, time.Since(start))
+	sum := runner.Summarize(results, workers, time.Since(start), trace.Shared())
 
 	s.mu.Lock()
 	sw.results = results
@@ -553,32 +538,6 @@ func (s *Server) runSweep(sw *sweep) {
 		"jobs", len(sw.jobs), "failed", sum.Failed, "cached", hits,
 		"wall_seconds", sum.WallSeconds)
 	close(sw.done)
-}
-
-// summarize aggregates the sweep-level quantities over the full (cached +
-// simulated) result set, mirroring the runner pool's own summary.
-func summarize(results []runner.Result, workers int, wall time.Duration) report.SweepSummary {
-	sum := report.SweepSummary{Jobs: len(results), Workers: workers, WallSeconds: wall.Seconds()}
-	for i := range results {
-		r := &results[i]
-		if r.Err != nil {
-			sum.Failed++
-			if r.TimedOut() {
-				sum.TimedOut++
-			}
-			if r.Canceled() {
-				sum.Canceled++
-			}
-		}
-		if r.Stats != nil {
-			sum.SimCycles += r.Stats.Cycles
-			sum.SimInsts += r.Stats.Total().RetiredInsts
-		}
-	}
-	sum.TraceCacheHits, sum.TraceCacheMisses = trace.Shared().Stats()
-	sum.CyclesPerSec = sum.CyclesPerSecond()
-	sum.InstsPerSec = sum.InstsPerSecond()
-	return sum
 }
 
 // flush writes a finished sweep's results document to ResultsDir (caller

@@ -22,7 +22,10 @@ import (
 // cleanup for both.
 func newTestServer(t *testing.T, o Options) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(o)
+	s, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -440,6 +443,39 @@ func TestValidation(t *testing.T) {
 	waitTerminal(t, ts, st.ID, 15*time.Second)
 	if code, _ := del(t, ts, st.ID); code != http.StatusConflict {
 		t.Errorf("DELETE of terminal sweep: HTTP %d, want 409", code)
+	}
+}
+
+// TestRoutes pins the route table: the introspection endpoints every sesa
+// process serves sit beside the API without shadowing its method checks,
+// and the result-cache counters live on /metrics only.
+func TestRoutes(t *testing.T) {
+	_, ts := newTestServer(t, Options{MaxWorkers: 1})
+	for _, c := range []struct {
+		method, path string
+		want         int
+	}{
+		{"GET", "/status", http.StatusOK},
+		{"GET", "/histograms", http.StatusOK},
+		{"GET", "/metrics", http.StatusOK},
+		{"GET", "/healthz", http.StatusOK},
+		{"GET", "/debug/pprof/cmdline", http.StatusOK},
+		{"GET", "/v1/sweeps", http.StatusMethodNotAllowed},
+		{"PUT", "/v1/sweeps", http.StatusMethodNotAllowed},
+		{"GET", "/v1/cache", http.StatusNotFound},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s %s: HTTP %d, want %d", c.method, c.path, resp.StatusCode, c.want)
+		}
 	}
 }
 

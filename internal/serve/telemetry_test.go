@@ -175,7 +175,7 @@ func fetchTimeline(t *testing.T, ts *httptest.Server, id string) chromeTrace {
 // admission→aggregate lifecycle is present.
 func TestFleetTimelineStitching(t *testing.T) {
 	fc := config.Fleet{BatchSize: 2, LeaseTTL: 2 * time.Second, MaxAttempts: 5}
-	s, err := NewFleet(telemetryOptions(Options{MaxWorkers: 2, Fleet: &fc}))
+	s, err := New(telemetryOptions(Options{MaxWorkers: 2, Fleet: &fc}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func (t *T) Component(name string) *slog.Logger {
 
 // NewLogger builds a slog.Logger writing to w. level is one of debug, info,
 // warn, error; format is text or json (the -log-level and -log-format flag
-// values every sesa binary accepts via config.Telemetry).
+// values sesa-serve and sesa-worker accept via config.Telemetry).
 func NewLogger(w io.Writer, level, format string) (*slog.Logger, error) {
 	lv, err := ParseLevel(level)
 	if err != nil {

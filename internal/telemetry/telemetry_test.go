@@ -213,34 +213,29 @@ func TestWriteChromeGolden(t *testing.T) {
 	if err := tl.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+	if err := json.Unmarshal(buf.Bytes(), new(any)); err != nil {
+		t.Fatalf("Chrome export is not valid JSON: %v\n%s", err, buf.String())
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("Chrome export is not valid JSON: %v\n%s", err, out)
-	}
-	// 5 spans + process/thread metadata for coordinator (proc, lifecycle,
-	// reports, batch) and worker wA (proc, batches, 1 job slot).
-	if len(doc.TraceEvents) != 12 {
-		t.Errorf("trace has %d events, want 12:\n%s", len(doc.TraceEvents), out)
-	}
-	for _, want := range []string{
-		`"name":"process_name","args":{"name":"coordinator (sw-000001)"}`,
-		`"name":"process_name","args":{"name":"worker wA"}`,
-		`"name":"thread_name","args":{"name":"batch b-000001"}`,
-		`"name":"thread_name","args":{"name":"job slot 0"}`,
-		// Timestamps are µs relative to the earliest span (admission).
-		`{"name":"admission","cat":"coordinator","ph":"X","ts":0,"dur":2000,"pid":0,"tid":0,"args":{"sweep":"sw-000001"}}`,
-		`{"name":"lease","cat":"coordinator","ph":"X","ts":5000,"dur":40000,"pid":0,"tid":2,"args":{"sweep":"sw-000001","batch":"b-000001","worker":"wA","attempt":1}}`,
-		`{"name":"worker-execute","cat":"worker","ph":"X","ts":6000,"dur":30000,"pid":1,"tid":0,"args":{"sweep":"sw-000001","batch":"b-000001","worker":"wA"}}`,
-		`{"name":"radix/x86/seed42","cat":"worker","ph":"X","ts":7000,"dur":20000,"pid":1,"tid":1,"args":{"sweep":"sw-000001","batch":"b-000001","worker":"wA","index":0}}`,
-		`{"name":"report","cat":"coordinator","ph":"X","ts":45000,"dur":100,"pid":0,"tid":1,"args":{"sweep":"sw-000001","batch":"b-000001","worker":"wA"}}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Chrome export missing %s\n--- got ---\n%s", want, out)
-		}
+	// 5 spans after process/thread metadata for coordinator (proc,
+	// lifecycle, reports, batch) and worker wA (proc, batches, 1 job slot).
+	// Timestamps are µs relative to the earliest span (admission).
+	const want = `{"displayTimeUnit":"ms","traceEvents":[
+{"ph":"M","pid":0,"name":"process_name","args":{"name":"coordinator (sw-000001)"}},
+{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"sweep lifecycle"}},
+{"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"reports"}},
+{"ph":"M","pid":0,"tid":2,"name":"thread_name","args":{"name":"batch b-000001"}},
+{"ph":"M","pid":1,"name":"process_name","args":{"name":"worker wA"}},
+{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"batches"}},
+{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"job slot 0"}},
+{"name":"admission","cat":"coordinator","ph":"X","ts":0,"dur":2000,"pid":0,"tid":0,"args":{"sweep":"sw-000001"}},
+{"name":"lease","cat":"coordinator","ph":"X","ts":5000,"dur":40000,"pid":0,"tid":2,"args":{"sweep":"sw-000001","batch":"b-000001","worker":"wA","attempt":1}},
+{"name":"worker-execute","cat":"worker","ph":"X","ts":6000,"dur":30000,"pid":1,"tid":0,"args":{"sweep":"sw-000001","batch":"b-000001","worker":"wA"}},
+{"name":"radix/x86/seed42","cat":"worker","ph":"X","ts":7000,"dur":20000,"pid":1,"tid":1,"args":{"sweep":"sw-000001","batch":"b-000001","worker":"wA","index":0}},
+{"name":"report","cat":"coordinator","ph":"X","ts":45000,"dur":100,"pid":0,"tid":1,"args":{"sweep":"sw-000001","batch":"b-000001","worker":"wA"}}
+]}
+`
+	if got := buf.String(); got != want {
+		t.Errorf("Chrome export differs\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 

@@ -1,12 +1,13 @@
 package telemetry
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
 	"sync"
 	"time"
+
+	"sesa/internal/obs"
 )
 
 // Span stage names, covering a job's full path through the distributed
@@ -100,8 +101,8 @@ func (t *Timeline) Dropped() int {
 }
 
 // WriteChrome renders the timeline as a Chrome trace-event JSON document,
-// loadable in Perfetto (ui.perfetto.dev) — the same event model
-// obs.WriteChrome uses for pipeline traces, applied to the service layer.
+// loadable in Perfetto (ui.perfetto.dev), through the same obs.ChromeWriter
+// that renders pipeline traces.
 //
 // Layout: pid 0 is the coordinator — tid 0 carries the sweep lifecycle
 // (admission, queue, shard, aggregate), tid 1 the completion-report
@@ -180,21 +181,19 @@ func (t *Timeline) WriteChrome(w io.Writer) error {
 		}
 	}
 
-	bw := bufio.NewWriter(w)
-	cw := &timelineWriter{w: bw}
-	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
-	cw.meta(0, -1, "process_name", "coordinator ("+sweep+")")
-	cw.meta(0, tidLifecycle, "thread_name", "sweep lifecycle")
-	cw.meta(0, tidReports, "thread_name", "reports")
+	cw := obs.NewChromeWriter(w)
+	cw.Meta(0, -1, "process_name", "coordinator ("+sweep+")")
+	cw.Meta(0, tidLifecycle, "thread_name", "sweep lifecycle")
+	cw.Meta(0, tidReports, "thread_name", "reports")
 	for _, id := range batchIDs {
-		cw.meta(0, batchTid[id], "thread_name", "batch "+id)
+		cw.Meta(0, batchTid[id], "thread_name", "batch "+id)
 	}
 	for _, name := range workerNames {
 		pid := workerPid[name]
-		cw.meta(pid, -1, "process_name", "worker "+name)
-		cw.meta(pid, 0, "thread_name", "batches")
+		cw.Meta(pid, -1, "process_name", "worker "+name)
+		cw.Meta(pid, 0, "thread_name", "batches")
 		for k := 1; k <= jobSlots[name]; k++ {
-			cw.meta(pid, k, "thread_name", fmt.Sprintf("job slot %d", k-1))
+			cw.Meta(pid, k, "thread_name", fmt.Sprintf("job slot %d", k-1))
 		}
 	}
 	for i := range spans {
@@ -213,45 +212,16 @@ func (t *Timeline) WriteChrome(w io.Writer) error {
 		case s.Batch != "":
 			tid = batchTid[s.Batch]
 		}
-		cw.span(pid, tid, s, ts(s.Start))
+		writeSpan(cw, pid, tid, s, ts(s.Start))
 	}
 	if dropped > 0 {
-		cw.sep()
-		fmt.Fprintf(bw, "{\"name\":\"%d spans dropped (timeline bound)\",\"cat\":\"coordinator\",\"ph\":\"i\",\"s\":\"g\",\"ts\":0,\"pid\":0,\"tid\":0}", dropped)
+		cw.Event("{\"name\":\"%d spans dropped (timeline bound)\",\"cat\":\"coordinator\",\"ph\":\"i\",\"s\":\"g\",\"ts\":0,\"pid\":0,\"tid\":0}", dropped)
 	}
-	fmt.Fprintf(bw, "\n]}\n")
-	if cw.err != nil {
-		return cw.err
-	}
-	return bw.Flush()
+	return cw.Close()
 }
 
-// timelineWriter hand-builds the trace-event array, exactly like the
-// obs package's chromeWriter: no maps anywhere, so field order is fixed.
-type timelineWriter struct {
-	w       *bufio.Writer
-	started bool
-	err     error
-}
-
-func (cw *timelineWriter) sep() {
-	if cw.started {
-		fmt.Fprintf(cw.w, ",\n")
-	}
-	cw.started = true
-}
-
-func (cw *timelineWriter) meta(pid, tid int, kind, name string) {
-	cw.sep()
-	if tid < 0 {
-		fmt.Fprintf(cw.w, "{\"ph\":\"M\",\"pid\":%d,\"name\":%q,\"args\":{\"name\":%q}}", pid, kind, name)
-		return
-	}
-	fmt.Fprintf(cw.w, "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":%q,\"args\":{\"name\":%q}}", pid, tid, kind, name)
-}
-
-func (cw *timelineWriter) span(pid, tid int, s *Span, ts int64) {
-	cw.sep()
+// writeSpan emits one span as a complete event.
+func writeSpan(cw *obs.ChromeWriter, pid, tid int, s *Span, ts int64) {
 	name := s.Name
 	if s.Name == StageJob && s.Job != "" {
 		name = s.Job
@@ -260,20 +230,19 @@ func (cw *timelineWriter) span(pid, tid int, s *Span, ts int64) {
 	if dur < 1 {
 		dur = 1 // Perfetto hides zero-width slices; round sub-µs stages up
 	}
-	fmt.Fprintf(cw.w, "{\"name\":%q,\"cat\":%q,\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":%d,\"args\":{",
-		name, s.Cat, ts, dur, pid, tid)
-	fmt.Fprintf(cw.w, "\"sweep\":%q", s.Sweep)
+	args := fmt.Sprintf("\"sweep\":%q", s.Sweep)
 	if s.Batch != "" {
-		fmt.Fprintf(cw.w, ",\"batch\":%q", s.Batch)
+		args += fmt.Sprintf(",\"batch\":%q", s.Batch)
 	}
 	if s.Worker != "" {
-		fmt.Fprintf(cw.w, ",\"worker\":%q", s.Worker)
+		args += fmt.Sprintf(",\"worker\":%q", s.Worker)
 	}
 	if s.Name == StageJob {
-		fmt.Fprintf(cw.w, ",\"index\":%d", s.Index)
+		args += fmt.Sprintf(",\"index\":%d", s.Index)
 	}
 	if s.Attempt > 0 {
-		fmt.Fprintf(cw.w, ",\"attempt\":%d", s.Attempt)
+		args += fmt.Sprintf(",\"attempt\":%d", s.Attempt)
 	}
-	fmt.Fprintf(cw.w, "}}")
+	cw.Event("{\"name\":%q,\"cat\":%q,\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":%d,\"args\":{%s}}",
+		name, s.Cat, ts, dur, pid, tid, args)
 }

@@ -61,10 +61,10 @@ type SweepProgress = runner.Progress
 func NewSweepProgress() *SweepProgress { return runner.NewProgress() }
 
 // ServeStatus starts the live-introspection HTTP server on addr and returns
-// the bound address. It serves /status and /histograms as JSON plus
-// /debug/pprof.
+// the bound address. It serves p at /status and /histograms as JSON, plus
+// /healthz, /debug/pprof and /metrics (empty: a sweep registers no metrics).
 func ServeStatus(addr string, p *SweepProgress) (string, error) {
-	return runner.ServeStatus(addr, p)
+	return runner.ServeStatus(addr, runner.StatusHandler(func() *runner.Progress { return p }, nil))
 }
 
 // RunSweepMonitored is RunSweep with live progress reporting: the tracker is
