@@ -18,12 +18,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
 	"sesa"
 	"sesa/internal/report"
-	"sesa/internal/stats"
 )
 
 var (
@@ -33,61 +33,54 @@ var (
 	format     = flag.String("format", "text", "output format for -table 4 and -fig 10: text, csv or json")
 	jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
 	quiet      = flag.Bool("q", false, "suppress the sweep summary on stderr")
-	histOut    = flag.String("hist-out", "", "write latency-distribution histograms to this file (empty with -hist-format set = stdout)")
-	histFormat = flag.String("hist-format", "", "histogram format, text or json; setting it (or -hist-out) enables histogram collection")
 	statusAddr = flag.String("status-addr", "", "serve live sweep status, histograms and pprof on this address (e.g. localhost:6060)")
 	listModels = flag.Bool("list-models", false, "print the machine-model roster and exit")
+	outs       = report.NewOutputs(flag.CommandLine, false)
 )
 
-// histRuns accumulates the per-job histogram runs, in job order, across
-// every sweep the invocation performs.
-var histRuns []sesa.HistRun
+// tableFormat is the parsed -format.
+var tableFormat report.Format
 
 // progress is non-nil when -status-addr is set.
 var progress *sesa.SweepProgress
 
-func histEnabled() bool { return *histOut != "" || *histFormat != "" }
-
 // sweep fans the experiment jobs across -jobs workers. Results come back in
 // job order, so stdout is byte-identical for any worker count; the
-// wall-clock summary goes to stderr.
+// wall-clock summary goes to stderr. Every job's histograms, when enabled,
+// are collected in job order across every sweep the invocation performs.
 func sweep(js []sesa.SweepJob) []sesa.SweepResult {
-	if histEnabled() {
-		for i := range js {
-			js[i].Hists = true
-		}
+	for i := range js {
+		js[i].Hists = outs.WantHists()
 	}
 	results, summary := sesa.RunSweepMonitored(js, *jobs, progress)
 	if !*quiet {
 		fmt.Fprintln(os.Stderr, summary)
 	}
 	for _, res := range results {
-		if res.Hists != nil {
-			histRuns = append(histRuns, sesa.NewHistRun(res.Job.Name(), res.Hists))
-		}
+		outs.Add(res.Job.Name(), nil, res.Hists)
 	}
 	return results
 }
 
-// writeHists exports the accumulated histogram runs: every job's merged and
+// writeHists exports the collected histogram runs: every job's merged and
 // per-core tables, preceded by an "all" run merging the whole invocation.
-func writeHists() {
-	f := *histFormat
-	if f == "" {
-		f = "text"
-	}
-	rep := sesa.HistReport{
-		Title: fmt.Sprintf("latency distributions, %d instructions/core, seed %d", *n, *seed),
-		Runs:  histRuns,
-	}
-	if len(histRuns) > 1 {
+func writeHists() error {
+	if len(outs.Hists) > 1 {
 		all := &sesa.HistCollector{}
-		for _, r := range histRuns {
+		for _, r := range outs.Hists {
 			all.Merge(r.Merged)
 		}
-		rep.Runs = append([]sesa.HistRun{{Name: "all", Merged: all}}, histRuns...)
+		outs.Hists = append([]report.HistRun{{Name: "all", Merged: all}}, outs.Hists...)
 	}
-	if err := sesa.WriteHistReport(*histOut, f, rep); err != nil {
+	return outs.Write(os.Stdout, os.Stderr,
+		fmt.Sprintf("latency distributions, %d instructions/core, seed %d", *n, *seed))
+}
+
+// writeTable prints a result table to stdout in the -format encoding.
+func writeTable(t interface {
+	Write(io.Writer, report.Format) error
+}) {
+	if err := t.Write(os.Stdout, tableFormat); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -112,6 +105,15 @@ func main() {
 	if *listModels {
 		fmt.Print(sesa.ListModels())
 		return
+	}
+	var err error
+	tableFormat, err = report.ParseFormat(*format)
+	if err == nil {
+		err = outs.Check()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	if *statusAddr != "" {
@@ -144,8 +146,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	if histEnabled() {
-		writeHists()
+	if err := writeHists(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 
@@ -230,11 +233,6 @@ func tableIII() {
 }
 
 func tableIV(s sesa.Suite) {
-	fmtSel, err := report.ParseFormat(*format)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	table := report.CharacterizationTable{
 		Title: fmt.Sprintf("Table IV (%s): characterization under 370-SLFSoS-key, %d instructions/core, seed %d",
 			s, *n, *seed),
@@ -246,34 +244,7 @@ func tableIV(s sesa.Suite) {
 		}
 		table.Rows = append(table.Rows, res.Char)
 	}
-	switch fmtSel {
-	case report.CSV:
-		if err := table.WriteCSV(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	case report.JSON:
-		if err := table.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	fmt.Println(table.Title)
-	fmt.Println(stats.TableIVHeader)
-	var loads, fwd, gate, stallCyc, reexec []float64
-	for _, ch := range table.Rows {
-		fmt.Println(ch.FormatRow())
-		loads = append(loads, ch.LoadsPct)
-		fwd = append(fwd, ch.ForwardedPct)
-		gate = append(gate, ch.GateStallsPct)
-		stallCyc = append(stallCyc, ch.AvgStallCycles)
-		reexec = append(reexec, ch.ReexecutedPct)
-	}
-	fmt.Printf("%-25s %12s  %6.3f  %6.3f  %9.3f  %11.3f  %7.3f\n",
-		"Average", "", sesa.Mean(loads), sesa.Mean(fwd), sesa.Mean(gate),
-		sesa.Mean(stallCyc), sesa.Mean(reexec))
+	writeTable(table)
 }
 
 func figLitmus(fig int) {
@@ -320,11 +291,6 @@ func fig9(s sesa.Suite) {
 }
 
 func fig10(s sesa.Suite) {
-	fmtSel, err := report.ParseFormat(*format)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	table := report.ComparisonTable{
 		Title:      fmt.Sprintf("Figure 10 (%s): execution time normalized to x86, %d instructions/core", s, *n),
 		Normalized: map[string][]float64{},
@@ -359,37 +325,5 @@ func fig10(s sesa.Suite) {
 				float64(ch.Cycles)/float64(base))
 		}
 	}
-	switch fmtSel {
-	case report.CSV:
-		if err := table.WriteCSV(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	case report.JSON:
-		if err := table.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	fmt.Println(table.Title)
-	fmt.Printf("%-18s", "benchmark")
-	for _, m := range table.Models {
-		fmt.Printf(" %15s", m)
-	}
-	fmt.Println()
-	for i, b := range table.Benchmarks {
-		fmt.Printf("%-18s", b)
-		for _, m := range table.Models {
-			fmt.Printf(" %15.3f", table.Normalized[m][i])
-		}
-		fmt.Println()
-	}
-	gm := table.GeoMeans()
-	fmt.Printf("%-18s", "GeoMean")
-	for _, m := range table.Models {
-		fmt.Printf(" %15.3f", gm[m])
-	}
-	fmt.Println()
+	writeTable(table)
 }

@@ -11,9 +11,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"sesa"
+	"sesa/internal/litmus"
 )
 
 // modelPair cross-validates one operational model against its axiomatic
@@ -33,13 +33,7 @@ var modelPairs = []modelPair{
 func main() {
 	testName := flag.String("test", "", "litmus test name or comma-separated list (default: all)")
 	alloyDir := flag.String("export-alloy", "", "also write each selected test as a memalloy-style candidate-execution module (<name>.als) into this directory")
-	listModels := flag.Bool("list-models", false, "print the machine-model roster and exit")
 	flag.Parse()
-
-	if *listModels {
-		fmt.Print(sesa.ListModels())
-		return
-	}
 
 	if err := run(os.Stdout, *testName, *alloyDir); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -51,24 +45,9 @@ func main() {
 // alloyDir it additionally exports every test as an Alloy module, leaving
 // the report itself untouched.
 func run(w io.Writer, testName, alloyDir string) error {
-	tests := sesa.LitmusTests()
-	if testName != "" {
-		tests = nil
-		for _, name := range strings.Split(testName, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			t, err := sesa.GetLitmus(name)
-			if err != nil {
-				return err
-			}
-			tests = append(tests, t)
-		}
-		if len(tests) == 0 {
-			return fmt.Errorf("-test %q selects no tests (valid tests: %s)",
-				testName, strings.Join(sesa.LitmusNames(), ", "))
-		}
+	tests, err := litmus.Select(testName)
+	if err != nil {
+		return err
 	}
 
 	if alloyDir != "" {

@@ -6,118 +6,116 @@
 // Usage:
 //
 //	sesa-sim -bench barnes [-model all|x86,370-RCP,...] [-n 100000] [-seed 42]
-//	sesa-sim -bench ocean_cp -trace-out trace.json -trace-format chrome
+//	sesa-sim -bench ocean_cp -trace-out trace.json
 //	sesa-sim -bench barnes -metrics-interval 1000 -metrics-out metrics.csv
+//	sesa-sim -bench 505.mcf -dump mcf.trace; sesa-sim -trace mcf.trace
 //	sesa-sim -list
 //	sesa-sim -list-models
+//
+// The -trace-out file name picks the trace format: a .kanata path writes a
+// Kanata pipeline log, any other path Chrome trace-event JSON.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 
 	"sesa"
+	"sesa/internal/report"
 )
 
 func main() {
-	bench := flag.String("bench", "barnes", "benchmark name (see -list)")
-	modelName := flag.String("model", "all", "machine model, comma list of models, or 'all'")
-	n := flag.Int("n", 100_000, "instructions per core")
-	seed := flag.Uint64("seed", 42, "trace generation seed")
-	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
-	list := flag.Bool("list", false, "list benchmarks and exit")
-	dump := flag.String("dump", "", "write the generated workload to this trace file and exit")
-	traceIn := flag.String("trace", "", "run this trace file instead of a generated benchmark")
-	traceOut := flag.String("trace-out", "", "write a cycle-level pipeline trace to this file")
-	traceFormat := flag.String("trace-format", "chrome", "pipeline trace format: "+sesa.ValidTraceFormats)
-	traceBuf := flag.Int("trace-buf", sesa.DefaultTraceBufCap, "per-core trace ring capacity in events")
-	metricsInterval := flag.Uint64("metrics-interval", 0, "sample interval metrics every N cycles (0 disables)")
-	metricsOut := flag.String("metrics-out", "", "write interval metrics to this file (.json for JSON, else CSV)")
-	histOut := flag.String("hist-out", "", "write latency-distribution histograms to this file (empty with -hist-format set = stdout)")
-	histFormat := flag.String("hist-format", "", "histogram format, text or json; setting it (or -hist-out) enables histogram collection")
-	statusAddr := flag.String("status-addr", "", "serve live sweep status, histograms and pprof on this address (e.g. localhost:6060)")
-	listModels := flag.Bool("list-models", false, "print the machine-model roster and exit")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run parses the command line in args and writes the report to w; notes
+// and the sweep summary go to stderr.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("sesa-sim", flag.ExitOnError)
+	bench := fs.String("bench", "barnes", "benchmark name (see -list)")
+	modelName := fs.String("model", "all", "machine model, comma list of models, or 'all'")
+	n := fs.Int("n", 100_000, "instructions per core")
+	seed := fs.Uint64("seed", 42, "trace generation seed")
+	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
+	list := fs.Bool("list", false, "list benchmarks and exit")
+	dump := fs.String("dump", "", "write the generated workload to this trace file and exit")
+	traceIn := fs.String("trace", "", "run this trace file instead of a generated benchmark")
+	statusAddr := fs.String("status-addr", "", "serve live sweep status, histograms and pprof on this address (e.g. localhost:6060)")
+	listModels := fs.Bool("list-models", false, "print the machine-model roster and exit")
+	outs := report.NewOutputs(fs, true)
+	_ = fs.Parse(args) // ExitOnError: a bad command line exits here
 
 	if *listModels {
-		fmt.Print(sesa.ListModels())
-		return
+		fmt.Fprint(w, sesa.ListModels())
+		return nil
 	}
-	wantHists := *histOut != "" || *histFormat != ""
-
-	if *traceOut != "" && *traceFormat != "chrome" && *traceFormat != "kanata" {
-		fmt.Fprintf(os.Stderr, "unknown -trace-format %q (want %s)\n", *traceFormat, sesa.ValidTraceFormats)
-		os.Exit(1)
+	if err := outs.Check(); err != nil {
+		return err
 	}
-	if (*metricsInterval > 0) != (*metricsOut != "") {
-		fmt.Fprintln(os.Stderr, "-metrics-interval and -metrics-out must be used together")
-		os.Exit(1)
-	}
-	var traceOpts *sesa.TraceOptions
-	if *traceOut != "" || *metricsInterval > 0 {
-		o := sesa.TraceOptions{MetricsInterval: *metricsInterval}
-		if *traceOut != "" {
-			o.BufCap = *traceBuf
-		}
-		traceOpts = &o
-	}
+	traceOpts, wantHists := outs.TraceOptions(), outs.WantHists()
 
 	if *list {
-		fmt.Println("parallel (SPLASH-3 + PARSEC, 8 cores):")
+		fmt.Fprintln(w, "parallel (SPLASH-3 + PARSEC, 8 cores):")
 		for _, p := range sesa.ParallelProfiles() {
-			fmt.Printf("  %-18s loads %6.2f%%  forwarded %6.2f%%\n", p.Name, p.LoadPct, p.ForwardPct)
+			fmt.Fprintf(w, "  %-18s loads %6.2f%%  forwarded %6.2f%%\n", p.Name, p.LoadPct, p.ForwardPct)
 		}
-		fmt.Println("sequential (SPECrate 2017, 1 core):")
+		fmt.Fprintln(w, "sequential (SPECrate 2017, 1 core):")
 		for _, p := range sesa.SequentialProfiles() {
-			fmt.Printf("  %-18s loads %6.2f%%  forwarded %6.2f%%\n", p.Name, p.LoadPct, p.ForwardPct)
+			fmt.Fprintf(w, "  %-18s loads %6.2f%%  forwarded %6.2f%%\n", p.Name, p.LoadPct, p.ForwardPct)
 		}
-		return
+		return nil
 	}
 
 	models, err := sesa.ParseModels(*modelName)
-	if err != nil || len(models) == 0 {
-		if err == nil {
-			err = fmt.Errorf("-model %q selects no models", *modelName)
-		}
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err == nil && len(models) == 0 {
+		err = fmt.Errorf("-model %q selects no models", *modelName)
+	}
+	if err != nil {
+		return err
 	}
 
 	if *dump != "" {
 		p, ok := sesa.LookupProfile(*bench)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *bench)
-			os.Exit(1)
+			return fmt.Errorf("unknown benchmark %q", *bench)
 		}
-		w := sesa.BuildWorkload(p, sesa.DefaultConfig(models[0]).Cores, *n, *seed)
+		wl := sesa.BuildWorkload(p, sesa.DefaultConfig(models[0]).Cores, *n, *seed)
 		f, err := os.Create(*dump)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		defer f.Close()
-		if err := sesa.WritePrograms(f, w.Programs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		err = sesa.WritePrograms(f, wl.Programs)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		fmt.Printf("wrote %d threads to %s\n", len(w.Programs), *dump)
-		return
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %d threads to %s\n", len(wl.Programs), *dump)
+		return nil
 	}
 
+	// A replayed trace file labels the runs with its file name; a generated
+	// workload with the benchmark name.
+	label := *bench
 	var replay []sesa.Program
 	if *traceIn != "" {
+		label = filepath.Base(*traceIn)
 		f, err := os.Open(*traceIn)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		replay, err = sesa.ReadPrograms(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
 
@@ -131,8 +129,7 @@ func main() {
 			progress = sesa.NewSweepProgress()
 			addr, err := sesa.ServeStatus(*statusAddr, progress)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			fmt.Fprintf(os.Stderr, "status endpoints up at http://%s/status\n", addr)
 		}
@@ -140,8 +137,7 @@ func main() {
 		for i, model := range models {
 			j, err := sesa.BenchmarkJob(*bench, model, *n, *seed)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			j.Trace = traceOpts
 			j.Hists = wantHists
@@ -155,8 +151,6 @@ func main() {
 	}
 
 	var base uint64
-	var runs []sesa.TraceRun
-	var histRuns []sesa.HistRun
 	for mi, model := range models {
 		var ch sesa.Characterization
 		var st *sesa.Stats
@@ -168,8 +162,8 @@ func main() {
 			if len(replay) > cfg.Cores {
 				cfg.Cores = len(replay)
 			}
-			w := sesa.Workload{Name: *traceIn, Programs: replay}
-			st, tr, hs, err = runReplay(model, cfg, w, traceOpts, wantHists)
+			wl := sesa.Workload{Name: *traceIn, Programs: replay}
+			st, tr, hs, err = runReplay(model, cfg, wl, traceOpts, wantHists)
 			if err == nil {
 				ch = st.Characterize()
 			}
@@ -179,60 +173,28 @@ func main() {
 			tr = res.Trace
 			hs = res.Hists
 		}
-		if tr != nil {
-			runs = append(runs, sesa.TraceRun{Name: *bench + "/" + model.String(), Tracer: tr})
-		}
-		if hs != nil {
-			histRuns = append(histRuns, sesa.NewHistRun(*bench+"/"+model.String(), hs))
-		}
+		outs.Add(label+"/"+model.String(), tr, hs)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		if base == 0 {
 			base = ch.Cycles
 		}
 		t := st.Total()
-		fmt.Printf("== %s on %s\n", *bench, model)
-		fmt.Printf("   cycles %d (%.3fx of first model)   IPC %.3f\n",
+		fmt.Fprintf(w, "== %s on %s\n", label, model)
+		fmt.Fprintf(w, "   cycles %d (%.3fx of first model)   IPC %.3f\n",
 			ch.Cycles, float64(ch.Cycles)/float64(base), ch.IPC)
-		fmt.Printf("   loads %.3f%%   forwarded %.3f%%   gate stalls %.3f%% (avg %.1f cyc)   SA re-executed %.3f%%\n",
+		fmt.Fprintf(w, "   loads %.3f%%   forwarded %.3f%%   gate stalls %.3f%% (avg %.1f cyc)   SA re-executed %.3f%%\n",
 			ch.LoadsPct, ch.ForwardedPct, ch.GateStallsPct, ch.AvgStallCycles, ch.ReexecutedPct)
-		fmt.Printf("   dispatch stalls: ROB %.1f%%  LQ %.1f%%  SQ/SB %.1f%%\n",
+		fmt.Fprintf(w, "   dispatch stalls: ROB %.1f%%  LQ %.1f%%  SQ/SB %.1f%%\n",
 			ch.StallROBPct, ch.StallLQPct, ch.StallSQPct)
-		fmt.Printf("   squashes %d (SA %d, dependence %d)   branch mispredicts %d\n",
+		fmt.Fprintf(w, "   squashes %d (SA %d, dependence %d)   branch mispredicts %d\n",
 			t.Squashes, t.SASquashes, t.DepSquashes, t.BranchMispredicts)
-		fmt.Printf("   %s\n", st.NoC)
+		fmt.Fprintf(w, "   %s\n", st.NoC)
 	}
 
-	if *traceOut != "" {
-		if err := sesa.WriteTraceFile(*traceOut, *traceFormat, runs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s trace (%d runs) to %s\n", *traceFormat, len(runs), *traceOut)
-	}
-	if *metricsOut != "" {
-		if err := sesa.WriteMetricsFile(*metricsOut, runs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote interval metrics to %s\n", *metricsOut)
-	}
-	if wantHists {
-		f := *histFormat
-		if f == "" {
-			f = "text"
-		}
-		rep := sesa.HistReport{
-			Title: fmt.Sprintf("latency distributions: %s, %d instructions/core, seed %d", *bench, *n, *seed),
-			Runs:  histRuns,
-		}
-		if err := sesa.WriteHistReport(*histOut, f, rep); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
+	title := fmt.Sprintf("latency distributions: %s, %d instructions/core, seed %d", label, *n, *seed)
+	return outs.Write(w, os.Stderr, title)
 }
 
 // runReplay runs a trace-file workload on one machine, optionally attaching

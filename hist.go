@@ -1,10 +1,6 @@
 package sesa
 
 import (
-	"fmt"
-	"io"
-	"os"
-
 	"sesa/internal/hist"
 	"sesa/internal/report"
 )
@@ -38,30 +34,3 @@ func (s *System) AttachHists(h *HistSet) { s.m.AttachHists(h) }
 
 // Hists returns the system's attached histogram set (nil when disabled).
 func (s *System) Hists() *HistSet { return s.m.Hists() }
-
-// ValidHistFormats names the supported -hist-format values.
-const ValidHistFormats = "text, json"
-
-// WriteHistReport writes the report to path in the given format ("text" or
-// "json"); an empty path or "-" writes to stdout.
-func WriteHistReport(path, format string, rep HistReport) error {
-	var f report.Format
-	switch format {
-	case "text":
-		f = report.Text
-	case "json":
-		f = report.JSON
-	default:
-		return fmt.Errorf("sesa: unknown histogram format %q (want %s)", format, ValidHistFormats)
-	}
-	var w io.Writer = os.Stdout
-	if path != "" && path != "-" {
-		file, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = file.Close() }()
-		w = file
-	}
-	return rep.Write(w, f)
-}

@@ -34,15 +34,6 @@ type Fleet struct {
 	MaxAttempts int
 }
 
-// DefaultFleet returns the default fleet scheduling parameters.
-func DefaultFleet() Fleet {
-	return Fleet{
-		BatchSize:   DefaultFleetBatchSize,
-		LeaseTTL:    DefaultFleetLeaseTTL,
-		MaxAttempts: DefaultFleetMaxAttempts,
-	}
-}
-
 // WithDefaults fills zero fields with the defaults.
 func (f Fleet) WithDefaults() Fleet {
 	if f.BatchSize == 0 {

@@ -82,13 +82,6 @@ type Core struct {
 	// the scan off and Tick reports sched.Never instead.
 	wakeHints bool
 
-	// loadVals records the retired value of each load, keyed by trace
-	// index. The trace length is known at SetProgram time, so it is a
-	// dense slice (with a parallel set bitmap) rather than a map: retire
-	// writes are a plain indexed store instead of a hash insert.
-	loadVals    []uint64
-	loadValsSet []bool
-
 	// tr is the observability sink; nil when tracing is disabled, so every
 	// hook is one never-taken branch on the disabled path.
 	tr *obs.CoreTracer
@@ -157,8 +150,6 @@ func (c *Core) SetProgram(p isa.Program) {
 	c.prog = p
 	c.fetchIdx = 0
 	c.done = len(p) == 0
-	c.loadVals = make([]uint64, len(p))
-	c.loadValsSet = make([]bool, len(p))
 }
 
 // Done reports whether the core has retired its whole trace and drained its
@@ -167,23 +158,6 @@ func (c *Core) Done() bool { return c.done }
 
 // RegValue returns the architectural value of r (valid once Done).
 func (c *Core) RegValue(r isa.Reg) uint64 { return c.regVal[r] }
-
-// LoadValue returns the retired value of the load at trace index idx.
-func (c *Core) LoadValue(idx int) (uint64, bool) {
-	if idx < 0 || idx >= len(c.loadVals) || !c.loadValsSet[idx] {
-		return 0, false
-	}
-	return c.loadVals[idx], true
-}
-
-// setLoadVal records the retired value of the load at trace index idx.
-func (c *Core) setLoadVal(idx int, val uint64) {
-	c.loadVals[idx] = val
-	c.loadValsSet[idx] = true
-}
-
-// Gate exposes the retire gate for tests and introspection.
-func (c *Core) Gate() *Gate { return &c.gate }
 
 // AttachTracer sets the core's observability sink (nil disables it). Call
 // before the first Tick; events recorded mid-run would miss prior history.
@@ -394,7 +368,6 @@ func (c *Core) doRetire(i int32, e *entry, now uint64) {
 		if e.slf {
 			c.st.SLFLoads++
 		}
-		c.setLoadVal(e.traceIdx, e.val)
 		// The paper's mechanism: a retiring SLF load whose forwarding
 		// store is still in the SQ/SB closes the retire gate behind
 		// it (Fig. 8 step b). The presence check is the direct
@@ -426,7 +399,6 @@ func (c *Core) doRetire(i int32, e *entry, now uint64) {
 	case e.inst.Op == isa.OpRMW:
 		c.st.RetiredLoads++
 		c.st.RetiredStores++
-		c.setLoadVal(e.traceIdx, e.val)
 	}
 
 	if d := e.inst.Dst; d != isa.RegNone {

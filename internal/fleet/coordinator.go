@@ -178,9 +178,6 @@ func (c *Coordinator) counter(name, help, workerName string) *telemetry.Counter 
 	return c.reg.Counter(name, help, "worker", workerName)
 }
 
-// Options returns the effective fleet parameters.
-func (c *Coordinator) Options() config.Fleet { return c.opts }
-
 // Close stops the expiry scanner. In-flight RunJobs calls are the caller's
 // to cancel (sesa-serve cancels every sweep context before closing).
 func (c *Coordinator) Close() {

@@ -3,7 +3,6 @@ package fuzz
 
 import (
 	"fmt"
-	"sort"
 
 	"sesa/internal/axiomatic"
 	"sesa/internal/checker"
@@ -238,15 +237,5 @@ func RunMany(baseSeed uint64, count int, b Budget, opt Options, jobs int) []Prog
 	for w := 0; w < jobs; w++ {
 		<-done
 	}
-	return out
-}
-
-// SortedOutcomes renders an outcome set deterministically for reports.
-func SortedOutcomes(s checker.OutcomeSet) []string {
-	out := make([]string, 0, len(s))
-	for o := range s {
-		out = append(out, string(o))
-	}
-	sort.Strings(out)
 	return out
 }

@@ -17,7 +17,6 @@ import (
 const (
 	X = uint64(0x1000)
 	Y = uint64(0x1040)
-	Z = uint64(0x1080)
 )
 
 // Test is one litmus test: a checker program plus the outcome the paper
@@ -392,6 +391,33 @@ func Get(name string) (Test, error) {
 	}
 	return Test{}, fmt.Errorf("litmus: unknown test %q (valid tests: %s)",
 		name, strings.Join(Names(), ", "))
+}
+
+// Select resolves a -test flag value, a comma-separated list of test names,
+// in list order; an empty spec selects the full suite. Blank list elements
+// are skipped, an unknown name fails as in Get, and so does a list that
+// names no test.
+func Select(spec string) ([]Test, error) {
+	if spec == "" {
+		return Tests(), nil
+	}
+	var tests []Test
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		t, err := Get(name)
+		if err != nil {
+			return nil, err
+		}
+		tests = append(tests, t)
+	}
+	if len(tests) == 0 {
+		return nil, fmt.Errorf("-test %q selects no tests (valid tests: %s)",
+			spec, strings.Join(Names(), ", "))
+	}
+	return tests, nil
 }
 
 // WithSBPressure returns a variant of the test in which every thread that

@@ -136,3 +136,21 @@ func TestGetAndNames(t *testing.T) {
 		t.Error("Get of unknown test should fail")
 	}
 }
+
+// TestSelect: the -test list parser keeps list order, skips blank elements
+// and fails on an unknown name or a list that names nothing.
+func TestSelect(t *testing.T) {
+	all, err := Select("")
+	if err != nil || len(all) != len(Tests()) {
+		t.Fatalf("Select(\"\") = %d tests, %v; want the full suite", len(all), err)
+	}
+	got, err := Select(" n6,, mp ")
+	if err != nil || len(got) != 2 || got[0].Name != "n6" || got[1].Name != "mp" {
+		t.Fatalf("Select(\" n6,, mp \") = %v, %v", got, err)
+	}
+	for _, spec := range []string{"n6,nonexistent", " , "} {
+		if _, err := Select(spec); err == nil {
+			t.Errorf("Select(%q) accepted", spec)
+		}
+	}
+}

@@ -2,7 +2,9 @@ package litmus
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -54,46 +56,50 @@ func checkStepModesAgree(t *testing.T, test Test, model config.Model, iters int,
 	}
 }
 
-// traceSmoke reproduces the pipeline-trace and histogram smoke commands
-// (sesa-litmus -test n6 -model 370-SLFSoS-key -iters 2, with -trace-out in
-// both formats and -hist-out as text) under one stepper, returning each
-// output's bytes by format.
-func traceSmoke(t *testing.T, mode config.StepMode) map[string][]byte {
+// traceSmoke runs the pipeline-trace and histogram smoke command of CI
+// (sesa-litmus -test n6 -model 370-SLFSoS-key -iters 2 plus the output flags
+// in args) under one stepper, attaching and writing the outputs through the
+// CLIs' shared output flag group as sesa-litmus does.
+func traceSmoke(t *testing.T, mode config.StepMode, args []string) {
 	t.Helper()
+	fs := flag.NewFlagSet("sesa-litmus", flag.ContinueOnError)
+	outs := report.NewOutputs(fs, true)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	if err := outs.Check(); err != nil {
+		t.Fatal(err)
+	}
 	const iters, seed = 2, 1
 	test := WithSBPressure(N6(), 3)
 	model := config.SLFSoSKey370
 	prefix := test.Name + "/" + model.String()
-	var runs []obs.Run
+	opts := outs.TraceOptions()
 	var sets []*hist.Set
 	runStepped(t, test, model, mode, iters, seed, func(iter int, m *sim.Machine) {
-		tr := obs.New(m.Config().Cores, obs.Options{BufCap: obs.DefaultBufCap})
-		m.AttachTracer(tr)
-		runs = append(runs, obs.Run{Name: fmt.Sprintf("%s#%d", prefix, iter), Tracer: tr})
-		hs := hist.NewSet(m.Config().Cores)
-		m.AttachHists(hs)
-		sets = append(sets, hs)
-	})
-	for _, hs := range sets[1:] {
-		if err := sets[0].Merge(hs); err != nil {
-			t.Fatal(err)
+		if opts != nil {
+			tr := obs.New(m.Config().Cores, *opts)
+			m.AttachTracer(tr)
+			outs.Add(fmt.Sprintf("%s#%d", prefix, iter), tr, nil)
 		}
+		if outs.WantHists() {
+			hs := hist.NewSet(m.Config().Cores)
+			m.AttachHists(hs)
+			sets = append(sets, hs)
+		}
+	})
+	if len(sets) > 0 {
+		for _, hs := range sets[1:] {
+			if err := sets[0].Merge(hs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		outs.Add(prefix, nil, sets[0])
 	}
-	rep := report.HistReport{
-		Title: fmt.Sprintf("latency distributions, %d iterations/model, seed %d", iters, seed),
-		Runs:  []report.HistRun{report.NewHistRun(prefix, sets[0])},
-	}
-	var chrome, kanata, text bytes.Buffer
-	if err := obs.WriteChrome(&chrome, runs); err != nil {
+	title := fmt.Sprintf("latency distributions, %d iterations/model, seed %d", iters, seed)
+	if err := outs.Write(io.Discard, io.Discard, title); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.WriteKanata(&kanata, runs); err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Write(&text, report.Text); err != nil {
-		t.Fatal(err)
-	}
-	return map[string][]byte{"chrome": chrome.Bytes(), "kanata": kanata.Bytes(), "hist-text": text.Bytes()}
 }
 
 // TestStepModesAgreeOnLitmusSuite is the two-level clock's equivalence
@@ -124,29 +130,33 @@ func TestStepModesAgreeOnLitmusSuite(t *testing.T) {
 		}
 	}
 
-	// The pipeline-trace and histogram smoke: both steppers must reproduce
-	// the goldens CI diffs the sesa-litmus output against.
+	// The pipeline-trace and histogram smoke: under both steppers, CI's
+	// three commands must write the goldens CI diffs their files against.
 	t.Run("smoke/trace+hist", func(t *testing.T) {
-		naive, skip := traceSmoke(t, config.StepNaive), traceSmoke(t, config.StepSkip)
-		for _, c := range []struct{ format, golden string }{
-			{"chrome", "trace_n6_slfsoskey_iters2.golden.json"},
-			{"kanata", "trace_n6_slfsoskey_iters2.golden.kanata"},
-			{"hist-text", "hist_n6_slfsoskey_iters2.golden"},
+		for _, c := range []struct {
+			args   []string // args[1] is the output file
+			golden string
+		}{
+			{[]string{"-trace-out", "trace.json"}, "trace_n6_slfsoskey_iters2.golden.json"},
+			{[]string{"-trace-out", "trace.kanata"}, "trace_n6_slfsoskey_iters2.golden.kanata"},
+			{[]string{"-hist-out", "hist.out", "-hist-format", "text"}, "hist_n6_slfsoskey_iters2.golden"},
 		} {
-			if len(skip[c.format]) == 0 {
-				t.Errorf("%s: empty output", c.format)
-			}
-			if !bytes.Equal(naive[c.format], skip[c.format]) {
-				t.Errorf("%s: naive and skip output differ (%d vs %d bytes)",
-					c.format, len(naive[c.format]), len(skip[c.format]))
-			}
 			want, err := os.ReadFile(filepath.Join("..", "..", "testdata", c.golden))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(skip[c.format], want) {
-				t.Errorf("%s: output differs from testdata/%s (%d vs %d bytes)",
-					c.format, c.golden, len(skip[c.format]), len(want))
+			for _, mode := range []config.StepMode{config.StepNaive, config.StepSkip} {
+				args := append([]string(nil), c.args...)
+				args[1] = filepath.Join(t.TempDir(), args[1])
+				traceSmoke(t, mode, args)
+				got, err := os.ReadFile(args[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("stepper %v, %v: output differs from testdata/%s (%d vs %d bytes)",
+						mode, c.args, c.golden, len(got), len(want))
+				}
 			}
 		}
 	})

@@ -1,10 +1,8 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"sesa/internal/hist"
 )
@@ -54,9 +52,7 @@ func (r HistReport) WriteJSON(w io.Writer) error {
 		}
 		doc.Runs = append(doc.Runs, j)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return writeJSON(w, doc)
 }
 
 // WriteText emits percentile tables: for each run, the merged machine-level
@@ -134,19 +130,4 @@ func writeCollectorTable(w io.Writer, c *hist.Collector) error {
 		}
 	}
 	return nil
-}
-
-// SortedMetricNames returns the metric names present in the summaries map in
-// enum order — helpers for CLIs that render summaries themselves.
-func SortedMetricNames(s map[string]hist.Summary) []string {
-	names := make([]string, 0, len(s))
-	for n := range s {
-		names = append(names, n)
-	}
-	order := make(map[string]int, int(hist.NumMetrics))
-	for m := hist.Metric(0); m < hist.NumMetrics; m++ {
-		order[m.String()] = int(m)
-	}
-	sort.Slice(names, func(a, b int) bool { return order[names[a]] < order[names[b]] })
-	return names
 }

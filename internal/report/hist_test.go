@@ -97,16 +97,3 @@ func TestHistReportBadFormat(t *testing.T) {
 		t.Error("csv accepted for histogram report")
 	}
 }
-
-func TestSortedMetricNames(t *testing.T) {
-	s := map[string]hist.Summary{
-		"gate-closed": {}, "load-slf": {}, "noc-data": {},
-	}
-	got := SortedMetricNames(s)
-	want := []string{"load-slf", "noc-data", "gate-closed"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
-	}
-}

@@ -2,7 +2,6 @@ package report
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"io"
 	"strconv"
 
@@ -76,8 +75,4 @@ func (s MetricsSeries) WriteCSV(w io.Writer) error {
 }
 
 // WriteJSON emits the series as a JSON document.
-func (s MetricsSeries) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
+func (s MetricsSeries) WriteJSON(w io.Writer) error { return writeJSON(w, s) }

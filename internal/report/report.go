@@ -1,6 +1,6 @@
-// Package report renders experiment results in machine-readable formats
-// (CSV and JSON), so regenerated tables and figures can be diffed, plotted
-// and archived alongside the paper's.
+// Package report renders experiment results as text, CSV and JSON, so
+// regenerated tables and figures can be read, diffed, plotted and archived
+// alongside the paper's, and owns the CLIs' run-output flags (Outputs).
 package report
 
 import (
@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"sesa/internal/stats"
 )
@@ -36,6 +37,43 @@ func ParseFormat(s string) (Format, error) {
 type CharacterizationTable struct {
 	Title string                   `json:"title"`
 	Rows  []stats.Characterization `json:"rows"`
+}
+
+// Write renders the table in the given format.
+func (t CharacterizationTable) Write(w io.Writer, format Format) error {
+	switch format {
+	case Text:
+		return t.WriteText(w)
+	case CSV:
+		return t.WriteCSV(w)
+	case JSON:
+		return t.WriteJSON(w)
+	}
+	return fmt.Errorf("report: unknown format %q", format)
+}
+
+// tableIVHeader heads WriteText's columns. It is printed verbatim, not as a
+// Printf format, so its percent signs appear singly.
+const tableIVHeader = "Benchmark                 Instructions  Loads%    Fwd%  Gate-Stl%  AvgStallCyc  Reexec%"
+
+// WriteText emits the Table IV layout: the title, one row per benchmark and
+// a row of column averages.
+func (t CharacterizationTable) WriteText(w io.Writer) error {
+	const row = "%-25s %12s  %6.3f  %6.3f  %9.3f  %11.3f  %7.3f\n"
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n%s\n", t.Title, tableIVHeader)
+	var cols [5][]float64
+	for _, r := range t.Rows {
+		v := [5]float64{r.LoadsPct, r.ForwardedPct, r.GateStallsPct, r.AvgStallCycles, r.ReexecutedPct}
+		fmt.Fprintf(&b, row, r.Benchmark, strconv.FormatUint(r.Instructions, 10), v[0], v[1], v[2], v[3], v[4])
+		for i := range v {
+			cols[i] = append(cols[i], v[i])
+		}
+	}
+	fmt.Fprintf(&b, row, "Average", "", stats.Mean(cols[0]), stats.Mean(cols[1]),
+		stats.Mean(cols[2]), stats.Mean(cols[3]), stats.Mean(cols[4]))
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // WriteCSV emits one row per benchmark with the Table IV columns.
@@ -68,11 +106,7 @@ func (t CharacterizationTable) WriteCSV(w io.Writer) error {
 }
 
 // WriteJSON emits the table as a JSON document.
-func (t CharacterizationTable) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
-}
+func (t CharacterizationTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
 
 // ComparisonTable is a Figure 10-style normalized-execution-time matrix.
 type ComparisonTable struct {
@@ -82,6 +116,43 @@ type ComparisonTable struct {
 	// Normalized[model][i] is benchmark i's time normalized to the
 	// baseline model.
 	Normalized map[string][]float64 `json:"normalized"`
+}
+
+// Write renders the comparison in the given format.
+func (t ComparisonTable) Write(w io.Writer, format Format) error {
+	switch format {
+	case Text:
+		return t.WriteText(w)
+	case CSV:
+		return t.WriteCSV(w)
+	case JSON:
+		return t.WriteJSON(w)
+	}
+	return fmt.Errorf("report: unknown format %q", format)
+}
+
+// WriteText emits the Figure 10 layout: the title, one row per benchmark
+// with a column per model, and a row of per-model geometric means.
+func (t ComparisonTable) WriteText(w io.Writer) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n%-18s", t.Title, "benchmark")
+	for _, m := range t.Models {
+		fmt.Fprintf(&b, " %15s", m)
+	}
+	for i, bench := range t.Benchmarks {
+		fmt.Fprintf(&b, "\n%-18s", bench)
+		for _, m := range t.Models {
+			fmt.Fprintf(&b, " %15.3f", t.Normalized[m][i])
+		}
+	}
+	gm := t.GeoMeans()
+	fmt.Fprintf(&b, "\n%-18s", "GeoMean")
+	for _, m := range t.Models {
+		fmt.Fprintf(&b, " %15.3f", gm[m])
+	}
+	b.WriteByte('\n')
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // GeoMeans returns the per-model geometric means.
@@ -122,13 +193,16 @@ func (t ComparisonTable) WriteCSV(w io.Writer) error {
 }
 
 // WriteJSON emits the comparison as a JSON document.
-func (t ComparisonTable) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
-}
+func (t ComparisonTable) WriteJSON(w io.Writer) error { return writeJSON(w, t) }
 
 func f(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
+
+// writeJSON emits v as an indented JSON document.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
 
 // SweepSummary aggregates a parallel experiment sweep: how much simulated
 // work the run got through and how fast the host delivered it. It is the
@@ -185,11 +259,4 @@ func (s SweepSummary) String() string {
 		s.Jobs, s.Failed, s.TimedOut, s.Workers, s.WallSeconds,
 		s.SimCycles, s.CyclesPerSecond(), s.SimInsts, s.InstsPerSecond(),
 		s.TraceCacheHits, s.TraceCacheMisses)
-}
-
-// WriteJSON emits the summary as a JSON document.
-func (s SweepSummary) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

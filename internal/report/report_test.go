@@ -107,6 +107,25 @@ func TestComparisonJSON(t *testing.T) {
 	}
 }
 
+// TestComparisonText pins the Figure 10 text layout sesa-bench prints.
+func TestComparisonText(t *testing.T) {
+	var buf bytes.Buffer
+	if err := sampleComparison().Write(&buf, Text); err != nil {
+		t.Fatal(err)
+	}
+	want := "Figure 10 (test)\n" +
+		"benchmark                      x86  370-SLFSoS-key\n" +
+		"a                            1.000           1.100\n" +
+		"b                            1.000           1.210\n" +
+		"GeoMean                      1.000           1.154\n"
+	if buf.String() != want {
+		t.Errorf("text =\n%s\nwant\n%s", buf.String(), want)
+	}
+	if err := sampleComparison().Write(&buf, Format("xml")); err == nil {
+		t.Error("xml accepted")
+	}
+}
+
 func TestParseFormat(t *testing.T) {
 	for _, ok := range []string{"text", "csv", "json"} {
 		if _, err := ParseFormat(ok); err != nil {
@@ -136,12 +155,12 @@ func TestSweepSummary(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
+	doc, err := json.Marshal(s)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back SweepSummary
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(doc, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back != s {

@@ -2,11 +2,15 @@ package runner
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"sesa/internal/config"
 	"sesa/internal/obs"
+	"sesa/internal/report"
 	"sesa/internal/trace"
 )
 
@@ -49,6 +53,26 @@ func table4Jobs(mode config.StepMode) []Job {
 	return jobs
 }
 
+// renderTable4 renders Table IV smoke results the way sesa-bench prints
+// them: one text table per suite, parallel first.
+func renderTable4(t *testing.T, results []Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, s := range []trace.Suite{trace.Parallel, trace.Sequential} {
+		table := report.CharacterizationTable{Title: fmt.Sprintf(
+			"Table IV (%s): characterization under 370-SLFSoS-key, 2000 instructions/core, seed 42", s)}
+		for _, res := range results {
+			if res.Job.Profile.Suite == s {
+				table.Rows = append(table.Rows, res.Char)
+			}
+		}
+		if err := table.Write(&buf, report.Text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
 // checkSameResults fails t unless every job succeeded under both steppers
 // with identical statistics and characterization.
 func checkSameResults(t *testing.T, naive, skip []Result) {
@@ -71,9 +95,9 @@ func checkSameResults(t *testing.T, naive, skip []Result) {
 // TestStepModesIdenticalSweep is the two-level clock's acceptance criterion
 // at the sweep level: a traced, histogrammed sweep produces identical
 // statistics, characterizations, trace files, metrics series and histogram
-// reports under naive and skip stepping. The Table IV smoke sweep, whose
-// skip-clock table a golden pins, must match too, which keeps the naive
-// stepper pinned to that golden.
+// reports under naive and skip stepping. The Table IV smoke sweep must match
+// too, and both steppers' tables must render to the golden CI diffs
+// sesa-bench -table 4 -n 2000 -seed 42 against.
 func TestStepModesIdenticalSweep(t *testing.T) {
 	cache := trace.NewCache()
 	naive, _ := Pool{Workers: 1, Cache: cache}.Run(stepJobs(t, config.StepNaive))
@@ -112,4 +136,13 @@ func TestStepModesIdenticalSweep(t *testing.T) {
 		t.Fatalf("Table IV smoke has %d jobs, want 61", len(table4Skip))
 	}
 	checkSameResults(t, table4Naive, table4Skip)
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "bench_table4_n2000_seed42.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mode, results := range map[string][]Result{"naive": table4Naive, "skip": table4Skip} {
+		if got := renderTable4(t, results); !bytes.Equal(got, want) {
+			t.Errorf("%s Table IV differs from testdata/bench_table4_n2000_seed42.golden:\n%s", mode, got)
+		}
+	}
 }

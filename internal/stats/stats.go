@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // StallCause identifies why dispatch could not make progress in a cycle
@@ -277,18 +276,6 @@ func (m *Machine) Characterize() Characterization {
 	return ch
 }
 
-// TableIVHeader is the header row matching FormatRow's columns. It is a
-// plain string (printed verbatim, not a Printf format), so percent signs
-// appear singly.
-const TableIVHeader = "Benchmark                 Instructions  Loads%    Fwd%  Gate-Stl%  AvgStallCyc  Reexec%"
-
-// FormatRow renders the characterization as one Table IV row.
-func (ch Characterization) FormatRow() string {
-	return fmt.Sprintf("%-25s %12d  %6.3f  %6.3f  %9.3f  %11.3f  %7.3f",
-		ch.Benchmark, ch.Instructions, ch.LoadsPct, ch.ForwardedPct,
-		ch.GateStallsPct, ch.AvgStallCycles, ch.ReexecutedPct)
-}
-
 // GeoMean returns the geometric mean of xs; it returns 0 for empty input and
 // ignores non-positive entries the way benchmark reporting conventionally
 // does (they cannot occur for execution-time ratios).
@@ -321,23 +308,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// FormatComparison renders normalized execution times (Figure 10 style): one
-// line per model with per-workload ratios and the geometric mean.
-func FormatComparison(models []string, workloads []string, norm map[string][]float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s", "model")
-	for _, w := range workloads {
-		fmt.Fprintf(&b, " %12s", w)
-	}
-	fmt.Fprintf(&b, " %12s\n", "geomean")
-	for _, m := range models {
-		fmt.Fprintf(&b, "%-16s", m)
-		for _, v := range norm[m] {
-			fmt.Fprintf(&b, " %12.3f", v)
-		}
-		fmt.Fprintf(&b, " %12.3f\n", GeoMean(norm[m]))
-	}
-	return b.String()
 }

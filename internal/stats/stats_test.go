@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -73,10 +72,6 @@ func TestCharacterize(t *testing.T) {
 	if ch.IPC != 2 {
 		t.Errorf("IPC = %.2f", ch.IPC)
 	}
-	row := ch.FormatRow()
-	if !strings.Contains(row, "bench") {
-		t.Error("row should include the benchmark name")
-	}
 }
 
 func TestGeoMean(t *testing.T) {
@@ -121,19 +116,6 @@ func TestGeoMeanBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFormatComparison(t *testing.T) {
-	out := FormatComparison(
-		[]string{"x86", "370-NoSpec"},
-		[]string{"a", "b"},
-		map[string][]float64{
-			"x86":        {1, 1},
-			"370-NoSpec": {1.2, 1.4},
-		})
-	if !strings.Contains(out, "geomean") || !strings.Contains(out, "370-NoSpec") {
-		t.Errorf("comparison output malformed:\n%s", out)
 	}
 }
 

@@ -18,16 +18,16 @@ import (
 //
 // Two kinds of series coexist:
 //
-//   - event-time counters and gauges, incremented where the event happens
+//   - event-time counters, incremented where the event happens
 //     (Counter.Add is one atomic add);
 //   - scrape-time families registered with GaugeFunc, sampled only when
 //     /metrics is actually read — the right shape for anything derived from
 //     live state (queue depth, heartbeat age, sweep throughput), because an
 //     unscraped registry then costs nothing.
 //
-// Every method is safe on a nil *Registry (and Counter/Gauge handles from
-// one are nil and equally inert), so components take a registry
-// unconditionally and instrument without branching.
+// Every method is safe on a nil *Registry (and Counter handles from one are
+// nil and equally inert), so components take a registry unconditionally and
+// instrument without branching.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -60,8 +60,7 @@ func (v *value) add(d float64) {
 	}
 }
 
-func (v *value) set(f float64) { v.bits.Store(math.Float64bits(f)) }
-func (v *value) get() float64  { return math.Float64frombits(v.bits.Load()) }
+func (v *value) get() float64 { return math.Float64frombits(v.bits.Load()) }
 
 // Counter is a monotonically increasing series handle; nil is a no-op.
 type Counter struct{ v *value }
@@ -76,25 +75,6 @@ func (c *Counter) Add(d float64) {
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
-
-// Gauge is a settable series handle; nil is a no-op.
-type Gauge struct{ v *value }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(f float64) {
-	if g == nil || g.v == nil {
-		return
-	}
-	g.v.set(f)
-}
-
-// Add moves the gauge by d.
-func (g *Gauge) Add(d float64) {
-	if g == nil || g.v == nil {
-		return
-	}
-	g.v.add(d)
-}
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
@@ -151,14 +131,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 		return nil
 	}
 	return &Counter{v: r.seriesValue(name, help, "counter", labels)}
-}
-
-// Gauge returns (creating on first use) the gauge series name{labels...}.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return &Gauge{v: r.seriesValue(name, help, "gauge", labels)}
 }
 
 func (r *Registry) seriesValue(name, help, typ string, kv []string) *value {

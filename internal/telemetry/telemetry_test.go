@@ -88,13 +88,10 @@ func TestDisabledTelemetryZeroCost(t *testing.T) {
 	var reg *Registry
 	var tl *Timeline
 	c := reg.Counter("sesa_x_total", "help")
-	g := reg.Gauge("sesa_y", "help")
 	span := Span{Name: StageJob, Start: time.Unix(0, 0), Dur: time.Millisecond}
 	checks := map[string]func(){
 		"nil Counter.Add":      func() { c.Inc() },
 		"nil Counter.Add(d)":   func() { c.Add(17) },
-		"nil Gauge.Set":        func() { g.Set(3) },
-		"nil Gauge.Add":        func() { g.Add(-1) },
 		"nil Timeline.Add":     func() { tl.Add(span) },
 		"nil Timeline.Spans":   func() { _ = tl.Spans() },
 		"nil Timeline.Dropped": func() { _ = tl.Dropped() },
@@ -115,7 +112,8 @@ func TestRegistryRenderGolden(t *testing.T) {
 	r.Counter("sesa_fleet_leases_granted_total", "Lease batches granted to workers.",
 		"worker", "rack3-b").Inc()
 	r.Counter("sesa_fleet_registrations_total", "Worker registrations accepted.").Add(2)
-	r.Gauge("sesa_serve_queue_depth", "Sweeps waiting in the admission queue.").Set(1.5)
+	r.GaugeFunc("sesa_serve_queue_depth", "Sweeps waiting in the admission queue.",
+		func() []Sample { return []Sample{{Value: 1.5}} })
 	r.GaugeFunc("sesa_fleet_workers", "Currently registered fleet workers.",
 		func() []Sample { return []Sample{{Value: 2}} })
 	r.CounterFunc("sesa_cache_hits_total", "Result-cache hits.",

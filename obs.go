@@ -1,14 +1,10 @@
 package sesa
 
 import (
-	"fmt"
 	"io"
-	"os"
-	"strings"
 
 	"sesa/internal/litmus"
 	"sesa/internal/obs"
-	"sesa/internal/report"
 	"sesa/internal/sim"
 )
 
@@ -54,47 +50,4 @@ type SimMachine = sim.Machine
 func RunLitmusTraced(t LitmusTest, model Model, iters int, seed uint64,
 	attach func(iter int, m *sim.Machine)) (*LitmusResult, error) {
 	return litmus.RunTraced(t, model, iters, seed, attach)
-}
-
-// ValidTraceFormats names the supported -trace-format values.
-const ValidTraceFormats = "chrome, kanata"
-
-// WriteTraceFile writes the runs to path as Chrome trace-event JSON
-// (format "chrome") or a Kanata pipeline log (format "kanata").
-func WriteTraceFile(path, format string, runs []TraceRun) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	switch format {
-	case "chrome":
-		err = WriteChromeTrace(f, runs)
-	case "kanata":
-		err = WriteKanataTrace(f, runs)
-	default:
-		err = fmt.Errorf("sesa: unknown trace format %q (want %s)", format, ValidTraceFormats)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// WriteMetricsFile writes the runs' interval-metrics series to path — JSON
-// when the path ends in .json, CSV otherwise.
-func WriteMetricsFile(path string, runs []TraceRun) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	series := report.NewMetricsSeries(runs)
-	if strings.HasSuffix(path, ".json") {
-		err = series.WriteJSON(f)
-	} else {
-		err = series.WriteCSV(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
