@@ -27,10 +27,24 @@
 // program and returns the reachable final outcomes, rendered identically to
 // the operational checker so the two engines can be compared outcome for
 // outcome.
+//
+// Every relation is one uint64 row per memory event (bit j of row i is the
+// edge i→j), so a program may have at most MaxEvents of them. Candidates
+// are built one location at a time, in address order: the location's ws,
+// then the rf of its reads, each read checked for a uniproc cycle as it is
+// assigned. Pruning per location is exact because every uniproc edge joins
+// two events of one location, and atomicity needs no search at all: once
+// ws is fixed, an RMW's read takes the write just before the RMW's own
+// write, or the initial value. Only a candidate coherent at every location
+// is checked against ghb, and only one that passes gets values and an
+// outcome.
 package axiomatic
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"sesa/internal/checker"
 	"sesa/internal/isa"
@@ -56,251 +70,348 @@ func (m Model) String() string {
 	return fmt.Sprintf("model(%d)", int(m))
 }
 
-// evKind classifies events.
-type evKind uint8
+// MaxEvents is the most memory events (loads, stores and the two halves of
+// each RMW) a program may have: one bit per event in a uint64 row.
+const MaxEvents = 64
 
-const (
-	evRead evKind = iota
-	evWrite
-	evFence
-)
-
-// event is one memory event of a candidate execution.
+// event is one memory event. Events are numbered thread by thread in
+// program order, so a thread's events are consecutive.
 type event struct {
-	id     int
 	thread int
-	kind   evKind
 	addr   uint64
-	// reg is the destination register for reads.
-	reg isa.Reg
-	// val is the value written (writes; computed during evaluation) or
-	// read (reads; derived from rf).
-	val uint64
-	// rmwPair links the read and write halves of an atomic RMW.
-	rmwPair int // event id of the partner, or -1
-	rmwAdd  uint64
+	loc    int // index into enumerator.locs
+	write  bool
+	reg    isa.Reg // a read's destination register
+	rmw    int     // the other half of an RMW, or -1
+	fences int     // fences before the event in its thread
 }
 
-// execution is the event graph of a program.
-type execution struct {
-	prog    checker.Program
-	events  []*event
-	byAddr  map[uint64][]*event // writes per address
-	reads   []*event
-	threads [][]*event // events in program order per thread
+// location is one address and the events that access it.
+type location struct {
+	addr   uint64
+	init   uint64
+	writes []int  // event ids
+	reads  []int  // event ids
+	wmask  uint64 // the writes as a row
+	order  []int  // the ws being enumerated, oldest write first
 }
 
-// buildExecution lowers a straight-line program to events. Branches are not
-// supported (litmus programs are branch-free); ALU ops are evaluated during
-// value propagation, not represented as events.
-func buildExecution(p checker.Program) (*execution, error) {
-	x := &execution{
-		prog:   p,
-		byAddr: make(map[uint64][]*event),
+// enumerator holds one Enumerate call: the program's events, the relations
+// fixed by the program, and the candidate being built.
+type enumerator struct {
+	prog  checker.Program
+	model Model
+	ev    []event
+	locs  []location
+	// thread[t] is the row of thread t's events; first[t] is its first
+	// event id.
+	thread []uint64
+	first  []int
+
+	// Fixed by the program and model: po-loc and ppo.
+	poloc, ppo [MaxEvents]uint64
+	// The candidate: ws from each write to the writes after it, rf from
+	// each write to its readers, fr from each read to the writes after its
+	// source.
+	ws, rf, fr [MaxEvents]uint64
+	src        [MaxEvents]int // each read's rf source, -1 for the initial value
+
+	// Value propagation, reused by every allowed candidate.
+	val  [MaxEvents]uint64
+	regs [][isa.NumRegs]uint64
+	pc   []int
+	next []int // each thread's next event
+
+	out  checker.OutcomeSet
+	seen map[string]bool // observed-value vectors already rendered
+	key  []byte
+}
+
+func bit(i int) uint64 { return 1 << uint(i) }
+
+// Enumerate returns all outcomes of allowed candidate executions under m. It
+// returns an error for a program with a branch or with more than MaxEvents
+// memory events.
+func Enumerate(p checker.Program, m Model) (checker.OutcomeSet, error) {
+	x, err := newEnumerator(p, m)
+	if err != nil {
+		return nil, err
 	}
-	id := 0
+	x.location(0)
+	return x.out, nil
+}
+
+// newEnumerator lowers a straight-line program to events and builds po-loc
+// and the model's ppo. Branches are not supported (litmus programs are
+// branch-free); ALU ops are evaluated during value propagation and fences
+// only restore ppo edges, so neither is an event.
+func newEnumerator(p checker.Program, m Model) (*enumerator, error) {
+	x := &enumerator{
+		prog:  p,
+		model: m,
+		regs:  make([][isa.NumRegs]uint64, len(p.Threads)),
+		pc:    make([]int, len(p.Threads)),
+		next:  make([]int, len(p.Threads)),
+		out:   make(checker.OutcomeSet),
+		seen:  make(map[string]bool),
+	}
 	for ti, th := range p.Threads {
-		var evs []*event
+		x.first = append(x.first, len(x.ev))
+		fences := 0
 		for _, in := range th {
+			e := event{thread: ti, addr: in.Addr, rmw: -1, fences: fences}
 			switch in.Op {
 			case isa.OpLoad:
-				e := &event{id: id, thread: ti, kind: evRead, addr: in.Addr,
-					reg: in.Dst, rmwPair: -1}
-				id++
-				evs = append(evs, e)
+				e.reg = in.Dst
+				x.ev = append(x.ev, e)
 			case isa.OpStore:
-				e := &event{id: id, thread: ti, kind: evWrite, addr: in.Addr,
-					rmwPair: -1}
-				id++
-				evs = append(evs, e)
-			case isa.OpFence:
-				e := &event{id: id, thread: ti, kind: evFence, rmwPair: -1}
-				id++
-				evs = append(evs, e)
+				e.write = true
+				x.ev = append(x.ev, e)
 			case isa.OpRMW:
-				r := &event{id: id, thread: ti, kind: evRead, addr: in.Addr,
-					reg: in.Dst}
-				id++
-				w := &event{id: id, thread: ti, kind: evWrite, addr: in.Addr,
-					rmwAdd: in.Imm}
-				id++
-				r.rmwPair = w.id
-				w.rmwPair = r.id
-				evs = append(evs, r, w)
+				r := len(x.ev)
+				w := e
+				e.reg, e.rmw = in.Dst, r+1
+				w.write, w.rmw = true, r
+				x.ev = append(x.ev, e, w)
+			case isa.OpFence:
+				fences++
 			case isa.OpALU, isa.OpNop:
-				// evaluated in value propagation / no event
 			default:
 				return nil, fmt.Errorf("axiomatic: unsupported op %v", in.Op)
 			}
 		}
-		x.threads = append(x.threads, evs)
 	}
-	for _, th := range x.threads {
-		for _, e := range th {
-			x.events = append(x.events, e)
-			if e.kind == evWrite {
-				x.byAddr[e.addr] = append(x.byAddr[e.addr], e)
+	if len(x.ev) > MaxEvents {
+		return nil, fmt.Errorf("axiomatic: program has %d memory events; the enumerator holds at most %d",
+			len(x.ev), MaxEvents)
+	}
+
+	var addrs []uint64
+	for _, e := range x.ev {
+		addrs = append(addrs, e.addr)
+	}
+	slices.Sort(addrs)
+	addrs = slices.Compact(addrs)
+	x.locs = make([]location, len(addrs))
+	for li, a := range addrs {
+		x.locs[li] = location{addr: a, init: p.Init[a]}
+	}
+	x.thread = make([]uint64, len(p.Threads))
+	for i := range x.ev {
+		e := &x.ev[i]
+		e.loc, _ = slices.BinarySearch(addrs, e.addr)
+		l := &x.locs[e.loc]
+		if e.write {
+			l.writes = append(l.writes, i)
+			l.wmask |= bit(i)
+		} else {
+			l.reads = append(l.reads, i)
+		}
+		x.thread[e.thread] |= bit(i)
+	}
+	for li := range x.locs {
+		x.locs[li].order = make([]int, len(x.locs[li].writes))
+	}
+
+	for i := range x.ev {
+		e := &x.ev[i]
+		for j := i + 1; j < len(x.ev) && x.ev[j].thread == e.thread; j++ {
+			f := &x.ev[j]
+			if f.loc == e.loc {
+				x.poloc[i] |= bit(j)
 			}
-			if e.kind == evRead {
-				x.reads = append(x.reads, e)
+			// TSO relaxes only store->load, and only with no fence
+			// between - and never across an RMW: locked operations
+			// drain the store buffer, so both halves of an RMW order
+			// fully (as in the operational model, where an RMW runs
+			// with an empty SB and writes memory directly).
+			relaxed := m != SC && e.write && !f.write && e.rmw < 0 && f.rmw < 0 &&
+				e.fences == f.fences
+			if !relaxed {
+				x.ppo[i] |= bit(j)
 			}
 		}
 	}
 	return x, nil
 }
 
-// candidate is one rf + ws assignment. rf[readID] = write event id, or -1
-// for the initial value. ws[addr] is a permutation of the writes to addr.
-type candidate struct {
-	rf map[int]int
-	ws map[uint64][]*event
+// location enumerates the candidates of locations li onward; past the last
+// location it checks the complete candidate.
+func (x *enumerator) location(li int) {
+	if li == len(x.locs) {
+		x.candidate()
+		return
+	}
+	x.serialize(li, 0, 0)
 }
 
-// Enumerate returns all outcomes of allowed candidate executions under m.
-func Enumerate(p checker.Program, m Model) (checker.OutcomeSet, error) {
-	x, err := buildExecution(p)
-	if err != nil {
-		return nil, err
+// serialize enumerates location li's write serializations, placing one
+// write per call. A write is placed only after the writes that precede it
+// in program order: ws against po-loc is a two-edge uniproc cycle.
+func (x *enumerator) serialize(li, n int, placed uint64) {
+	l := &x.locs[li]
+	if n < len(l.writes) {
+		for _, w := range l.writes {
+			earlier := x.thread[x.ev[w].thread] & l.wmask & (bit(w) - 1)
+			if placed&bit(w) == 0 && earlier&^placed == 0 {
+				l.order[n] = w
+				x.serialize(li, n+1, placed|bit(w))
+			}
+		}
+		return
 	}
-	out := make(checker.OutcomeSet)
+	after := uint64(0)
+	for i := n - 1; i >= 0; i-- {
+		w := l.order[i]
+		x.ws[w] = after
+		after |= bit(w)
+		if r := x.ev[w].rmw; r >= 0 {
+			// Atomicity: the RMW reads the write just before its own.
+			x.src[r] = -1
+			if i > 0 {
+				x.src[r] = l.order[i-1]
+			}
+		}
+	}
+	x.readFrom(li, 0)
+}
 
-	rfChoices := make([]int, len(x.reads))
-	var assignRF func(i int)
-	assignRF = func(i int) {
-		if i == len(x.reads) {
-			x.enumerateWS(m, rfChoices, out)
+// readFrom enumerates the rf source of location li's read ri and the reads
+// after it.
+func (x *enumerator) readFrom(li, ri int) {
+	l := &x.locs[li]
+	if ri == len(l.reads) {
+		x.location(li + 1)
+		return
+	}
+	r := l.reads[ri]
+	if x.ev[r].rmw >= 0 {
+		x.tryRead(li, ri, x.src[r]) // fixed by ws
+		return
+	}
+	x.tryRead(li, ri, -1)
+	for _, w := range l.writes {
+		x.tryRead(li, ri, w)
+	}
+}
+
+// tryRead lets read ri of location li read from src (-1: the initial
+// value) and goes on to the next read if the location stays coherent.
+func (x *enumerator) tryRead(li, ri, src int) {
+	l := &x.locs[li]
+	r := l.reads[ri]
+	x.src[r] = src
+	x.fr[r] = l.wmask // every write is ws-after the initial value
+	if src >= 0 {
+		x.fr[r] = x.ws[src]
+		x.rf[src] |= bit(r)
+	}
+	// The location was acyclic before r's edges, so a new cycle runs
+	// through r.
+	if !x.uniprocCycle(r) {
+		x.readFrom(li, ri+1)
+	}
+	x.fr[r] = 0
+	if src >= 0 {
+		x.rf[src] &^= bit(r)
+	}
+}
+
+// uniprocCycle reports whether event v reaches itself over po-loc, ws, rf
+// and fr.
+func (x *enumerator) uniprocCycle(v int) bool {
+	var reached uint64
+	frontier := x.poloc[v] | x.ws[v] | x.rf[v] | x.fr[v]
+	for frontier != 0 {
+		u := bits.TrailingZeros64(frontier)
+		if u == v {
+			return true
+		}
+		reached |= bit(u)
+		frontier |= x.poloc[u] | x.ws[u] | x.rf[u] | x.fr[u]
+		frontier &^= reached
+	}
+	return false
+}
+
+// candidate checks a candidate that is coherent at every location against
+// the model's ghb and records its outcome if it is allowed.
+func (x *enumerator) candidate() {
+	var ghb [MaxEvents]uint64
+	for i := range x.ev {
+		// grf: rfe always; rfi only when the model enforces store
+		// atomicity (370, SC) - the paper's Figure 2 cycle.
+		grf := x.rf[i]
+		if x.model == X86TSO {
+			grf &^= x.thread[x.ev[i].thread] // rfe
+		}
+		ghb[i] = x.ppo[i] | x.ws[i] | x.fr[i] | grf
+	}
+	// Peel off events with no successor left; a cycle never empties.
+	left := ^uint64(0) >> uint(MaxEvents-len(x.ev))
+	for left != 0 {
+		before := left
+		for rest := left; rest != 0; {
+			v := 63 - bits.LeadingZeros64(rest)
+			rest &^= bit(v)
+			if ghb[v]&left == 0 {
+				left &^= bit(v)
+			}
+		}
+		if left == before {
 			return
 		}
-		r := x.reads[i]
-		rfChoices[i] = -1 // initial value
-		assignRF(i + 1)
-		for _, w := range x.byAddr[r.addr] {
-			if w.id == r.rmwPair {
-				continue // an RMW read cannot read its own write
-			}
-			rfChoices[i] = w.id
-			assignRF(i + 1)
-		}
 	}
-	assignRF(0)
-	return out, nil
+	if x.propagate() {
+		x.record()
+	}
 }
 
-// enumerateWS enumerates write serializations for the fixed rf choice and
-// records allowed outcomes.
-func (x *execution) enumerateWS(m Model, rfChoices []int, out checker.OutcomeSet) {
-	rf := make(map[int]int, len(rfChoices))
-	for i, r := range x.reads {
-		rf[r.id] = rfChoices[i]
-	}
-	addrs := make([]uint64, 0, len(x.byAddr))
-	for a := range x.byAddr {
-		addrs = append(addrs, a)
-	}
-	var rec func(ai int, c *candidate)
-	rec = func(ai int, c *candidate) {
-		if ai == len(addrs) {
-			x.tryCandidate(m, c, out)
-			return
-		}
-		a := addrs[ai]
-		writes := x.byAddr[a]
-		perm := make([]*event, len(writes))
-		var permute func(used uint, depth int)
-		permute = func(used uint, depth int) {
-			if depth == len(writes) {
-				c.ws[a] = append([]*event(nil), perm...)
-				rec(ai+1, c)
-				return
-			}
-			for i, w := range writes {
-				if used&(1<<uint(i)) != 0 {
-					continue
-				}
-				perm[depth] = w
-				permute(used|1<<uint(i), depth+1)
-			}
-		}
-		permute(0, 0)
-	}
-	rec(0, &candidate{rf: rf, ws: make(map[uint64][]*event)})
-}
-
-// tryCandidate evaluates values, checks the axioms and records the outcome.
-func (x *execution) tryCandidate(m Model, c *candidate, out checker.OutcomeSet) {
-	if !x.propagateValues(c) {
-		return
-	}
-	if !x.uniproc(c) || !x.atomicity(c) {
-		return
-	}
-	if !x.ghbAcyclic(m, c) {
-		return
-	}
-	out[x.outcome(c)] = true
-}
-
-// propagateValues computes read and write values from the rf assignment and
-// the threads' register dataflow; it iterates to a fixed point (cross-thread
-// value cycles converge or the candidate is rejected).
-func (x *execution) propagateValues(c *candidate) bool {
-	for iter := 0; iter < len(x.events)+2; iter++ {
-		changed := false
+// propagate computes every event's value from rf and the threads' register
+// dataflow. A thread runs until a read whose source write has no value yet;
+// the threads take turns until all are done. It reports false if they
+// block one another, which a ghb-acyclic candidate never does.
+func (x *enumerator) propagate() bool {
+	clear(x.regs)
+	clear(x.pc)
+	copy(x.next, x.first)
+	var done uint64 // writes with a value
+	for {
+		progress, finished := false, true
 		for ti, th := range x.prog.Threads {
-			var regs [isa.NumRegs]uint64
-			evIdx := 0
-			evs := x.threads[ti]
-			for _, in := range th {
+			regs := &x.regs[ti]
+		run:
+			for ; x.pc[ti] < len(th); x.pc[ti]++ {
+				in := th[x.pc[ti]]
+				e := x.next[ti]
 				switch in.Op {
-				case isa.OpLoad:
-					e := evs[evIdx]
-					evIdx++
-					var v uint64
-					if w := c.rf[e.id]; w >= 0 {
-						v = x.events[w].val
-					} else {
-						v = x.prog.Init[e.addr]
+				case isa.OpLoad, isa.OpRMW:
+					src := x.src[e]
+					v := x.locs[x.ev[e].loc].init
+					if src >= 0 {
+						if done&bit(src) == 0 {
+							break run
+						}
+						v = x.val[src]
 					}
-					if e.val != v {
-						e.val = v
-						changed = true
+					x.val[e] = v
+					if in.Dst != isa.RegNone {
+						regs[in.Dst] = v
 					}
-					if e.reg != isa.RegNone {
-						regs[e.reg] = v
+					x.next[ti]++
+					if in.Op == isa.OpRMW {
+						x.val[e+1] = v + in.Imm
+						done |= bit(e + 1)
+						x.next[ti]++
 					}
 				case isa.OpStore:
-					e := evs[evIdx]
-					evIdx++
 					v := in.Imm
 					if in.Src1 != isa.RegNone {
 						v = regs[in.Src1]
 					}
-					if e.val != v {
-						e.val = v
-						changed = true
-					}
-				case isa.OpRMW:
-					r, w := evs[evIdx], evs[evIdx+1]
-					evIdx += 2
-					var v uint64
-					if src := c.rf[r.id]; src >= 0 {
-						v = x.events[src].val
-					} else {
-						v = x.prog.Init[r.addr]
-					}
-					if r.val != v {
-						r.val = v
-						changed = true
-					}
-					if r.reg != isa.RegNone {
-						regs[r.reg] = v
-					}
-					if w.val != v+w.rmwAdd {
-						w.val = v + w.rmwAdd
-						changed = true
-					}
-				case isa.OpFence:
-					evIdx++
+					x.val[e] = v
+					done |= bit(e)
+					x.next[ti]++
 				case isa.OpALU:
 					var a, b uint64
 					if in.Src1 != isa.RegNone {
@@ -313,221 +424,52 @@ func (x *execution) propagateValues(c *candidate) bool {
 						regs[in.Dst] = a + b + in.Imm
 					}
 				}
+				progress = true
 			}
+			finished = finished && x.pc[ti] == len(th)
 		}
-		if !changed {
-			return true
-		}
-	}
-	return false // value cycle did not converge
-}
-
-// wsPos returns the position of write w in its location's serialization.
-func (c *candidate) wsPos(x *execution, w *event) int {
-	for i, e := range c.ws[w.addr] {
-		if e == w {
-			return i
-		}
-	}
-	return -1
-}
-
-// frTargets returns, for read r, the writes that are from-read successors:
-// every write to r's location ws-after r's source.
-func (x *execution) frTargets(c *candidate, r *event) []*event {
-	order := c.ws[r.addr]
-	src := c.rf[r.id]
-	start := 0
-	if src >= 0 {
-		start = c.wsPos(x, x.events[src]) + 1
-	}
-	return order[start:]
-}
-
-// uniproc checks per-location coherence: po-loc ∪ rf ∪ ws ∪ fr acyclic. For
-// straight-line TSO-class programs it suffices to check the standard
-// per-location conditions directly.
-func (x *execution) uniproc(c *candidate) bool {
-	return x.acyclic(func(add func(a, b *event)) {
-		for _, th := range x.threads {
-			for i, e := range th {
-				if e.kind == evFence {
-					continue
-				}
-				for j := i + 1; j < len(th); j++ {
-					f := th[j]
-					if f.kind == evFence || f.addr != e.addr {
-						continue
-					}
-					add(e, f) // po-loc
-				}
-			}
-		}
-		x.comEdges(c, add)
-	})
-}
-
-// atomicity: for every RMW, no foreign write to the location sits ws-between
-// the read's source and the RMW's write.
-func (x *execution) atomicity(c *candidate) bool {
-	for _, r := range x.reads {
-		if r.rmwPair < 0 {
-			continue
-		}
-		w := x.events[r.rmwPair]
-		wPos := c.wsPos(x, w)
-		srcPos := -1
-		if src := c.rf[r.id]; src >= 0 {
-			srcPos = c.wsPos(x, x.events[src])
-		}
-		// The RMW's write must immediately follow the read's source.
-		if wPos != srcPos+1 {
-			return false
-		}
-	}
-	return true
-}
-
-// comEdges adds rf, ws and fr edges.
-func (x *execution) comEdges(c *candidate, add func(a, b *event)) {
-	for a := range x.byAddr {
-		order := c.ws[a]
-		for i := 0; i+1 < len(order); i++ {
-			add(order[i], order[i+1]) // ws
-		}
-	}
-	for _, r := range x.reads {
-		if src := c.rf[r.id]; src >= 0 {
-			add(x.events[src], r) // rf (used by uniproc; ghb filters)
-		}
-		for _, w := range x.frTargets(c, r) {
-			add(r, w) // fr
+		if finished || !progress {
+			return finished
 		}
 	}
 }
 
-// ghbAcyclic checks the model's global-happens-before acyclicity.
-func (x *execution) ghbAcyclic(m Model, c *candidate) bool {
-	return x.acyclic(func(add func(a, b *event)) {
-		// ppo: program order minus store->load (TSO); SC keeps all.
-		for _, th := range x.threads {
-			for i, e := range th {
-				for j := i + 1; j < len(th); j++ {
-					f := th[j]
-					if e.kind == evFence || f.kind == evFence {
-						continue
-					}
-					// TSO relaxes only store->load - and never across
-					// an RMW: locked operations drain the store
-					// buffer, so both halves of an RMW order fully
-					// (as in the operational model, where an RMW runs
-					// with an empty SB and writes memory directly).
-					relaxed := m != SC && e.kind == evWrite && f.kind == evRead &&
-						e.rmwPair < 0 && f.rmwPair < 0
-					if relaxed && !x.fenceBetween(th, i, j) {
-						continue
-					}
-					add(e, f)
-				}
-			}
-		}
-		// ws and fr are always global.
-		for a := range x.byAddr {
-			order := c.ws[a]
-			for i := 0; i+1 < len(order); i++ {
-				add(order[i], order[i+1])
-			}
-		}
-		for _, r := range x.reads {
-			for _, w := range x.frTargets(c, r) {
-				add(r, w)
-			}
-		}
-		// grf: which rf edges are globally ordering.
-		for _, r := range x.reads {
-			src := c.rf[r.id]
-			if src < 0 {
-				continue
-			}
-			w := x.events[src]
-			if w.thread != r.thread || m != X86TSO {
-				// rfe always; rfi only when the model enforces
-				// store atomicity (370, SC) — the paper's Figure 2
-				// cycle.
-				add(w, r)
-			}
-		}
-	})
-}
-
-// fenceBetween reports whether a fence separates indices i and j in th.
-func (x *execution) fenceBetween(th []*event, i, j int) bool {
-	for k := i + 1; k < j; k++ {
-		if th[k].kind == evFence {
-			return true
-		}
+// record adds the candidate's outcome. Many candidates share one outcome,
+// so it is rendered only the first time its observed values occur.
+func (x *enumerator) record() {
+	key := x.key[:0]
+	for _, o := range x.prog.Regs {
+		key = binary.AppendUvarint(key, x.Reg(o.Thread, o.Reg))
 	}
-	return false
-}
-
-// acyclic builds the edge set via the callback and checks for cycles.
-func (x *execution) acyclic(build func(add func(a, b *event))) bool {
-	n := len(x.events)
-	adj := make([][]int, n)
-	build(func(a, b *event) {
-		adj[a.id] = append(adj[a.id], b.id)
-	})
-	state := make([]uint8, n) // 0 unvisited, 1 in stack, 2 done
-	var dfs func(v int) bool
-	dfs = func(v int) bool {
-		state[v] = 1
-		for _, w := range adj[v] {
-			switch state[w] {
-			case 1:
-				return false
-			case 0:
-				if !dfs(w) {
-					return false
-				}
-			}
-		}
-		state[v] = 2
-		return true
+	for _, o := range x.prog.Mem {
+		key = binary.AppendUvarint(key, x.Mem(o.Addr))
 	}
-	for v := 0; v < n; v++ {
-		if state[v] == 0 && !dfs(v) {
-			return false
-		}
+	x.key = key
+	if x.seen[string(key)] {
+		return
 	}
-	return true
+	x.seen[string(key)] = true
+	x.out[checker.RenderOutcome(x.prog, x)] = true
 }
 
-// outcome renders the observables exactly like the operational checker.
-func (x *execution) outcome(c *candidate) checker.Outcome {
-	return checker.RenderOutcome(x.prog, axFinal{x: x, c: c})
-}
-
-type axFinal struct {
-	x *execution
-	c *candidate
-}
-
-func (f axFinal) Reg(thread int, r isa.Reg) uint64 {
-	// The register's final value is the last read (or RMW read) writing it
-	// in program order; litmus observables always come from loads.
+// Reg is the final value of a register: the value of the last read writing
+// it in program order. Litmus observables always come from loads.
+func (x *enumerator) Reg(thread int, r isa.Reg) uint64 {
 	var v uint64
-	for _, e := range f.x.threads[thread] {
-		if e.kind == evRead && e.reg == r {
-			v = e.val
+	for e := x.first[thread]; e < len(x.ev) && x.ev[e].thread == thread; e++ {
+		if !x.ev[e].write && x.ev[e].reg == r {
+			v = x.val[e]
 		}
 	}
 	return v
 }
 
-func (f axFinal) Mem(addr uint64) uint64 {
-	order := f.c.ws[addr]
-	if len(order) == 0 {
-		return f.x.prog.Init[addr]
+// Mem is the final value of a location: its ws-last write's value.
+func (x *enumerator) Mem(addr uint64) uint64 {
+	for _, l := range x.locs {
+		if l.addr == addr && len(l.order) > 0 {
+			return x.val[l.order[len(l.order)-1]]
+		}
 	}
-	return order[len(order)-1].val
+	return x.prog.Init[addr]
 }

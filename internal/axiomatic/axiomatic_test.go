@@ -1,6 +1,7 @@
 package axiomatic
 
 import (
+	"strings"
 	"testing"
 
 	"sesa/internal/checker"
@@ -115,6 +116,35 @@ func TestRMWAtomicityAxiom(t *testing.T) {
 		}
 		if len(out) != 1 || !out.Contains("[x]=2") {
 			t.Errorf("%s: RMW outcomes = %v, want exactly [x]=2", m, out.Sorted())
+		}
+	}
+}
+
+// TestEventLimit: a program of MaxEvents memory events enumerates, and one
+// more makes Enumerate return an error rather than wrap a row's bits.
+func TestEventLimit(t *testing.T) {
+	stores := func(n int) checker.Program {
+		var th isa.Program
+		for i := 0; i < n; i++ {
+			th = append(th, isa.StoreImm(0x100, uint64(i+1)))
+		}
+		return checker.Program{
+			Threads: []isa.Program{th},
+			Init:    map[uint64]uint64{0x100: 0},
+			Mem:     []checker.MemObs{{Addr: 0x100, Name: "x"}},
+		}
+	}
+	for _, m := range []Model{X86TSO, TSO370, SC} {
+		out, err := Enumerate(stores(MaxEvents), m)
+		if err != nil {
+			t.Fatalf("%s: %d events: %v", m, MaxEvents, err)
+		}
+		if len(out) != 1 || !out.Contains("[x]=64") {
+			t.Errorf("%s: %d events: outcomes %v, want exactly [x]=64", m, MaxEvents, out.Sorted())
+		}
+		if _, err := Enumerate(stores(MaxEvents+1), m); err == nil ||
+			!strings.Contains(err.Error(), "64") {
+			t.Errorf("%s: %d events: err = %v, want one naming the limit of 64", m, MaxEvents+1, err)
 		}
 	}
 }

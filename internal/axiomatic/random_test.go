@@ -67,7 +67,7 @@ func TestRandomProgramsAgree(t *testing.T) {
 		{TSO370, checker.TSO370},
 		{SC, checker.SC},
 	}
-	for seed := uint64(1); seed <= 150; seed++ {
+	for seed := uint64(1); seed <= 1000; seed++ {
 		p := randomProgram(seed * 2654435761)
 		for _, pr := range pairs {
 			ax, err := Enumerate(p, pr.ax)

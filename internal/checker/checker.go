@@ -11,7 +11,9 @@
 package checker
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -120,31 +122,35 @@ func (st *machineState) clone() *machineState {
 	return n
 }
 
-// encode produces a canonical key for memoization.
-func (st *machineState) encode() string {
-	var b strings.Builder
+// appendKey appends st's memo key to buf: per thread the pc, the SB's
+// length and (addr, val) pairs and all registers, then memory's size and
+// its (addr, val) pairs in address order, every value a uvarint. The lists
+// are length-prefixed and the register count is fixed, so distinct states
+// get distinct keys. It sorts memory's addresses in addrs, which it returns
+// for reuse.
+func (st *machineState) appendKey(buf []byte, addrs []uint64) ([]byte, []uint64) {
 	for _, t := range st.threads {
-		fmt.Fprintf(&b, "T%d|", t.pc)
+		buf = binary.AppendUvarint(buf, uint64(t.pc))
+		buf = binary.AppendUvarint(buf, uint64(len(t.sb)))
 		for _, w := range t.sb {
-			fmt.Fprintf(&b, "%x:%x,", w.addr, w.val)
+			buf = binary.AppendUvarint(buf, w.addr)
+			buf = binary.AppendUvarint(buf, w.val)
 		}
-		b.WriteByte('|')
-		for r, v := range t.regs {
-			if v != 0 {
-				fmt.Fprintf(&b, "r%d=%x,", r, v)
-			}
+		for _, v := range t.regs {
+			buf = binary.AppendUvarint(buf, v)
 		}
-		b.WriteByte(';')
 	}
-	keys := make([]uint64, 0, len(st.mem))
-	for k := range st.mem {
-		keys = append(keys, k)
+	addrs = addrs[:0]
+	for a := range st.mem {
+		addrs = append(addrs, a)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%x=%x,", k, st.mem[k])
+	slices.Sort(addrs)
+	buf = binary.AppendUvarint(buf, uint64(len(addrs)))
+	for _, a := range addrs {
+		buf = binary.AppendUvarint(buf, a)
+		buf = binary.AppendUvarint(buf, st.mem[a])
 	}
-	return b.String()
+	return buf, addrs
 }
 
 // readSB returns the newest store-buffer entry of t covering addr, if any.
@@ -171,13 +177,15 @@ func Enumerate(p Program, m Model) OutcomeSet {
 
 	outcomes := make(OutcomeSet)
 	seen := make(map[string]bool)
+	var key []byte
+	var addrs []uint64
 	var visit func(st *machineState)
 	visit = func(st *machineState) {
-		key := st.encode()
-		if seen[key] {
+		key, addrs = st.appendKey(key[:0], addrs)
+		if seen[string(key)] {
 			return
 		}
-		seen[key] = true
+		seen[string(key)] = true
 
 		final := true
 		for ti := range st.threads {

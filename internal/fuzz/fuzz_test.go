@@ -9,42 +9,67 @@ import (
 	"sesa/internal/config"
 )
 
-// TestCheckerVsAxiomaticAgreement is the generator-driven agreement
-// property: over seeded random programs of several budgets, the operational
-// checker and the axiomatic enumerator produce identical outcome sets for
-// all three models. Deterministic: fixed seeds, fixed budgets.
-func TestCheckerVsAxiomaticAgreement(t *testing.T) {
-	cases := []struct {
-		name  string
-		b     Budget
-		seeds uint64
-	}{
-		{"two-thread", Budget{Threads: 2, Ops: 4, Addrs: 2, Fences: 1, RMWs: 1}, 60},
-		{"three-thread", Budget{Threads: 3, Ops: 3, Addrs: 2, Fences: 1, RMWs: 1}, 40},
-		{"three-var", Budget{Threads: 3, Ops: 4, Addrs: 3, Fences: 0, RMWs: 0}, 30},
-		{"rmw-heavy", Budget{Threads: 2, Ops: 5, Addrs: 1, Fences: 0, RMWs: 3}, 30},
+// agreementShapes are the budgets the agreement property is checked on,
+// each with the number of seeds TestCheckerVsAxiomaticAgreement runs.
+var agreementShapes = []struct {
+	name  string
+	b     Budget
+	seeds uint64
+}{
+	{"two-thread", Budget{Threads: 2, Ops: 4, Addrs: 2, Fences: 1, RMWs: 1}, 60},
+	{"three-thread", Budget{Threads: 3, Ops: 3, Addrs: 2, Fences: 1, RMWs: 1}, 40},
+	{"three-var", Budget{Threads: 3, Ops: 4, Addrs: 3, Fences: 0, RMWs: 0}, 30},
+	{"rmw-heavy", Budget{Threads: 2, Ops: 5, Addrs: 1, Fences: 0, RMWs: 3}, 30},
+	{"wide", Budget{Threads: 4, Ops: 6, Addrs: 3, Fences: 1, RMWs: 2}, 40},
+}
+
+// checkAgreement fails t unless, on the program (seed, b) generates, the
+// operational checker and the axiomatic enumerator produce identical
+// outcome sets for all three models.
+func checkAgreement(t *testing.T, seed uint64, b Budget) {
+	t.Helper()
+	p := Generate(seed, b)
+	rep, err := CrossValidate(p, Options{}) // model legs only
+	if err != nil {
+		t.Fatalf("seed %d budget %v: %v", seed, b, err)
 	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			seeds := c.seeds
-			if testing.Short() {
-				seeds /= 4 // keep the -race -short CI leg quick
-			}
-			for seed := uint64(0); seed < seeds; seed++ {
-				p := Generate(seed, c.b)
-				rep, err := CrossValidate(p, Options{}) // model legs only
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				if !rep.Ok() {
-					text, _ := Render(p)
-					t.Fatalf("seed %d: %d mismatches, first: %v\nprogram:\n%s",
-						seed, len(rep.Mismatches), rep.Mismatches[0], text)
-				}
+	if !rep.Ok() {
+		text, _ := Render(p)
+		t.Fatalf("seed %d budget %v: %d mismatches, first: %v\nprogram:\n%s",
+			seed, b, len(rep.Mismatches), rep.Mismatches[0], text)
+	}
+}
+
+// TestCheckerVsAxiomaticAgreement is the generator-driven agreement
+// property over every seed of every shape in agreementShapes.
+// Deterministic: fixed seeds, fixed budgets.
+func TestCheckerVsAxiomaticAgreement(t *testing.T) {
+	for _, s := range agreementShapes {
+		t.Run(s.name, func(t *testing.T) {
+			for seed := uint64(0); seed < s.seeds; seed++ {
+				checkAgreement(t, seed, s.b)
 			}
 		})
 	}
+}
+
+// FuzzCheckerVsAxiomatic explores the agreement property beyond the fixed
+// seeds of TestCheckerVsAxiomaticAgreement. Its seed corpus is seed 0 of
+// each shape; -fuzz varies the seed freely and clamps each budget field
+// into the range the shapes span.
+func FuzzCheckerVsAxiomatic(f *testing.F) {
+	for _, s := range agreementShapes {
+		f.Add(uint64(0), s.b.Threads, s.b.Ops, s.b.Addrs, s.b.Fences, s.b.RMWs)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, threads, ops, addrs, fences, rmws int) {
+		checkAgreement(t, seed, Budget{
+			Threads: min(max(threads, 2), 4),
+			Ops:     min(max(ops, 3), 6),
+			Addrs:   min(max(addrs, 1), 3),
+			Fences:  min(max(fences, 0), 1),
+			RMWs:    min(max(rmws, 0), 3),
+		})
+	})
 }
 
 // TestCrossValidateDetectsOpVsAxDivergence: feeding the X86 operational set

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 
+	"sesa/internal/axiomatic"
 	"sesa/internal/checker"
 	"sesa/internal/isa"
 )
@@ -62,9 +63,16 @@ func (b Budget) Validate() error {
 		return fmt.Errorf("fuzz: budget addrs=%d out of range [1,%d]", b.Addrs, len(varNames))
 	case b.Fences < 0 || b.RMWs < 0:
 		return fmt.Errorf("fuzz: budget fences/rmws must be non-negative")
+	case b.maxEvents() > axiomatic.MaxEvents:
+		return fmt.Errorf("fuzz: budget threads=%d,ops=%d,rmws=%d can generate %d memory events, more than the axiomatic enumerator's %d",
+			b.Threads, b.Ops, b.RMWs, b.maxEvents(), axiomatic.MaxEvents)
 	}
 	return nil
 }
+
+// maxEvents bounds the memory events of a generated program: every op is at
+// most one event, and each RMW is two.
+func (b Budget) maxEvents() int { return b.Threads * (b.Ops + min(b.RMWs, b.Ops)) }
 
 // ParseBudget parses the -budget flag syntax, e.g.
 // "threads=2,ops=4,addrs=2,fences=1,rmws=1". Omitted keys keep their

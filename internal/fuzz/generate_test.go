@@ -97,6 +97,7 @@ func TestParseBudget(t *testing.T) {
 		{"ops=99", Budget{}, true},
 		{"bogus=3", Budget{}, true},
 		{"threads", Budget{}, true},
+		{"threads=6,ops=12", Budget{}, true}, // up to 78 memory events
 	}
 	for _, c := range cases {
 		got, err := ParseBudget(c.in)
