@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sesa/internal/config"
 	"sesa/internal/hist"
@@ -67,14 +68,14 @@ type Core struct {
 	drainInflight int
 	lastDrainWhen uint64
 
-	// nDispatched and nLocalExec count the ROB entries the issue scan could
-	// act on: entries still waiting to issue, and entries executing locally
-	// (stIssued without a memory access in flight, i.e. with a pending
-	// complete at execDone). When both are zero the scan is provably a
-	// no-op and is skipped — the common state while every in-flight
-	// instruction waits on memory.
-	nDispatched int
-	nLocalExec  int
+	// ready is the issue scan's work list, one bit per ROB ring position:
+	// set exactly for the entries the scan acts on — dispatched entries
+	// that are not parked, and entries executing locally (stIssued without
+	// a memory access in flight, with a pending complete at execDone).
+	ready bitset
+	// waiting holds one ROB-position set per arena slot (len(ready) words
+	// each): the loads parked on that entry (see park).
+	waiting []uint64
 
 	// wakeHints gates the wakeCycle scan. The two-level skip clock is the
 	// only consumer of a quiescent tick's wake report; under the naive
@@ -127,20 +128,22 @@ func New(id int, cfg config.Config, hier *mem.Hierarchy, st *stats.Core) *Core {
 		l1Lat:  cfg.Mem.L1D.HitCycles,
 		// Arena bound: the ROB holds at most ROBEntries live entries and
 		// the SB at most SQEntries retired stores no longer in the ROB.
-		ar:  newArena(cfg.Core.ROBEntries + cfg.Core.SQEntries),
-		rob: newRing(cfg.Core.ROBEntries),
-		lq:  newRing(cfg.Core.LQEntries),
-		sq:  newStoreQueue(cfg.Core.SQEntries),
+		ar:    newArena(cfg.Core.ROBEntries + cfg.Core.SQEntries),
+		rob:   newRing(cfg.Core.ROBEntries),
+		lq:    newRing(cfg.Core.LQEntries),
+		sq:    newStoreQueue(cfg.Core.SQEntries),
+		ready: newBitset(cfg.Core.ROBEntries),
 
 		wakeHints: true,
 	}
+	c.waiting = make([]uint64, len(c.ar.ents)*len(c.ready))
 	hier.SetClient(id, c)
 	return c
 }
 
 // SetWakeHints enables or disables quiescence wake reports. With hints off a
-// quiescent Tick returns sched.Never without scanning the ROB for the next
-// timed-work cycle. Only the skip stepper reads the reports; the naive
+// quiescent Tick returns sched.Never without scanning the ready set for the
+// next timed-work cycle. Only the skip stepper reads the reports; the naive
 // stepper disables them. Hints are on by default.
 func (c *Core) SetWakeHints(on bool) { c.wakeHints = on }
 
@@ -298,7 +301,7 @@ func (c *Core) SkipCycles(n uint64) {
 // without a memory-system event: the pipeline-depth window of the ROB
 // head, a running execution latency, or the end of a front-end redirect
 // window. Everything else the core can wait on arrives as an event. The
-// scan touches only the arena's SoA arrays.
+// locally executing entries are the stIssued members of the ready set.
 func (c *Core) wakeCycle(now uint64) uint64 {
 	w := uint64(sched.Never)
 	if c.rob.len() > 0 {
@@ -306,15 +309,12 @@ func (c *Core) wakeCycle(now uint64) uint64 {
 			w = c.ar.minRetire[i]
 		}
 	}
-	if c.nLocalExec > 0 {
-		sa, sb := c.rob.spans()
-		for _, span := range [2][]entryRef{sa, sb} {
-			for _, r := range span {
-				i := r.index()
-				if c.ar.stat[i] == stIssued && !c.ar.inflight[i] {
-					if d := c.ar.execDone[i]; d > now && d < w {
-						w = d
-					}
+	for k, word := range c.ready {
+		for ; word != 0; word &= word - 1 {
+			i := c.rob.buf[k<<6|bits.TrailingZeros64(word)].index()
+			if c.ar.stat[i] == stIssued {
+				if d := c.ar.execDone[i]; d > now && d < w {
+					w = d
 				}
 			}
 		}
@@ -506,32 +506,33 @@ func (c *Core) storeWrote(r entryRef, when uint64) {
 			}
 		}
 	}
+	// Loads parked on this store as their waitStore may issue now.
+	c.wake(i)
 	c.ar.release(i)
 }
 
 // ---- issue / execute ----------------------------------------------------------
 
+// issue walks the ready set oldest first: the ring positions from the ROB
+// head to the end of the buffer, then the wrapped prefix. next re-reads the
+// current word after every visit, so a mid-scan squash (which clears the
+// flushed, younger positions) and a mid-scan wake (which sets younger
+// positions) take effect exactly where a walk over the whole ROB would see
+// them. When the set is empty every in-flight instruction waits on memory
+// or is parked, and there is nothing to do.
 func (c *Core) issue(now uint64) {
-	// Entries the scan can act on are counted as they change state: when
-	// nothing is waiting to issue and nothing is executing locally — every
-	// in-flight instruction is waiting on memory — the scan is a no-op.
-	if c.nDispatched == 0 && c.nLocalExec == 0 {
+	if c.ready.empty() {
 		return
 	}
 	budget := issueWidth
-	// Iterate a snapshot of the ROB by position: a mid-scan squash
-	// truncates the youngest suffix in place, and the generation check
-	// skips the flushed positions exactly like the old `alive` flag did.
-	sa, sb := c.rob.spans()
-	for _, span := range [2][]entryRef{sa, sb} {
-		for _, r := range span {
-			i := r.index()
-			if c.ar.gens[i] != r.gen() {
-				continue
-			}
+	head := c.rob.head
+	for _, span := range [2][2]int{{head, len(c.rob.buf)}, {0, head}} {
+		for p := c.ready.next(span[0], span[1]); p >= 0; p = c.ready.next(p+1, span[1]) {
+			i := c.rob.buf[p].index()
 			switch c.ar.stat[i] {
 			case stIssued:
-				if !c.ar.inflight[i] && now >= c.ar.execDone[i] {
+				if now >= c.ar.execDone[i] {
+					c.ready.clear(p)
 					c.complete(i, now)
 				}
 			case stDispatched:
@@ -541,9 +542,8 @@ func (c *Core) issue(now uint64) {
 				e := &c.ar.ents[i]
 				if c.tryIssue(i, e, now) {
 					c.progressed = true
-					c.nDispatched--
-					if c.ar.stat[i] == stIssued && !c.ar.inflight[i] {
-						c.nLocalExec++
+					if c.ar.stat[i] != stIssued || c.ar.inflight[i] {
+						c.ready.clear(p)
 					}
 					budget--
 					if c.tr != nil {
@@ -555,6 +555,8 @@ func (c *Core) issue(now uint64) {
 								Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obs.KeyNone, Addr: e.inst.Addr})
 						}
 					}
+				} else if e.isLoad() {
+					c.park(p, e)
 				}
 			}
 		}
@@ -565,7 +567,6 @@ func (c *Core) issue(now uint64) {
 // forwarded load whose latency elapsed).
 func (c *Core) complete(i int32, now uint64) {
 	c.progressed = true
-	c.nLocalExec--
 	e := &c.ar.ents[i]
 	switch e.inst.Op {
 	case isa.OpALU:
@@ -583,8 +584,7 @@ func (c *Core) complete(i int32, now uint64) {
 		// data was final then; its producer's slot may since have been
 		// recycled).
 	}
-	c.ar.stat[i] = stDone
-	c.ar.execDone[i] = now
+	c.markDone(i, e, now)
 	if c.tr != nil {
 		c.tr.Record(obs.Event{Cycle: now, Kind: obs.KPerform, Op: e.inst.Op,
 			Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obs.KeyNone, Addr: e.inst.Addr, N: e.val})
@@ -606,13 +606,11 @@ func (c *Core) tryIssue(i int32, e *entry, now uint64) bool {
 			return true
 		}
 	case isa.OpNop:
-		c.ar.stat[i] = stDone
-		c.ar.execDone[i] = now
+		c.markDone(i, e, now)
 		return true
 	case isa.OpFence:
 		// Fences "execute" immediately; retirement enforces the drain.
-		c.ar.stat[i] = stDone
-		c.ar.execDone[i] = now
+		c.markDone(i, e, now)
 		return true
 	case isa.OpStore:
 		return c.tryIssueStore(i, e, now)
@@ -641,8 +639,7 @@ func (c *Core) tryIssueStore(i int32, e *entry, now uint64) bool {
 			e.src1Val = c.operandVal(e, 1)
 			e.src1Prod = nilRef
 		}
-		c.ar.stat[i] = stDone
-		c.ar.execDone[i] = now + 1
+		c.markDone(i, e, now+1)
 		return true
 	}
 	return false
@@ -700,8 +697,7 @@ func (c *Core) OnRMWDone(ref, old, when uint64) {
 	re := &c.ar.ents[ri]
 	re.val = old
 	c.ar.inflight[ri] = false
-	c.ar.stat[ri] = stDone
-	c.ar.execDone[ri] = when
+	c.markDone(ri, re, when)
 	if c.tr != nil {
 		c.tr.Record(obs.Event{Cycle: when, Kind: obs.KPerform, Op: re.inst.Op,
 			Seq: re.dynSeq, TraceIdx: int32(re.traceIdx), Key: obs.KeyNone, Addr: re.inst.Addr, N: old})
@@ -870,8 +866,7 @@ func (c *Core) OnLoadDone(ref, val, when uint64) {
 	le := &c.ar.ents[li]
 	le.val = val
 	c.ar.inflight[li] = false
-	c.ar.stat[li] = stDone
-	c.ar.execDone[li] = when
+	c.markDone(li, le, when)
 	if c.tr != nil {
 		c.tr.Record(obs.Event{Cycle: when, Kind: obs.KPerform, Op: le.inst.Op,
 			Seq: le.dynSeq, TraceIdx: int32(le.traceIdx), Key: obs.KeyNone, Addr: le.inst.Addr, N: val})
@@ -921,7 +916,6 @@ func (c *Core) dispatch(now uint64) {
 
 func (c *Core) dispatchOne(in isa.Inst, now uint64) {
 	c.progressed = true
-	c.nDispatched++
 	c.dynSeq++
 	i := c.ar.alloc()
 	e := &c.ar.ents[i]
@@ -956,7 +950,7 @@ func (c *Core) dispatchOne(in isa.Inst, now uint64) {
 			Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obs.KeyNone, Addr: in.Addr})
 	}
 
-	c.rob.push(ref)
+	c.ready.set(c.rob.push(ref))
 	switch in.Op {
 	case isa.OpFence:
 		c.lastFence = ref

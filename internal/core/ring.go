@@ -3,9 +3,8 @@ package core
 // ring is a fixed-capacity FIFO of entry refs — the ROB and LQ layout.
 // Dispatch pushes at the tail, retirement pops at the head, and a squash
 // truncates the youngest suffix; positions of surviving entries never move,
-// which is what lets the issue scan iterate by position across a mid-scan
-// squash (truncated positions read stale refs and are skipped by the
-// generation check, exactly like the old layout's dead `alive` flags).
+// which is what lets the issue stage's ready set name ROB entries by ring
+// position.
 type ring struct {
 	buf   []entryRef
 	head  int
@@ -19,39 +18,27 @@ func newRing(capacity int) ring {
 func (r *ring) len() int   { return r.count }
 func (r *ring) full() bool { return r.count == len(r.buf) }
 
-// at returns the k-th oldest ref. k must be < len(buf); reading positions
-// in [count, lastTruncatedCount) yields the stale refs of a just-squashed
-// suffix, which callers filter with the arena generation check.
-func (r *ring) at(k int) entryRef {
+// pos returns the buffer position of the k-th oldest ref.
+func (r *ring) pos(k int) int {
 	p := r.head + k
 	if p >= len(r.buf) {
 		p -= len(r.buf)
 	}
-	return r.buf[p]
+	return p
 }
 
-// spans returns the ring's current contents as up to two contiguous slices
-// (oldest first), so per-cycle scans iterate plain slices instead of paying
-// the wrap arithmetic of at() per position. The slices alias buf: a mid-scan
-// truncate leaves them valid, and the dropped positions read the stale refs
-// the generation check filters — the same contract as at().
-func (r *ring) spans() (a, b []entryRef) {
-	if r.head+r.count <= len(r.buf) {
-		return r.buf[r.head : r.head+r.count], nil
-	}
-	return r.buf[r.head:], r.buf[:r.head+r.count-len(r.buf)]
-}
+// at returns the k-th oldest ref.
+func (r *ring) at(k int) entryRef { return r.buf[r.pos(k)] }
 
-func (r *ring) push(v entryRef) {
+// push appends v at the tail and returns its buffer position.
+func (r *ring) push(v entryRef) int {
 	if r.full() {
 		panic("core: ring overflow")
 	}
-	p := r.head + r.count
-	if p >= len(r.buf) {
-		p -= len(r.buf)
-	}
+	p := r.pos(r.count)
 	r.buf[p] = v
 	r.count++
+	return p
 }
 
 func (r *ring) popFront() {

@@ -6,11 +6,6 @@ import (
 	"sesa/internal/obs"
 )
 
-// DebugSquash, when non-nil, is called on every invalidation/eviction
-// squash with the line and cause; test harnesses use it to attribute
-// misspeculation sources.
-var DebugSquash func(lineAddr uint64, eviction bool)
-
 // OnLineRemoved is the hierarchy's invalidation/eviction notification: it
 // snoops the load queue. A performed, non-retired load on the removed line
 // is squashed if it is speculative under the core's model — the mechanism
@@ -43,9 +38,6 @@ func (c *Core) OnLineRemoved(lineAddr uint64, when uint64, eviction bool) {
 		}
 		if eviction {
 			c.st.EvictionSquashes++
-		}
-		if DebugSquash != nil {
-			DebugSquash(lineAddr, eviction)
 		}
 		cause := obs.CauseMSpec
 		if sa {
@@ -133,20 +125,20 @@ func (c *Core) squashFrom(fromIdx int32, now uint64, countReexec, saOnly bool, c
 			N: uint64(flushed)})
 	}
 	for k := n - 1; k >= pos; k-- {
-		r := c.rob.at(k)
+		p := c.rob.pos(k)
+		r := c.rob.buf[p]
 		i := r.index()
 		e := &c.ar.ents[i]
 		if c.tr != nil {
 			c.tr.Record(obs.Event{Cycle: now, Kind: obs.KFlush, Cause: cause, Op: e.inst.Op,
 				Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obs.KeyNone, Addr: e.inst.Addr})
 		}
-		switch c.ar.stat[i] {
-		case stDispatched:
-			c.nDispatched--
-		case stIssued:
-			if !c.ar.inflight[i] {
-				c.nLocalExec--
-			}
+		// Take the position out of the ready set and, for a parked load,
+		// out of its blocker's waiters. The blocker is older, so it is
+		// still live here even when this squash flushes it too.
+		c.ready.clear(p)
+		if e.parkedOn != nilRef {
+			c.waiters(e.parkedOn.index()).clear(p)
 		}
 		if e.isStore() {
 			if c.ar.stat[i] == stRetired {

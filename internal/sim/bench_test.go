@@ -58,13 +58,14 @@ func BenchmarkMachineStepNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkMachineStepNaivePolicy runs the same hot loop under the two
-// related-work policies: Louvre's fence bypassing and RCP's invisible
-// speculative loads both sit on the per-cycle path, so the perf-guard pins
-// them at 0 allocs/op too (the regex `MachineStepNaive` matches the
+// BenchmarkMachineStepNaivePolicy runs the same hot loop under three more
+// policies: Louvre's fence bypassing and RCP's invisible speculative loads
+// both sit on the per-cycle path, and 370-NoSpec's blanket enforcement is
+// the machine whose loads park on the store they wait for. The perf-guard
+// pins them at 0 allocs/op too (the regex `MachineStepNaive` matches the
 // sub-benchmarks).
 func BenchmarkMachineStepNaivePolicy(b *testing.B) {
-	for _, model := range []config.Model{config.Louvre370, config.RCP370} {
+	for _, model := range []config.Model{config.Louvre370, config.RCP370, config.NoSpec370} {
 		b.Run(model.String(), func(b *testing.B) {
 			m := benchMachineModel(b, 300_000, model)
 			b.ReportAllocs()
