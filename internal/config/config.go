@@ -8,6 +8,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -408,6 +409,12 @@ func (c Config) Validate() error {
 	}
 	if c.Mem.L3Banks <= 0 || c.Mem.L3Banks&(c.Mem.L3Banks-1) != 0 {
 		return fmt.Errorf("config: L3 banks must be a positive power of two, got %d", c.Mem.L3Banks)
+	}
+	if c.Mem.DirectoryWays <= 0 {
+		return fmt.Errorf("config: directory ways must be positive, got %d", c.Mem.DirectoryWays)
+	}
+	if cov := c.Mem.DirectoryCoverage; !(cov > 0) || math.IsInf(cov, 1) {
+		return fmt.Errorf("config: directory coverage must be a finite positive number, got %v", cov)
 	}
 	if c.NoC.SwitchLatency < 0 || c.NoC.ControlFlits <= 0 || c.NoC.DataFlits <= 0 {
 		return fmt.Errorf("config: bad NoC parameters: %+v", c.NoC)

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -159,6 +160,12 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"line mismatch", func(c *Config) { c.Mem.L2.LineBytes = 32 }},
 		{"bad banks", func(c *Config) { c.Mem.L3Banks = 3 }},
 		{"negative jitter", func(c *Config) { c.Jitter = -1 }},
+		{"zero directory ways", func(c *Config) { c.Mem.DirectoryWays = 0 }},
+		{"negative directory ways", func(c *Config) { c.Mem.DirectoryWays = -8 }},
+		{"zero directory coverage", func(c *Config) { c.Mem.DirectoryCoverage = 0 }},
+		{"negative directory coverage", func(c *Config) { c.Mem.DirectoryCoverage = -1 }},
+		{"NaN directory coverage", func(c *Config) { c.Mem.DirectoryCoverage = math.NaN() }},
+		{"infinite directory coverage", func(c *Config) { c.Mem.DirectoryCoverage = math.Inf(1) }},
 	}
 	for _, m := range mutations {
 		c := Default(X86)

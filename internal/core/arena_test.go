@@ -1,6 +1,11 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"sesa/internal/config"
+	"sesa/internal/isa"
+)
 
 func TestEntryRefPackUnpack(t *testing.T) {
 	if nilRef.index() != -1 {
@@ -58,6 +63,51 @@ func TestArenaExhaustionPanics(t *testing.T) {
 		}
 	}()
 	a.alloc()
+}
+
+// TestShortProgramSquashRedispatch runs programs shorter than ROB+SQ, whose
+// arena SetProgram sizes to the program's length, through squashes that
+// flush entries and dispatch them again, on every machine and both core
+// shapes. In the first program a load issues before the older store to its
+// word knows its address and is squashed as a dependence violation; in the
+// second, core 1's store invalidates a line core 0 read past an older
+// unperformed load. 370-NoSpec does not speculate in the first and 370-RCP's
+// invisible read is not invalidated in the second, so each machine must
+// squash in at least one of the two.
+func TestShortProgramSquashRedispatch(t *testing.T) {
+	dep := []isa.Program{{isa.Load(1, addrA), withDep(isa.StoreImm(addrB, 9), 1), isa.Load(2, addrB)}}
+	snoop := []isa.Program{
+		{isa.Load(3, addrC), withDep(isa.Load(1, addrA), 3), isa.Load(2, addrB)},
+		{isa.ALUImm(4, isa.RegNone, 1, 250), isa.ALUImm(4, 4, 1, 100), withDep(isa.StoreImm(addrB, 7), 4)},
+	}
+	for _, model := range config.AllModels() {
+		for _, shape := range readyConfigs(1, model) {
+			squashes := uint64(0)
+			for _, progs := range [][]isa.Program{dep, snoop} {
+				cfg := shape
+				cfg.Cores = len(progs)
+				m := newReadyMachine(t, cfg, progs)
+				for i, c := range m.cores {
+					if len(c.ar.ents) != len(progs[i]) {
+						t.Fatalf("%s, ROB %d: arena has %d slots for a %d-instruction program",
+							model, cfg.Core.ROBEntries, len(c.ar.ents), len(progs[i]))
+					}
+				}
+				m.run(100_000)
+				for _, c := range m.cores {
+					squashes += c.st.Squashes + c.st.DepSquashes
+				}
+				if len(progs) == 1 {
+					if got := m.cores[0].RegValue(2); got != 9 {
+						t.Errorf("%s, ROB %d: r2 = %d after the dependence squash, want 9", model, cfg.Core.ROBEntries, got)
+					}
+				}
+			}
+			if squashes == 0 {
+				t.Errorf("%s, ROB %d: neither program squashed", model, shape.Core.ROBEntries)
+			}
+		}
+	}
 }
 
 func TestRingFIFOAndTruncate(t *testing.T) {

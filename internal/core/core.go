@@ -126,17 +126,13 @@ func New(id int, cfg config.Config, hier *mem.Hierarchy, st *stats.Core) *Core {
 		bp:     predictor.NewTAGE(),
 		ss:     predictor.NewStoreSet(),
 		l1Lat:  cfg.Mem.L1D.HitCycles,
-		// Arena bound: the ROB holds at most ROBEntries live entries and
-		// the SB at most SQEntries retired stores no longer in the ROB.
-		ar:    newArena(cfg.Core.ROBEntries + cfg.Core.SQEntries),
-		rob:   newRing(cfg.Core.ROBEntries),
-		lq:    newRing(cfg.Core.LQEntries),
-		sq:    newStoreQueue(cfg.Core.SQEntries),
-		ready: newBitset(cfg.Core.ROBEntries),
+		rob:    newRing(cfg.Core.ROBEntries),
+		lq:     newRing(cfg.Core.LQEntries),
+		sq:     newStoreQueue(cfg.Core.SQEntries),
+		ready:  newBitset(cfg.Core.ROBEntries),
 
 		wakeHints: true,
 	}
-	c.waiting = make([]uint64, len(c.ar.ents)*len(c.ready))
 	hier.SetClient(id, c)
 	return c
 }
@@ -147,12 +143,21 @@ func New(id int, cfg config.Config, hier *mem.Hierarchy, st *stats.Core) *Core {
 // stepper disables them. Hints are on by default.
 func (c *Core) SetWakeHints(on bool) { c.wakeHints = on }
 
-// SetProgram installs the trace the core will execute. It must be called
-// before the first Tick.
+// SetProgram installs the trace the core will execute and sizes the entry
+// arena for it. It must be called before the first Tick.
+//
+// Arena bound: the ROB holds at most ROBEntries live entries and the SB at
+// most SQEntries retired stores no longer in the ROB. Every live slot also
+// holds a distinct trace index — the ROB a contiguous run ending at
+// fetchIdx, the SB stores that retired before it — so a trace shorter than
+// ROBEntries+SQEntries never needs more slots than it has instructions.
 func (c *Core) SetProgram(p isa.Program) {
 	c.prog = p
 	c.fetchIdx = 0
 	c.done = len(p) == 0
+	n := min(c.cfg.ROBEntries+c.cfg.SQEntries, len(p))
+	c.ar = newArena(n)
+	c.waiting = make([]uint64, n*len(c.ready))
 }
 
 // Done reports whether the core has retired its whole trace and drained its

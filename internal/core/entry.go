@@ -142,8 +142,9 @@ func (e *entry) isStore() bool { return e.inst.Op == isa.OpStore }
 
 // arena is the per-core entry pool: every in-flight instruction occupies one
 // slot of the dense ents slice, handed out and reclaimed through a free
-// list. Capacity is ROBEntries+SQEntries — the ROB bound plus retired
-// stores lingering in the SB — so allocation can never fail. The parallel
+// list. Capacity is min(ROBEntries+SQEntries, len(program)) — the ROB bound
+// plus retired stores lingering in the SB, capped by the trace length (see
+// Core.SetProgram) — so allocation can never fail. The parallel
 // stat/execDone/minRetire/lineAddr/inflight arrays are the struct-of-arrays
 // split of the fields the per-cycle scans touch.
 type arena struct {

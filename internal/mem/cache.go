@@ -48,8 +48,7 @@ type line struct {
 // (values live in the hierarchy's memory image, read at memory-order
 // insertion points).
 type Array struct {
-	sets      [][]line
-	ways      int
+	sets      pages[line]
 	setMask   uint64
 	lineShift uint
 	setBits   uint
@@ -61,18 +60,12 @@ type Array struct {
 // indexing as in L1/L2 caches.
 func NewArray(c config.Cache) *Array {
 	sets := c.Sets()
-	a := &Array{
-		ways:      c.Ways,
+	return &Array{
+		sets:      newPages[line](sets, c.Ways),
 		setMask:   uint64(sets - 1),
 		lineShift: log2(uint64(c.LineBytes)),
 		setBits:   log2(uint64(sets)),
 	}
-	a.sets = make([][]line, sets)
-	backing := make([]line, sets*c.Ways)
-	for i := range a.sets {
-		a.sets[i], backing = backing[:c.Ways:c.Ways], backing[c.Ways:]
-	}
-	return a
 }
 
 // NewHashedArray builds an array whose set index folds in higher address
@@ -97,12 +90,12 @@ func (a *Array) LineAddr(addr uint64) uint64 {
 	return addr &^ ((1 << a.lineShift) - 1)
 }
 
-func (a *Array) setOf(lineAddr uint64) []line {
+func (a *Array) setIndex(lineAddr uint64) uint64 {
 	idx := lineAddr >> a.lineShift
 	if a.hashed {
 		idx = hashIndex(idx, a.setBits)
 	}
-	return a.sets[idx&a.setMask]
+	return idx & a.setMask
 }
 
 // hashIndex XOR-folds the line-number bits above the set index into it.
@@ -120,7 +113,7 @@ func hashIndex(lineNum uint64, setBits uint) uint64 {
 // Lookup returns the state of the line containing addr, touching LRU on hit.
 // It returns Invalid on miss.
 func (a *Array) Lookup(lineAddr uint64) State {
-	set := a.setOf(lineAddr)
+	set := a.sets.set(a.setIndex(lineAddr))
 	for i := range set {
 		if set[i].state != Invalid && set[i].tag == lineAddr {
 			a.stamp++
@@ -133,7 +126,7 @@ func (a *Array) Lookup(lineAddr uint64) State {
 
 // Peek returns the state without touching LRU.
 func (a *Array) Peek(lineAddr uint64) State {
-	set := a.setOf(lineAddr)
+	set := a.sets.set(a.setIndex(lineAddr))
 	for i := range set {
 		if set[i].state != Invalid && set[i].tag == lineAddr {
 			return set[i].state
@@ -145,7 +138,7 @@ func (a *Array) Peek(lineAddr uint64) State {
 // SetState updates the state of a resident line; it is a no-op if the line
 // is not resident. Setting Invalid removes the line.
 func (a *Array) SetState(lineAddr uint64, s State) {
-	set := a.setOf(lineAddr)
+	set := a.sets.set(a.setIndex(lineAddr))
 	for i := range set {
 		if set[i].state != Invalid && set[i].tag == lineAddr {
 			if s == Invalid {
@@ -172,7 +165,7 @@ type Victim struct {
 // full. It reports the victim, if any. Inserting over an already-resident
 // line just updates its state.
 func (a *Array) Insert(lineAddr uint64, s State) (Victim, bool) {
-	set := a.setOf(lineAddr)
+	set := a.sets.alloc(a.setIndex(lineAddr))
 	a.stamp++
 	// Already resident: update in place.
 	for i := range set {

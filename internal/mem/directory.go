@@ -18,8 +18,7 @@ type dirEntry struct {
 // cached copy of the line, which is one source of the eviction-induced
 // squashes the paper observes on 505.mcf.
 type Directory struct {
-	sets      [][]dirEntry
-	ways      int
+	sets      pages[dirEntry]
 	setMask   uint64
 	lineShift uint
 	setBits   uint
@@ -34,18 +33,12 @@ func NewDirectory(cores int, l2 config.Cache, ways int, coverage float64, lineBy
 	if sets < 1 {
 		sets = 1
 	}
-	d := &Directory{
-		ways:      ways,
+	return &Directory{
+		sets:      newPages[dirEntry](sets, ways),
 		setMask:   uint64(sets - 1),
 		lineShift: log2(uint64(lineBytes)),
 		setBits:   log2(uint64(sets)),
 	}
-	d.sets = make([][]dirEntry, sets)
-	backing := make([]dirEntry, sets*ways)
-	for i := range d.sets {
-		d.sets[i], backing = backing[:ways:ways], backing[ways:]
-	}
-	return d
 }
 
 func nextPow2(v int) int {
@@ -56,15 +49,15 @@ func nextPow2(v int) int {
 	return p
 }
 
-// setOf hash-indexes like a shared LLC so power-of-two-spaced regions
+// setIndex hash-indexes like a shared LLC so power-of-two-spaced regions
 // spread across sets.
-func (d *Directory) setOf(lineAddr uint64) []dirEntry {
-	return d.sets[hashIndex(lineAddr>>d.lineShift, d.setBits)&d.setMask]
+func (d *Directory) setIndex(lineAddr uint64) uint64 {
+	return hashIndex(lineAddr>>d.lineShift, d.setBits) & d.setMask
 }
 
 // Lookup finds the entry for lineAddr, touching LRU. It returns nil on miss.
 func (d *Directory) Lookup(lineAddr uint64) *dirEntry {
-	set := d.setOf(lineAddr)
+	set := d.sets.set(d.setIndex(lineAddr))
 	for i := range set {
 		if set[i].valid && set[i].tag == lineAddr {
 			d.stamp++
@@ -84,7 +77,7 @@ func (d *Directory) Allocate(lineAddr uint64, isBusy func(uint64) bool) (e *dirE
 	if e := d.Lookup(lineAddr); e != nil {
 		return e, dirEntry{}, false
 	}
-	set := d.setOf(lineAddr)
+	set := d.sets.alloc(d.setIndex(lineAddr))
 	d.stamp++
 	for i := range set {
 		if !set[i].valid {
@@ -120,7 +113,7 @@ func (d *Directory) Allocate(lineAddr uint64, isBusy func(uint64) bool) (e *dirE
 
 // Remove drops the entry for lineAddr if present.
 func (d *Directory) Remove(lineAddr uint64) {
-	set := d.setOf(lineAddr)
+	set := d.sets.set(d.setIndex(lineAddr))
 	for i := range set {
 		if set[i].valid && set[i].tag == lineAddr {
 			set[i] = dirEntry{}

@@ -81,7 +81,7 @@ type Hierarchy struct {
 
 	// image carries the memory-order data values at 8-byte-word
 	// granularity: word-aligned address -> value, in a flat open-addressing
-	// table presized from the trace footprint (see Reserve).
+	// table that grows by doubling.
 	image addrTable
 
 	clients []Client
@@ -207,11 +207,11 @@ func (h *Hierarchy) recordSnoop(core int, lineAddr, when uint64, eviction bool) 
 // LineAddr returns the line-aligned address containing addr.
 func (h *Hierarchy) LineAddr(addr uint64) uint64 { return h.l1[0].LineAddr(addr) }
 
-// Reserve presizes the per-run address tables for a trace footprint of the
-// given distinct word and line counts, so steady-state accesses never pay a
-// mid-run rehash. The machine calls it once per installed program; the
-// counts are hints (prefetches may touch a few lines beyond the trace) and
-// the tables still grow if exceeded.
+// Reserve presizes the per-run address tables for a footprint of the given
+// distinct word and line counts, so that many further accesses pay no
+// rehash. It is optional: the tables start small and double as they fill,
+// and they are never iterated, so their size cannot change a result. The
+// counts are hints; the tables still grow if exceeded.
 func (h *Hierarchy) Reserve(words, lines int) {
 	h.image.reserve(words)
 	h.busyUntil.reserve(lines)

@@ -110,10 +110,10 @@ func TestDirectoryVictimSkipsBusyLines(t *testing.T) {
 	a, _, _ := d.Allocate(lines[0], nil)
 	_ = a
 	// Find two more lines in the same set.
-	set0 := d.setOf(lines[0])
+	set0 := d.setIndex(lines[0])
 	var sameSet []uint64
 	for i := uint64(1); len(sameSet) < 2; i++ {
-		if &d.setOf(i * 64)[0] == &set0[0] {
+		if d.setIndex(i*64) == set0 {
 			sameSet = append(sameSet, i*64)
 		}
 	}

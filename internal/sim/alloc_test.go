@@ -1,11 +1,54 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"sesa/internal/config"
+	"sesa/internal/isa"
 	"sesa/internal/trace"
 )
+
+// TestBuildAllocBudget pins what building a Table III machine and running
+// the mp litmus test on it allocates. Cache sets and directory entries are
+// allocated a page at a time on first insert, and each core's entry arena is
+// sized by its trace, so construction costs what the program touches: mp
+// touches two lines. The budget sits well above what that costs (about
+// 145 KiB for two cores, 424 KiB for eight, most of it predictor tables) and
+// well below allocating every set of the configured machine (4.2 MiB and
+// 6.5 MiB).
+func TestBuildAllocBudget(t *testing.T) {
+	const budget = 512 << 10
+	mp := []isa.Program{
+		{isa.Load(1, 0x1000), isa.Load(2, 0x1040)},
+		{isa.StoreImm(0x1040, 1), isa.StoreImm(0x1000, 1)},
+	}
+	for _, cores := range []int{2, 8} {
+		t.Run(fmt.Sprintf("%d cores", cores), func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, err := New(config.Skylake(cores, config.X86), "mp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range mp {
+				if err := m.SetProgram(i, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.Run(1_000_000); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			got := after.TotalAlloc - before.TotalAlloc
+			t.Logf("building and running mp allocated %d KiB", got>>10)
+			if got > budget {
+				t.Errorf("building and running mp allocated %d KiB, budget %d KiB", got>>10, budget>>10)
+			}
+		})
+	}
+}
 
 // TestStepZeroAllocSteadyState pins the hot loop's allocation budget at
 // zero: once the arenas, rings, address tables and event heap are warm, a

@@ -169,23 +169,12 @@ func (m *Machine) Hierarchy() *mem.Hierarchy { return m.hier }
 // Network exposes interconnect traffic counters.
 func (m *Machine) Network() *noc.Network { return m.net }
 
-// SetProgram installs the trace for core i and presizes the hierarchy's
-// per-run address tables from the trace's touched-word and touched-line
-// footprint, so the simulation's steady state never rehashes them.
+// SetProgram installs the trace for core i.
 func (m *Machine) SetProgram(i int, p isa.Program) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	m.cores[i].SetProgram(p)
-	words := make(map[uint64]struct{})
-	lines := make(map[uint64]struct{})
-	for _, in := range p {
-		if in.Op == isa.OpLoad || in.Op == isa.OpStore || in.Op == isa.OpRMW {
-			words[in.Addr&^7] = struct{}{}
-			lines[m.hier.LineAddr(in.Addr)] = struct{}{}
-		}
-	}
-	m.hier.Reserve(len(words), len(lines))
 	return nil
 }
 

@@ -3,6 +3,7 @@ package sesa_test
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -61,6 +62,36 @@ func TestNewOptionsEquivalence(t *testing.T) {
 	}
 	if a, b := old.Stats().Total(), opt.Stats().Total(); a != b {
 		t.Errorf("totals diverge:\nsetters %+v\noptions %+v", a, b)
+	}
+}
+
+// TestNewRejectsBadDirectory: a directory geometry the machine would divide
+// by or size its sets with comes back from New as an error, not a panic.
+func TestNewRejectsBadDirectory(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		ways     int
+		coverage float64
+	}{
+		{"zero ways", 0, 2},
+		{"negative ways", -8, 2},
+		{"zero coverage", 8, 0},
+		{"negative coverage", 8, -1},
+		{"NaN coverage", 8, math.NaN()},
+		{"infinite coverage", 8, math.Inf(1)},
+	} {
+		cfg := sesa.SkylakeConfig(2, sesa.X86)
+		cfg.Mem.DirectoryWays, cfg.Mem.DirectoryCoverage = tc.ways, tc.coverage
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: New panicked: %v", tc.name, r)
+				}
+			}()
+			if _, err := sesa.New(cfg); err == nil {
+				t.Errorf("%s: New accepted directory ways %d, coverage %v", tc.name, tc.ways, tc.coverage)
+			}
+		}()
 	}
 }
 
