@@ -41,7 +41,6 @@
 package axiomatic
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -122,9 +121,7 @@ type enumerator struct {
 	pc   []int
 	next []int // each thread's next event
 
-	out  checker.OutcomeSet
-	seen map[string]bool // observed-value vectors already rendered
-	key  []byte
+	out *checker.Recorder
 }
 
 func bit(i int) uint64 { return 1 << uint(i) }
@@ -138,7 +135,7 @@ func Enumerate(p checker.Program, m Model) (checker.OutcomeSet, error) {
 		return nil, err
 	}
 	x.location(0)
-	return x.out, nil
+	return x.out.Outcomes(), nil
 }
 
 // newEnumerator lowers a straight-line program to events and builds po-loc
@@ -152,8 +149,7 @@ func newEnumerator(p checker.Program, m Model) (*enumerator, error) {
 		regs:  make([][isa.NumRegs]uint64, len(p.Threads)),
 		pc:    make([]int, len(p.Threads)),
 		next:  make([]int, len(p.Threads)),
-		out:   make(checker.OutcomeSet),
-		seen:  make(map[string]bool),
+		out:   checker.NewRecorder(p),
 	}
 	for ti, th := range p.Threads {
 		x.first = append(x.first, len(x.ev))
@@ -363,7 +359,7 @@ func (x *enumerator) candidate() {
 		}
 	}
 	if x.propagate() {
-		x.record()
+		x.out.Record(x)
 	}
 }
 
@@ -432,24 +428,6 @@ func (x *enumerator) propagate() bool {
 			return finished
 		}
 	}
-}
-
-// record adds the candidate's outcome. Many candidates share one outcome,
-// so it is rendered only the first time its observed values occur.
-func (x *enumerator) record() {
-	key := x.key[:0]
-	for _, o := range x.prog.Regs {
-		key = binary.AppendUvarint(key, x.Reg(o.Thread, o.Reg))
-	}
-	for _, o := range x.prog.Mem {
-		key = binary.AppendUvarint(key, x.Mem(o.Addr))
-	}
-	x.key = key
-	if x.seen[string(key)] {
-		return
-	}
-	x.seen[string(key)] = true
-	x.out[checker.RenderOutcome(x.prog, x)] = true
 }
 
 // Reg is the final value of a register: the value of the last read writing

@@ -87,77 +87,129 @@ func (s OutcomeSet) Sorted() []Outcome {
 // Contains reports whether the outcome is in the set.
 func (s OutcomeSet) Contains(o Outcome) bool { return s[o] }
 
-// write is one store-buffer entry.
-type write struct {
-	addr uint64
-	size uint8
-	val  uint64
+// machine is the one abstract-machine state an enumeration explores. A
+// transition changes it in place and the visit undoes the change when it
+// returns, so nothing is copied per transition.
+type machine struct {
+	p       Program
+	m       Model
+	threads []thread
+	locs    []uint64 // the program's locations, in address order
+	mem     []uint64 // each location's value
+	seen    map[string]struct{}
+	key     []byte
+	out     *Recorder
 }
 
-// threadState is the dynamic state of one thread.
-type threadState struct {
-	pc   int
-	sb   []write
+// thread is one thread's program, what is fixed about it, and its state.
+type thread struct {
+	prog    isa.Program
+	loc     []int     // each instruction's location index (memory ops only)
+	storeAt []int     // each store's location index, by store ordinal
+	written []isa.Reg // the registers the thread writes
+	pc      int
+	// sb holds the values of the thread's stores in program order; the
+	// store buffer is sb[head:], and sb's capacity is the store count.
+	sb   []uint64
+	head int
 	regs [isa.NumRegs]uint64
 }
 
-// machineState is a full abstract-machine state.
-type machineState struct {
-	threads []threadState
-	mem     map[uint64]uint64
-}
-
-func (st *machineState) clone() *machineState {
-	n := &machineState{
-		threads: make([]threadState, len(st.threads)),
-		mem:     make(map[uint64]uint64, len(st.mem)),
-	}
-	for i, t := range st.threads {
-		n.threads[i] = threadState{pc: t.pc, regs: t.regs}
-		n.threads[i].sb = append([]write(nil), t.sb...)
-	}
-	for k, v := range st.mem {
-		n.mem[k] = v
-	}
-	return n
-}
-
-// appendKey appends st's memo key to buf: per thread the pc, the SB's
-// length and (addr, val) pairs and all registers, then memory's size and
-// its (addr, val) pairs in address order, every value a uvarint. The lists
-// are length-prefixed and the register count is fixed, so distinct states
-// get distinct keys. It sorts memory's addresses in addrs, which it returns
-// for reuse.
-func (st *machineState) appendKey(buf []byte, addrs []uint64) ([]byte, []uint64) {
-	for _, t := range st.threads {
-		buf = binary.AppendUvarint(buf, uint64(t.pc))
-		buf = binary.AppendUvarint(buf, uint64(len(t.sb)))
-		for _, w := range t.sb {
-			buf = binary.AppendUvarint(buf, w.addr)
-			buf = binary.AppendUvarint(buf, w.val)
-		}
-		for _, v := range t.regs {
-			buf = binary.AppendUvarint(buf, v)
+// newMachine lowers p to its initial state under m. Its locations are the
+// addresses the program's memory ops access.
+func newMachine(p Program, m Model) *machine {
+	var locs []uint64
+	for _, th := range p.Threads {
+		for _, in := range th {
+			if in.Op.IsMem() {
+				locs = append(locs, in.Addr)
+			}
 		}
 	}
-	addrs = addrs[:0]
-	for a := range st.mem {
-		addrs = append(addrs, a)
+	slices.Sort(locs)
+	locs = slices.Compact(locs)
+
+	x := &machine{
+		p:       p,
+		m:       m,
+		threads: make([]thread, len(p.Threads)),
+		locs:    locs,
+		mem:     make([]uint64, len(locs)),
+		seen:    make(map[string]struct{}),
+		out:     NewRecorder(p),
 	}
-	slices.Sort(addrs)
-	buf = binary.AppendUvarint(buf, uint64(len(addrs)))
-	for _, a := range addrs {
-		buf = binary.AppendUvarint(buf, a)
-		buf = binary.AppendUvarint(buf, st.mem[a])
+	for li, a := range locs {
+		x.mem[li] = p.Init[a]
 	}
-	return buf, addrs
+	for ti, th := range p.Threads {
+		t := &x.threads[ti]
+		t.prog = th
+		t.loc = make([]int, len(th))
+		var wrote [isa.NumRegs]bool
+		for pc, in := range th {
+			if in.Op.IsMem() {
+				t.loc[pc], _ = slices.BinarySearch(locs, in.Addr)
+			}
+			if in.Op == isa.OpStore {
+				t.storeAt = append(t.storeAt, t.loc[pc])
+			}
+			if (in.Op == isa.OpLoad || in.Op == isa.OpRMW || in.Op == isa.OpALU) &&
+				in.Dst != isa.RegNone && !wrote[in.Dst] {
+				wrote[in.Dst] = true
+				t.written = append(t.written, in.Dst)
+			}
+		}
+		t.sb = make([]uint64, 0, len(t.storeAt))
+	}
+	return x
 }
 
-// readSB returns the newest store-buffer entry of t covering addr, if any.
-func readSB(t *threadState, addr uint64) (uint64, bool) {
-	for i := len(t.sb) - 1; i >= 0; i-- {
-		if t.sb[i].addr == addr {
-			return t.sb[i].val, true
+// Reg is a register's value in the current state (FinalState).
+func (x *machine) Reg(thread int, r isa.Reg) uint64 { return x.threads[thread].regs[r] }
+
+// Mem is a location's value in the current state (FinalState). A location
+// no memory op accesses keeps its initial value.
+func (x *machine) Mem(addr uint64) uint64 {
+	if i, ok := slices.BinarySearch(x.locs, addr); ok {
+		return x.mem[i]
+	}
+	return x.p.Init[addr]
+}
+
+// appendKey rebuilds x.key, reusing its buffer, as the state's memo key:
+// per thread the pc, the SB's head and length, the values of the stores
+// not yet drained and the registers the thread writes; then every
+// location's value. Each value is a uvarint. A store's location follows
+// from its ordinal and the register and location lists are fixed by the
+// program, so distinct states get distinct keys. Registers the thread
+// never writes are 0 in every state, so leaving them out merges no states
+// whose futures differ.
+func (x *machine) appendKey() {
+	key := x.key[:0]
+	for ti := range x.threads {
+		t := &x.threads[ti]
+		key = binary.AppendUvarint(key, uint64(t.pc))
+		key = binary.AppendUvarint(key, uint64(t.head))
+		key = binary.AppendUvarint(key, uint64(len(t.sb)))
+		for _, v := range t.sb[t.head:] {
+			key = binary.AppendUvarint(key, v)
+		}
+		for _, r := range t.written {
+			key = binary.AppendUvarint(key, t.regs[r])
+		}
+	}
+	for _, v := range x.mem {
+		key = binary.AppendUvarint(key, v)
+	}
+	x.key = key
+}
+
+// forwarded returns the newest store-buffer entry of t for location li, if
+// any.
+func (t *thread) forwarded(li int) (uint64, bool) {
+	for i := len(t.sb) - 1; i >= t.head; i-- {
+		if t.storeAt[i] == li {
+			return t.sb[i], true
 		}
 	}
 	return 0, false
@@ -167,145 +219,125 @@ func readSB(t *threadState, addr uint64) (uint64, bool) {
 // set of reachable final outcomes. Final states require all program
 // counters at the end and all store buffers drained.
 func Enumerate(p Program, m Model) OutcomeSet {
-	init := &machineState{
-		threads: make([]threadState, len(p.Threads)),
-		mem:     make(map[uint64]uint64, len(p.Init)),
-	}
-	for a, v := range p.Init {
-		init.mem[a] = v
-	}
-
-	outcomes := make(OutcomeSet)
-	seen := make(map[string]bool)
-	var key []byte
-	var addrs []uint64
-	var visit func(st *machineState)
-	visit = func(st *machineState) {
-		key, addrs = st.appendKey(key[:0], addrs)
-		if seen[string(key)] {
-			return
-		}
-		seen[string(key)] = true
-
-		final := true
-		for ti := range st.threads {
-			t := &st.threads[ti]
-
-			// Drain transition: pop the SB head to memory.
-			if len(t.sb) > 0 {
-				final = false
-				n := st.clone()
-				w := n.threads[ti].sb[0]
-				n.threads[ti].sb = n.threads[ti].sb[1:]
-				n.mem[w.addr] = w.val
-				visit(n)
-			}
-
-			// Execute transition.
-			if t.pc < len(p.Threads[ti]) {
-				final = false
-				for _, n := range step(p, st, ti, m) {
-					visit(n)
-				}
-			}
-		}
-		if final {
-			outcomes[outcomeOf(p, st)] = true
-		}
-	}
-	visit(init)
-	return outcomes
+	x := newMachine(p, m)
+	x.visit()
+	return x.out.Outcomes()
 }
 
-// step returns the successor states of executing thread ti's next
-// instruction, or none if the instruction is blocked under the model.
-func step(p Program, st *machineState, ti int, m Model) []*machineState {
-	t := &st.threads[ti]
-	in := p.Threads[ti][t.pc]
+// visit explores the current state's successors, unless the state was
+// visited before, and records the outcome of a final state.
+func (x *machine) visit() {
+	x.appendKey()
+	if _, ok := x.seen[string(x.key)]; ok {
+		return
+	}
+	x.seen[string(x.key)] = struct{}{}
+
+	final := true
+	for ti := range x.threads {
+		t := &x.threads[ti]
+
+		// Drain transition: pop the SB head to memory.
+		if t.head < len(t.sb) {
+			final = false
+			li := t.storeAt[t.head]
+			old := x.mem[li]
+			x.mem[li] = t.sb[t.head]
+			t.head++
+			x.visit()
+			t.head--
+			x.mem[li] = old
+		}
+
+		// Execute transition.
+		if t.pc < len(t.prog) {
+			final = false
+			x.step(t)
+		}
+	}
+	if final {
+		x.out.Record(x)
+	}
+}
+
+// step executes thread t's next instruction and visits the resulting
+// state, unless the instruction is blocked under the model; then it
+// restores the state.
+func (x *machine) step(t *thread) {
+	in := t.prog[t.pc]
+	li := t.loc[t.pc]
 	switch in.Op {
 	case isa.OpStore:
 		val := in.Imm
 		if in.Src1 != isa.RegNone {
 			val = t.regs[in.Src1]
 		}
-		n := st.clone()
-		nt := &n.threads[ti]
-		nt.pc++
-		if m == SC {
-			n.mem[in.Addr] = val
-		} else {
-			nt.sb = append(nt.sb, write{addr: in.Addr, size: in.EffSize(), val: val})
+		if x.m == SC {
+			old := x.mem[li]
+			x.mem[li] = val
+			x.advance(t, isa.RegNone, 0)
+			x.mem[li] = old
+			return
 		}
-		return []*machineState{n}
+		t.sb = append(t.sb, val)
+		x.advance(t, isa.RegNone, 0)
+		t.sb = t.sb[:len(t.sb)-1]
 
 	case isa.OpLoad:
-		var val uint64
-		if v, hit := readSB(t, in.Addr); hit {
-			switch m {
-			case X86TSO:
-				val = v // store-to-load forwarding
-			case TSO370:
+		val := x.mem[li]
+		if v, hit := t.forwarded(li); hit {
+			if x.m == TSO370 {
 				// Store-atomic: blocked until the matching store
 				// drains; the drain transitions make progress.
-				return nil
-			case SC:
-				val = st.mem[in.Addr] // unreachable: SC has no SB
+				return
 			}
-		} else {
-			val = st.mem[in.Addr]
+			val = v // x86-TSO store-to-load forwarding (SC has no SB)
 		}
-		n := st.clone()
-		nt := &n.threads[ti]
-		nt.pc++
-		if in.Dst != isa.RegNone {
-			nt.regs[in.Dst] = val
-		}
-		return []*machineState{n}
+		x.advance(t, in.Dst, val)
 
 	case isa.OpFence:
-		if len(t.sb) > 0 {
-			return nil
+		if t.head == len(t.sb) {
+			x.advance(t, isa.RegNone, 0)
 		}
-		n := st.clone()
-		n.threads[ti].pc++
-		return []*machineState{n}
 
 	case isa.OpRMW:
-		if len(t.sb) > 0 {
-			return nil
+		if t.head < len(t.sb) {
+			return
 		}
-		n := st.clone()
-		nt := &n.threads[ti]
-		old := n.mem[in.Addr]
-		n.mem[in.Addr] = old + in.Imm
-		if in.Dst != isa.RegNone {
-			nt.regs[in.Dst] = old
-		}
-		nt.pc++
-		return []*machineState{n}
+		old := x.mem[li]
+		x.mem[li] = old + in.Imm
+		x.advance(t, in.Dst, old)
+		x.mem[li] = old
 
 	case isa.OpALU:
-		n := st.clone()
-		nt := &n.threads[ti]
 		var a, b uint64
 		if in.Src1 != isa.RegNone {
-			a = nt.regs[in.Src1]
+			a = t.regs[in.Src1]
 		}
 		if in.Src2 != isa.RegNone {
-			b = nt.regs[in.Src2]
+			b = t.regs[in.Src2]
 		}
-		if in.Dst != isa.RegNone {
-			nt.regs[in.Dst] = a + b + in.Imm
-		}
-		nt.pc++
-		return []*machineState{n}
+		x.advance(t, in.Dst, a+b+in.Imm)
 
 	case isa.OpNop, isa.OpBranch:
-		n := st.clone()
-		n.threads[ti].pc++
-		return []*machineState{n}
+		x.advance(t, isa.RegNone, 0)
 	}
-	return nil
+}
+
+// advance writes val to register dst (none for RegNone), moves t past its
+// instruction, visits the state and undoes both.
+func (x *machine) advance(t *thread, dst isa.Reg, val uint64) {
+	var old uint64
+	if dst != isa.RegNone {
+		old = t.regs[dst]
+		t.regs[dst] = val
+	}
+	t.pc++
+	x.visit()
+	t.pc--
+	if dst != isa.RegNone {
+		t.regs[dst] = old
+	}
 }
 
 // FinalState provides the observables of a finished execution; the timing
@@ -328,16 +360,40 @@ func RenderOutcome(p Program, st FinalState) Outcome {
 	return Outcome(strings.Join(parts, " "))
 }
 
-// machineFinal adapts a checker machineState to FinalState.
-type machineFinal struct{ st *machineState }
-
-func (m machineFinal) Reg(thread int, r isa.Reg) uint64 { return m.st.threads[thread].regs[r] }
-func (m machineFinal) Mem(addr uint64) uint64           { return m.st.mem[addr] }
-
-// outcomeOf renders the observables of a final state.
-func outcomeOf(p Program, st *machineState) Outcome {
-	return RenderOutcome(p, machineFinal{st})
+// Recorder collects the outcomes of an enumeration's final states. Many
+// final states share one outcome, so each is rendered only the first time
+// its observed values occur.
+type Recorder struct {
+	p    Program
+	out  OutcomeSet
+	seen map[string]struct{} // observed-value vectors already rendered
+	key  []byte
 }
+
+// NewRecorder returns an empty recorder for p's observables.
+func NewRecorder(p Program) *Recorder {
+	return &Recorder{p: p, out: make(OutcomeSet), seen: make(map[string]struct{})}
+}
+
+// Record adds the outcome of final state st.
+func (r *Recorder) Record(st FinalState) {
+	key := r.key[:0]
+	for _, o := range r.p.Regs {
+		key = binary.AppendUvarint(key, st.Reg(o.Thread, o.Reg))
+	}
+	for _, o := range r.p.Mem {
+		key = binary.AppendUvarint(key, st.Mem(o.Addr))
+	}
+	r.key = key
+	if _, ok := r.seen[string(key)]; ok {
+		return
+	}
+	r.seen[string(key)] = struct{}{}
+	r.out[RenderOutcome(r.p, st)] = true
+}
+
+// Outcomes returns the set of recorded outcomes.
+func (r *Recorder) Outcomes() OutcomeSet { return r.out }
 
 // Compare returns the outcomes allowed under a but not under b: the
 // behaviours a programmer would observe when moving from model b to the

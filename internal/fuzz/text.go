@@ -21,6 +21,7 @@ package fuzz
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -217,9 +218,6 @@ func Parse(src string) (checker.Program, error) {
 			rows = append(rows, cells)
 		}
 	}
-	if nThreads == 0 {
-		return p, fmt.Errorf("fuzz: no program rows")
-	}
 
 	p.Init = make(map[uint64]uint64)
 	if initLine != "" {
@@ -273,6 +271,10 @@ func Parse(src string) (checker.Program, error) {
 				obsNames[ti] = append(obsNames[ti], namedReg{reg: in.Dst, name: obs})
 			}
 		}
+	}
+
+	if !slices.ContainsFunc(p.Threads, func(th isa.Program) bool { return len(th) > 0 }) {
+		return p, fmt.Errorf("fuzz: no instructions")
 	}
 
 	for ti, named := range obsNames {

@@ -1,6 +1,8 @@
 package fuzz
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -102,6 +104,8 @@ st y, a0   | .
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		"",                         // no rows
+		".",                        // no instructions
+		"init x=0\n. | .",          // no instructions in any thread
 		"ld q -> a0",               // unknown variable
 		"st x",                     // malformed store
 		"st x, nosuch",             // unknown register name
@@ -126,4 +130,40 @@ func TestRenderRejectsUnnameableAddr(t *testing.T) {
 	if _, err := Render(p); err == nil || !strings.Contains(err.Error(), "named location") {
 		t.Fatalf("want named-location error, got %v", err)
 	}
+}
+
+// FuzzParseRender checks the text format on any input: Parse returns an
+// error rather than panicking, Render accepts every program Parse accepts,
+// and the rendered text is a fixed point: parsing and rendering it again
+// gives it back. The seed corpus is the regression corpus's programs.
+func FuzzParseRender(f *testing.F) {
+	files, err := filepath.Glob("../../testdata/fuzz_corpus/*.litmus")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no seed programs in testdata/fuzz_corpus: %v", err)
+	}
+	for _, name := range files {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text, err := Render(p)
+		if err != nil {
+			t.Fatalf("Render rejects a parsed program: %v\ninput:\n%s", err, src)
+		}
+		q, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse rejects rendered text: %v\ntext:\n%s", err, text)
+		}
+		again, err := Render(q)
+		if err != nil || again != text {
+			t.Fatalf("rendering is not a fixed point (err %v):\n%s\nthen:\n%s", err, text, again)
+		}
+	})
 }

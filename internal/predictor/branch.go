@@ -7,15 +7,17 @@ package predictor
 // plus several partially tagged tables indexed by geometrically increasing
 // global-history lengths. It captures the structure of L-TAGE at a scale
 // appropriate for the trace-driven core model.
+//
+// The tables are allocated by the first Update. Until then every counter
+// and entry is zero, so Predict answers as a zeroed table does without
+// reading one: no tagged entry is useful and the base counter predicts
+// taken.
 type TAGE struct {
-	base  []int8 // bimodal 2-bit counters
-	banks []tageBank
-	hist  uint64 // global history register
-}
-
-type tageBank struct {
-	entries  []tageEntry
-	histBits uint
+	base []int8 // bimodal 2-bit counters
+	// tagged holds one bank of 1<<tageBankBits entries per history length
+	// in tageHistLens, bank b at offset b<<tageBankBits.
+	tagged []tageEntry
+	hist   uint64 // global history register
 }
 
 type tageEntry struct {
@@ -25,7 +27,7 @@ type tageEntry struct {
 }
 
 // TAGE geometry: history lengths roughly geometric (L-TAGE uses 5..640).
-var tageHistLens = []uint{4, 8, 16, 32, 64}
+var tageHistLens = [...]uint{4, 8, 16, 32, 64}
 
 const (
 	tageBaseBits = 12
@@ -33,16 +35,13 @@ const (
 	tageTagBits  = 9
 )
 
-// NewTAGE returns a predictor with default geometry.
-func NewTAGE() *TAGE {
-	t := &TAGE{base: make([]int8, 1<<tageBaseBits)}
-	for _, hl := range tageHistLens {
-		t.banks = append(t.banks, tageBank{
-			entries:  make([]tageEntry, 1<<tageBankBits),
-			histBits: hl,
-		})
-	}
-	return t
+// NewTAGE returns a predictor with default geometry. It allocates no table.
+func NewTAGE() *TAGE { return &TAGE{} }
+
+// alloc allocates the zeroed tables.
+func (t *TAGE) alloc() {
+	t.base = make([]int8, 1<<tageBaseBits)
+	t.tagged = make([]tageEntry, len(tageHistLens)<<tageBankBits)
 }
 
 func foldHistory(hist uint64, bits, out uint) uint64 {
@@ -58,20 +57,24 @@ func foldHistory(hist uint64, bits, out uint) uint64 {
 	return f
 }
 
+// bankIndex returns the index in t.tagged of pc's entry in bank b, and the
+// tag it must carry.
 func (t *TAGE) bankIndex(b int, pc uint64) (idx uint64, tag uint16) {
-	bank := &t.banks[b]
-	fh := foldHistory(t.hist, bank.histBits, tageBankBits)
-	idx = (pc ^ (pc >> tageBankBits) ^ fh) & ((1 << tageBankBits) - 1)
-	ft := foldHistory(t.hist, bank.histBits, tageTagBits)
+	fh := foldHistory(t.hist, tageHistLens[b], tageBankBits)
+	idx = uint64(b)<<tageBankBits | (pc^(pc>>tageBankBits)^fh)&((1<<tageBankBits)-1)
+	ft := foldHistory(t.hist, tageHistLens[b], tageTagBits)
 	tag = uint16((pc ^ (pc >> 3) ^ ft<<1) & ((1 << tageTagBits) - 1))
 	return
 }
 
 // Predict returns the predicted direction for the branch at pc.
 func (t *TAGE) Predict(pc uint64) bool {
-	for b := len(t.banks) - 1; b >= 0; b-- {
+	if t.base == nil {
+		return true
+	}
+	for b := len(tageHistLens) - 1; b >= 0; b-- {
 		idx, tag := t.bankIndex(b, pc)
-		e := &t.banks[b].entries[idx]
+		e := &t.tagged[idx]
 		if e.tag == tag && e.useful > 0 {
 			return e.ctr >= 0
 		}
@@ -82,14 +85,17 @@ func (t *TAGE) Predict(pc uint64) bool {
 // Update trains the predictor with the actual outcome and returns whether
 // the prediction was correct.
 func (t *TAGE) Update(pc uint64, taken bool) bool {
+	if t.base == nil {
+		t.alloc()
+	}
 	pred := t.Predict(pc)
 	correct := pred == taken
 
 	// Train the providing component.
 	provider := -1
-	for b := len(t.banks) - 1; b >= 0; b-- {
+	for b := len(tageHistLens) - 1; b >= 0; b-- {
 		idx, tag := t.bankIndex(b, pc)
-		e := &t.banks[b].entries[idx]
+		e := &t.tagged[idx]
 		if e.tag == tag && e.useful > 0 {
 			provider = b
 			bump(&e.ctr, taken, 3)
@@ -106,9 +112,9 @@ func (t *TAGE) Update(pc uint64, taken bool) bool {
 
 	// On a misprediction, allocate in a longer-history bank.
 	if !correct {
-		for b := provider + 1; b < len(t.banks); b++ {
+		for b := provider + 1; b < len(tageHistLens); b++ {
 			idx, tag := t.bankIndex(b, pc)
-			e := &t.banks[b].entries[idx]
+			e := &t.tagged[idx]
 			if e.useful == 0 {
 				*e = tageEntry{tag: tag, useful: 1}
 				if taken {

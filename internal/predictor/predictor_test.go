@@ -113,3 +113,51 @@ func TestStoreSetUnrelatedPairsIndependent(t *testing.T) {
 		t.Error("loads and stores from different sets must stay independent")
 	}
 }
+
+// TestFreshTablesAnswerZeroedWithoutAllocating: a predictor that was never
+// trained allocates no table, and answers as one whose tables are
+// allocated and zeroed. The first Update and the first TrainViolation
+// allocate the whole table.
+func TestFreshTablesAnswerZeroedWithoutAllocating(t *testing.T) {
+	fresh, zeroed := NewTAGE(), NewTAGE()
+	zeroed.alloc()
+	wrong := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		for pc := uint64(0); pc < 1<<16; pc += 0x3c4 {
+			if fresh.Predict(pc) != zeroed.Predict(pc) {
+				wrong++
+			}
+		}
+	})
+	if wrong != 0 || allocs != 0 || fresh.base != nil || fresh.tagged != nil {
+		t.Errorf("fresh TAGE: %d answers differ from a zeroed one, %.0f allocs, tables allocated %t; want 0, 0, false",
+			wrong, allocs, fresh.base != nil || fresh.tagged != nil)
+	}
+	fresh.Update(0x400, false)
+	if len(fresh.base) != 1<<tageBaseBits || len(fresh.tagged) != len(tageHistLens)<<tageBankBits {
+		t.Errorf("after the first Update: %d base counters and %d tagged entries, want %d and %d",
+			len(fresh.base), len(fresh.tagged), 1<<tageBaseBits, len(tageHistLens)<<tageBankBits)
+	}
+
+	s := NewStoreSet()
+	found := 0
+	allocs = testing.AllocsPerRun(10, func() {
+		for pc := uint64(0); pc < 1<<16; pc += 0x3c4 {
+			if _, ok := s.SetOf(pc); ok {
+				found++
+			}
+			if s.PredictDependent(pc, pc+4) {
+				found++
+			}
+		}
+		s.Clear()
+	})
+	if found != 0 || allocs != 0 || s.ssit != nil {
+		t.Errorf("fresh StoreSet: %d sets found, %.0f allocs, table allocated %t; want 0, 0, false",
+			found, allocs, s.ssit != nil)
+	}
+	s.TrainViolation(0x10, 0x20)
+	if len(s.ssit) != 1<<ssitBits {
+		t.Errorf("after the first TrainViolation: %d SSIT entries, want %d", len(s.ssit), 1<<ssitBits)
+	}
+}

@@ -8,6 +8,9 @@ package predictor
 // The implementation uses the two classic tables: the Store Set ID Table
 // (SSIT), indexed by instruction PC, and the Last Fetched Store Table
 // (LFST), indexed by store-set ID.
+//
+// The SSIT is allocated by the first TrainViolation. Until then SetOf finds
+// no set without reading one, as a table of invalidSet entries answers.
 type StoreSet struct {
 	ssit   []uint32 // PC -> store-set ID + 1 (0 = no set)
 	nextID uint32
@@ -19,10 +22,8 @@ const (
 	invalidSet = 0
 )
 
-// NewStoreSet returns an empty predictor.
-func NewStoreSet() *StoreSet {
-	return &StoreSet{ssit: make([]uint32, 1<<ssitBits)}
-}
+// NewStoreSet returns an empty predictor. It allocates no table.
+func NewStoreSet() *StoreSet { return &StoreSet{} }
 
 func (s *StoreSet) index(pc uint64) uint64 {
 	return (pc ^ pc>>ssitBits) & ((1 << ssitBits) - 1)
@@ -30,6 +31,9 @@ func (s *StoreSet) index(pc uint64) uint64 {
 
 // SetOf returns the store-set ID assigned to pc and whether one exists.
 func (s *StoreSet) SetOf(pc uint64) (uint32, bool) {
+	if s.ssit == nil {
+		return invalidSet, false
+	}
 	v := s.ssit[s.index(pc)]
 	return v, v != invalidSet
 }
@@ -46,6 +50,9 @@ func (s *StoreSet) PredictDependent(loadPC, storePC uint64) bool {
 // loadPC and the store at storePC: both are merged into a common store set,
 // following the paper's assignment rules.
 func (s *StoreSet) TrainViolation(loadPC, storePC uint64) {
+	if s.ssit == nil {
+		s.ssit = make([]uint32, 1<<ssitBits)
+	}
 	li, si := s.index(loadPC), s.index(storePC)
 	lv, sv := s.ssit[li], s.ssit[si]
 	switch {

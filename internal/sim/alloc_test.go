@@ -14,12 +14,14 @@ import (
 // the mp litmus test on it allocates. Cache sets and directory entries are
 // allocated a page at a time on first insert, and each core's entry arena is
 // sized by its trace, so construction costs what the program touches: mp
-// touches two lines. The budget sits well above what that costs (about
-// 145 KiB for two cores, 424 KiB for eight, most of it predictor tables) and
-// well below allocating every set of the configured machine (4.2 MiB and
-// 6.5 MiB).
+// touches two lines. The predictor tables are allocated on first use, and
+// mp has no branch. The budget sits above what that costs (about 65 KiB
+// for two cores, 100 KiB for eight, most of it the cache page indexes,
+// mp's pages and each core's queues) and below a build that allocates
+// every core's predictor tables (145 KiB and 424 KiB), let alone every set
+// of the configured machine (4.2 MiB and 6.5 MiB).
 func TestBuildAllocBudget(t *testing.T) {
-	const budget = 512 << 10
+	const budget = 128 << 10
 	mp := []isa.Program{
 		{isa.Load(1, 0x1000), isa.Load(2, 0x1040)},
 		{isa.StoreImm(0x1040, 1), isa.StoreImm(0x1000, 1)},
