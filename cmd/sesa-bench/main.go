@@ -24,6 +24,7 @@ import (
 
 	"sesa"
 	"sesa/internal/report"
+	"sesa/internal/trace"
 )
 
 var (
@@ -110,6 +111,9 @@ func main() {
 	tableFormat, err = report.ParseFormat(*format)
 	if err == nil {
 		err = outs.Check()
+	}
+	if err == nil {
+		err = trace.CheckInstPerCore(*n)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -16,21 +16,10 @@
 // drains gracefully: admission stops (503), queued and running sweeps get
 // -drain-timeout to finish, then the rest is canceled and the process exits.
 //
-// With -fleet the daemon becomes a coordinator: instead of simulating on
-// the local runner pool, it shards each sweep into job batches that
-// sesa-worker processes lease over /v1/fleet/ (lease TTL + heartbeat;
-// expired leases are reassigned, so worker loss costs time, not results).
-// Output is byte-identical to single-host execution of the same sweep:
-//
-//	sesa-serve -addr :8344 -fleet
-//	sesa-worker -coordinator http://localhost:8344 &
-//	sesa-worker -coordinator http://localhost:8344 &
-//
 // Telemetry: -log-level/-log-format control the structured log on stderr,
-// GET /metrics serves the lease-lifecycle and sweep-throughput counters in
+// GET /metrics serves the result-cache and sweep-throughput families in
 // Prometheus text format, and GET /v1/sweeps/{id}/timeline exports a
-// sweep's distributed span timeline as Chrome-trace JSON (open it in
-// ui.perfetto.dev).
+// sweep's span timeline as Chrome-trace JSON (open it in ui.perfetto.dev).
 package main
 
 import (
@@ -45,7 +34,6 @@ import (
 	"syscall"
 	"time"
 
-	"sesa/internal/config"
 	"sesa/internal/serve"
 	"sesa/internal/telemetry"
 )
@@ -57,14 +45,11 @@ func main() {
 	maxCached := flag.Int("max-cached", serve.DefaultMaxCached, "bound on content-addressed cached job results (negative disables the cache)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound on SIGTERM/SIGINT before running sweeps are canceled")
 	resultsDir := flag.String("results-dir", "", "flush every finished sweep's results document to this directory as <id>.json")
-	fleetMode := flag.Bool("fleet", false, "coordinator mode: shard sweeps across sesa-worker nodes pulling from /v1/fleet/ instead of simulating locally")
-	fleetBatch := flag.Int("fleet-batch", config.DefaultFleetBatchSize, "jobs per fleet lease batch")
-	fleetTTL := flag.Duration("fleet-lease-ttl", config.DefaultFleetLeaseTTL, "fleet lease TTL; a worker silent this long forfeits its batches")
-	fleetAttempts := flag.Int("fleet-max-attempts", config.DefaultFleetMaxAttempts, "lease attempts before a batch's jobs are failed outright")
-	logFlags := config.TelemetryFlags()
+	logLevel := flag.String("log-level", "info", "structured-log level: debug, info, warn or error")
+	logFormat := flag.String("log-format", "text", "structured-log encoding: text or json")
 	flag.Parse()
 
-	logger, err := telemetry.NewLogger(os.Stderr, logFlags.LogLevel, logFlags.LogFormat)
+	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -78,25 +63,13 @@ func main() {
 		}
 	}
 
-	opts := serve.Options{
+	srv := serve.New(serve.Options{
 		MaxWorkers: *maxWorkers,
 		MaxQueued:  *maxQueued,
 		MaxCached:  *maxCached,
 		ResultsDir: *resultsDir,
 		Telemetry:  &telemetry.T{Log: logger, Metrics: telemetry.NewRegistry()},
-	}
-	if *fleetMode {
-		opts.Fleet = &config.Fleet{
-			BatchSize:   *fleetBatch,
-			LeaseTTL:    *fleetTTL,
-			MaxAttempts: *fleetAttempts,
-		}
-	}
-	srv, err := serve.New(opts)
-	if err != nil {
-		log.Error("invalid server options", "error", err)
-		os.Exit(1)
-	}
+	})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -104,13 +77,8 @@ func main() {
 		os.Exit(1)
 	}
 	hs := &http.Server{Handler: srv.Handler()}
-	if *fleetMode {
-		log.Info("coordinating fleet", "addr", "http://"+ln.Addr().String(),
-			"batch", *fleetBatch, "lease_ttl", fleetTTL.String(), "max_queued", *maxQueued)
-	} else {
-		log.Info("listening", "addr", "http://"+ln.Addr().String(),
-			"max_workers", *maxWorkers, "max_queued", *maxQueued)
-	}
+	log.Info("listening", "addr", "http://"+ln.Addr().String(),
+		"max_workers", *maxWorkers, "max_queued", *maxQueued)
 	go func() {
 		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
 			log.Error("http server failed", "error", err)

@@ -26,6 +26,7 @@ import (
 
 	"sesa"
 	"sesa/internal/report"
+	"sesa/internal/trace"
 )
 
 func main() {
@@ -57,6 +58,9 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 	if err := outs.Check(); err != nil {
+		return err
+	}
+	if err := trace.CheckInstPerCore(*n); err != nil {
 		return err
 	}
 	traceOpts, wantHists := outs.TraceOptions(), outs.WantHists()

@@ -6,8 +6,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"sesa/internal/trace"
 )
 
 // TestReplayLabelsRunsWithTraceFileName: a run replayed from a -trace file
@@ -65,6 +68,20 @@ func TestReplayLabelsRunsWithTraceFileName(t *testing.T) {
 	for _, row := range rows[1:] {
 		if row[0] != "mcf.trace/x86" {
 			t.Fatalf("metrics run column = %q, want mcf.trace/x86", row[0])
+		}
+	}
+}
+
+// TestRejectsOutOfRangeN: an -n no trace can have fails before any
+// simulation, with nothing on stdout.
+func TestRejectsOutOfRangeN(t *testing.T) {
+	for _, n := range []string{"-1", "0", strconv.Itoa(trace.MaxInstPerCore + 1)} {
+		var out bytes.Buffer
+		if err := run([]string{"-bench", "radix", "-n", n}, &out); err == nil {
+			t.Errorf("-n %s: run succeeded, want an error", n)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-n %s: wrote %q to stdout, want nothing", n, out.String())
 		}
 	}
 }

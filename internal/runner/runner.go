@@ -185,7 +185,7 @@ func (p Pool) RunContext(ctx context.Context, jobs []Job) ([]Result, report.Swee
 	start := time.Now()
 	results := make([]Result, len(jobs))
 	n := p.workers()
-	p.Progress.Begin(len(jobs))
+	p.Progress.begin(len(jobs))
 	if n <= 1 || len(jobs) <= 1 {
 		for i := range jobs {
 			results[i] = p.runJob(ctx, i, jobs[i])
@@ -222,10 +222,10 @@ func (p Pool) runJob(ctx context.Context, i int, j Job) Result {
 		}
 		r := Result{Job: j, Index: i,
 			Err: fmt.Errorf("runner: sweep canceled before job ran: %w", err)}
-		p.Progress.JobDone(&r)
+		p.Progress.jobDone(&r)
 		return r
 	}
-	p.Progress.JobStarted(i, j.Name())
+	p.Progress.jobStarted(i, j.Name())
 	start := time.Now()
 	r := p.runOne(ctx, i, j)
 	end := time.Now()
@@ -233,13 +233,18 @@ func (p Pool) runJob(ctx context.Context, i int, j Job) Result {
 	if p.OnJobSpan != nil {
 		p.OnJobSpan(i, j.Name(), start, end)
 	}
-	p.Progress.JobDone(&r)
+	p.Progress.jobDone(&r)
 	return r
 }
 
-// runOne executes a single job on the calling goroutine.
+// runOne executes a single job on the calling goroutine. A job whose
+// instruction count no trace can have fails without building one.
 func (p Pool) runOne(ctx context.Context, i int, j Job) Result {
 	res := Result{Job: j, Index: i}
+	if err := trace.CheckInstPerCore(j.InstPerCore); err != nil {
+		res.Err = err
+		return res
+	}
 
 	var cfg config.Config
 	if j.Config != nil {

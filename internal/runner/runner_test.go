@@ -141,3 +141,27 @@ func TestConfigOverride(t *testing.T) {
 		t.Errorf("machine ran %d cores, want the override's 2", got)
 	}
 }
+
+// TestInstPerCoreOutOfRangeFails: a library sweep whose job asks for an
+// instruction count no trace can have gets a failed Result for that job,
+// not a panic in the pool, and the rest of the sweep runs.
+func TestInstPerCoreOutOfRangeFails(t *testing.T) {
+	p, _ := trace.Lookup("radix")
+	jobs := []Job{
+		{Profile: p, Model: config.X86, InstPerCore: -1, Seed: 1},
+		{Profile: p, Model: config.X86, InstPerCore: 0, Seed: 1},
+		{Profile: p, Model: config.X86, InstPerCore: 500, Seed: 1},
+	}
+	results, sum := Pool{Workers: 1}.Run(jobs)
+	for _, r := range results[:2] {
+		if r.Err == nil {
+			t.Errorf("job with InstPerCore %d succeeded, want a failed Result", r.Job.InstPerCore)
+		}
+	}
+	if results[2].Err != nil {
+		t.Errorf("valid job failed: %v", results[2].Err)
+	}
+	if sum.Failed != 2 {
+		t.Errorf("summary counts %d failed jobs, want 2", sum.Failed)
+	}
+}

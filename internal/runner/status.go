@@ -94,11 +94,10 @@ func NewProgress() *Progress {
 	return &Progress{running: make(map[int]string), merged: hist.NewCollector()}
 }
 
-// Begin resets the tracker for a sweep of n jobs. Sequential sweeps may reuse
+// begin resets the tracker for a sweep of n jobs. Sequential sweeps may reuse
 // one tracker; counters accumulate only within a sweep. The pool calls it at
-// the top of RunContext; a fleet coordinator, which distributes jobs instead
-// of running them through a pool, calls it (and JobStarted/JobDone) itself.
-func (p *Progress) Begin(n int) {
+// the top of RunContext.
+func (p *Progress) begin(n int) {
 	if p == nil {
 		return
 	}
@@ -116,9 +115,8 @@ func (p *Progress) Begin(n int) {
 	p.hists = false
 }
 
-// JobStarted records that job i is now running (for a fleet sweep: leased
-// to a worker).
-func (p *Progress) JobStarted(i int, name string) {
+// jobStarted records that job i is now running.
+func (p *Progress) jobStarted(i int, name string) {
 	if p == nil {
 		return
 	}
@@ -127,8 +125,8 @@ func (p *Progress) JobStarted(i int, name string) {
 	p.running[i] = name
 }
 
-// JobDone folds a completed job into the aggregates.
-func (p *Progress) JobDone(r *Result) {
+// jobDone folds a completed job into the aggregates.
+func (p *Progress) jobDone(r *Result) {
 	if p == nil {
 		return
 	}
@@ -226,12 +224,12 @@ func (p *Progress) Histograms() *hist.Collector {
 }
 
 // StatusHandler returns the live-introspection handler every sesa process
-// serves: the -status-addr listener of the CLIs and sesa-worker, and the
-// sesa-serve daemon, which mounts it beside its API. get is called once per
-// request and returns the Progress to report — for a CLI sweep that is a
-// fixed tracker, for a daemon whichever sweep is currently running; a nil
-// get, or a nil Progress, serves empty snapshots. reg backs /metrics; nil
-// serves an empty exposition. Endpoints:
+// serves: the -status-addr listener of the CLIs, and the sesa-serve daemon,
+// which mounts it beside its API. get is called once per request and
+// returns the Progress to report — for a CLI sweep that is a fixed tracker,
+// for a daemon whichever sweep is currently running; a nil Progress serves
+// empty snapshots. reg backs /metrics; nil serves an empty exposition.
+// Endpoints:
 //
 //	/status         sweep progress snapshot (JSON)
 //	/histograms     merged latency histograms of completed jobs (JSON)
@@ -239,10 +237,6 @@ func (p *Progress) Histograms() *hist.Collector {
 //	/healthz        liveness probe
 //	/debug/pprof/   runtime profiling
 func StatusHandler(get func() *Progress, reg *telemetry.Registry) http.Handler {
-	if get == nil {
-		get = func() *Progress { return nil }
-	}
-
 	mux := http.NewServeMux()
 	writeJSON := func(w http.ResponseWriter, v any) {
 		w.Header().Set("Content-Type", "application/json")

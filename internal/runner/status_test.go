@@ -56,9 +56,9 @@ func TestProgressCounts(t *testing.T) {
 
 func TestProgressNilSafe(t *testing.T) {
 	var pr *Progress
-	pr.Begin(1)
-	pr.JobStarted(0, "x")
-	pr.JobDone(&Result{})
+	pr.begin(1)
+	pr.jobStarted(0, "x")
+	pr.jobDone(&Result{})
 	if s := pr.Snapshot(); s.TotalJobs != 0 {
 		t.Errorf("nil snapshot = %+v", s)
 	}

@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
-	"sesa/internal/fleet"
+	"sesa/internal/config"
 	"sesa/internal/report"
 	"sesa/internal/runner"
+	"sesa/internal/trace"
 )
 
 // JobSpec is the wire form of one benchmark job, mirroring the sesa-bench
@@ -19,7 +21,8 @@ type JobSpec struct {
 	Profile string `json:"profile"`
 	// Model is the consistency model name as printed ("x86", "370-SLFSoS-key", ...).
 	Model string `json:"model"`
-	// InstPerCore scales the generated trace.
+	// InstPerCore scales the generated trace: 1 to trace.MaxInstPerCore
+	// (1,048,576) instructions per core.
 	InstPerCore int `json:"inst_per_core"`
 	// Seed seeds the trace generator.
 	Seed uint64 `json:"seed"`
@@ -37,12 +40,45 @@ type SweepRequest struct {
 	Histograms bool `json:"histograms,omitempty"`
 }
 
-// resolve validates a wire job and translates it into a runner job through
-// the fleet's wire-job resolver, so a job is accepted by the daemon exactly
-// when a fleet worker would accept it.
+// resolve validates a wire job and translates it into a runner job.
 func (sp JobSpec) resolve(hists bool) (runner.Job, error) {
-	return fleet.WireJob{Profile: sp.Profile, Model: sp.Model, InstPerCore: sp.InstPerCore,
-		Seed: sp.Seed, MaxCycles: sp.MaxCycles, Hists: hists}.Resolve()
+	p, ok := trace.Lookup(sp.Profile)
+	if !ok {
+		return runner.Job{}, fmt.Errorf("unknown profile %q", sp.Profile)
+	}
+	model, err := config.ParseModel(sp.Model)
+	if err != nil {
+		return runner.Job{}, err
+	}
+	if err := trace.CheckInstPerCore(sp.InstPerCore); err != nil {
+		return runner.Job{}, err
+	}
+	return runner.Job{Profile: p, Model: model, InstPerCore: sp.InstPerCore,
+		Seed: sp.Seed, MaxCycles: sp.MaxCycles, Hists: hists}, nil
+}
+
+// decodeSweep reads a POST /v1/sweeps body and resolves its jobs. The
+// request is the body's first JSON value: an object with only known fields
+// and at least one job. Every error is the client's (HTTP 400).
+func decodeSweep(r io.Reader) (SweepRequest, []runner.Job, error) {
+	var req SweepRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, nil, fmt.Errorf("serve: bad sweep request: %w", err)
+	}
+	if len(req.Jobs) == 0 {
+		return req, nil, errors.New("serve: sweep has no jobs")
+	}
+	jobs := make([]runner.Job, len(req.Jobs))
+	for i, sp := range req.Jobs {
+		j, err := sp.resolve(req.Histograms)
+		if err != nil {
+			return req, nil, fmt.Errorf("serve: job %d: %w", i, err)
+		}
+		jobs[i] = j
+	}
+	return req, jobs, nil
 }
 
 // SweepStatus is the GET /v1/sweeps/{id} (and submission) response.
@@ -112,11 +148,6 @@ func (s *Server) Handler() http.Handler {
 	for _, path := range []string{"/status", "/histograms", "/metrics", "/healthz", "/debug/pprof/"} {
 		mux.Handle(path, sh)
 	}
-	if s.fleet != nil {
-		// Coordinator mode: the worker protocol (register/lease/heartbeat/
-		// complete/deregister) plus GET /v1/fleet/workers status rows.
-		mux.Handle("/v1/fleet/", http.StripPrefix("/v1/fleet", s.fleet.Handler()))
-	}
 	return mux
 }
 
@@ -135,27 +166,11 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad sweep request: %w", err))
+	req, jobs, err := decodeSweep(r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("serve: sweep has no jobs"))
-		return
-	}
-	jobs := make([]runner.Job, len(req.Jobs))
-	for i, sp := range req.Jobs {
-		j, err := sp.resolve(req.Histograms)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: job %d: %w", i, err))
-			return
-		}
-		jobs[i] = j
-	}
-
 	sw, err := s.submit(req.Title, jobs)
 	if err != nil {
 		var ae *admissionError
@@ -294,7 +309,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleTimeline serves the sweep's span record as a Chrome trace-event
 // document. It works mid-run too — the timeline snapshots safely — which is
-// how you watch a fleet sweep take shape live.
+// how you watch a sweep take shape live.
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	sw, ok := s.lookup(r.PathValue("id"))
 	if !ok {

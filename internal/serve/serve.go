@@ -37,8 +37,6 @@ import (
 	"sync"
 	"time"
 
-	"sesa/internal/config"
-	"sesa/internal/fleet"
 	"sesa/internal/report"
 	"sesa/internal/runner"
 	"sesa/internal/telemetry"
@@ -66,16 +64,9 @@ type Options struct {
 	// ResultsDir, when non-empty, receives one <id>.json results document
 	// per finished sweep — the flush half of graceful drain.
 	ResultsDir string
-	// Fleet, when non-nil, turns the daemon into a fleet coordinator:
-	// non-cached jobs are decomposed into batches and executed by remote
-	// workers pulling leases from /v1/fleet/ instead of the local runner
-	// pool. Results are byte-identical either way — jobs are deterministic
-	// and results land positionally — so flipping this changes capacity,
-	// never output.
-	Fleet *config.Fleet
 	// Telemetry supplies the structured logger and metrics registry; nil is
-	// fully functional (logs are discarded, metric updates are no-ops, and
-	// /metrics serves an empty document). Sweep timelines are recorded
+	// fully functional (logs are discarded, metric registrations are no-ops,
+	// and /metrics serves an empty document). Sweep timelines are recorded
 	// either way — they are per-job, not per-cycle, and never touch the
 	// simulation hot path.
 	Telemetry *telemetry.T
@@ -117,12 +108,11 @@ type sweep struct {
 	cacheHits int
 }
 
-// Server is the sweep-as-a-service daemon state: admission queue, dispatcher,
-// result cache, and — in fleet mode — the batch coordinator.
+// Server is the sweep-as-a-service daemon state: admission queue, dispatcher
+// and result cache.
 type Server struct {
 	opts  Options
 	cache *resultCache
-	fleet *fleet.Coordinator  // nil in single-host mode
 	log   *slog.Logger        // never nil (discards when telemetry is off)
 	reg   *telemetry.Registry // nil-safe; backs GET /metrics
 
@@ -145,24 +135,16 @@ type Server struct {
 
 // New builds a Server and starts its dispatcher. Callers own the HTTP
 // listener; mount Handler on it. Shut down with Drain (graceful) or Close
-// (immediate). Only invalid fleet options return an error.
-func New(o Options) (*Server, error) {
+// (immediate).
+func New(o Options) *Server {
 	if o.MaxQueued == 0 {
 		o.MaxQueued = DefaultMaxQueued
 	}
 	if o.MaxCached == 0 {
 		o.MaxCached = DefaultMaxCached
 	}
-	var coord *fleet.Coordinator
-	if o.Fleet != nil {
-		var err error
-		if coord, err = fleet.NewCoordinator(*o.Fleet, o.Telemetry); err != nil {
-			return nil, err
-		}
-	}
 	ctx, stop := context.WithCancelCause(context.Background())
 	s := &Server{
-		fleet:    coord,
 		opts:     o,
 		cache:    newResultCache(o.MaxCached),
 		log:      o.Telemetry.Component("serve"),
@@ -175,7 +157,7 @@ func New(o Options) (*Server, error) {
 	s.registerMetrics()
 	s.wg.Add(1)
 	go s.dispatch()
-	return s, nil
+	return s
 }
 
 // registerMetrics installs the daemon's scrape-time families. All of them
@@ -460,53 +442,29 @@ func (s *Server) runSweep(sw *sweep) {
 		toRunIdx = append(toRunIdx, i)
 	}
 	s.log.Info("sweep started", telemetry.KeySweep, sw.id,
-		"jobs", len(sw.jobs), "cached", hits, "fleet", s.fleet != nil)
+		"jobs", len(sw.jobs), "cached", hits)
 
 	workers := s.opts.MaxWorkers
 	if len(toRun) > 0 {
-		var ran []runner.Result
-		if s.fleet != nil {
-			// Fleet mode: the coordinator leases batches to remote workers.
-			// Dedup already happened above — cached jobs never dispatch —
-			// and completions stream into the cache as they settle, so a
-			// second sweep overlapping this one hits on the finished jobs.
-			var ferr error
-			ran, ferr = s.fleet.RunJobs(ctx, sw.id, toRun, sw.progress, sw.timeline,
-				func(k int, r runner.Result) {
-					if !fleet.IsAbandoned(r.Err) {
-						s.cache.put(sw.keys[toRunIdx[k]], r)
-					}
+		// The daemon's pool is the timeline's worker "local".
+		execStart := time.Now()
+		pool := runner.Pool{Workers: workers, Cache: trace.Shared(), Progress: sw.progress,
+			OnJobSpan: func(k int, name string, js, je time.Time) {
+				sw.timeline.Add(telemetry.Span{
+					Name: telemetry.StageJob, Cat: "worker",
+					Job: name, Index: toRunIdx[k], Start: js, Dur: je.Sub(js),
 				})
-			if ferr != nil {
-				ran = make([]runner.Result, len(toRun))
-				for k, j := range toRun {
-					ran[k] = runner.Result{Job: j, Index: k, Err: ferr}
-				}
-			}
-		} else {
-			// Local mode: the daemon's own pool is the "worker"; job spans
-			// land on the same timeline the fleet path would fill.
-			execStart := time.Now()
-			pool := runner.Pool{Workers: workers, Cache: trace.Shared(), Progress: sw.progress,
-				OnJobSpan: func(k int, name string, js, je time.Time) {
-					sw.timeline.Add(telemetry.Span{
-						Name: telemetry.StageJob, Cat: "worker", Worker: "local",
-						Job: name, Index: toRunIdx[k], Start: js, Dur: je.Sub(js),
-					})
-				}}
-			ran, _ = pool.RunContext(ctx, toRun)
-			sw.timeline.Add(telemetry.Span{
-				Name: telemetry.StageExecute, Cat: "worker", Worker: "local", Index: -1,
-				Start: execStart, Dur: time.Since(execStart),
-			})
-		}
+			}}
+		ran, _ := pool.RunContext(ctx, toRun)
+		sw.timeline.Add(telemetry.Span{
+			Name: telemetry.StageExecute, Cat: "worker", Index: -1,
+			Start: execStart, Dur: time.Since(execStart),
+		})
 		for k, r := range ran {
 			i := toRunIdx[k]
 			r.Index = i
 			results[i] = r
-			if s.fleet == nil {
-				s.cache.put(sw.keys[i], r)
-			}
+			s.cache.put(sw.keys[i], r)
 		}
 	}
 
@@ -703,7 +661,4 @@ func (s *Server) stop() {
 	s.lifeStop(errors.New("serve: server stopped"))
 	s.nudge()
 	s.wg.Wait()
-	if s.fleet != nil {
-		s.fleet.Close()
-	}
 }

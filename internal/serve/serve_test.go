@@ -22,10 +22,7 @@ import (
 // cleanup for both.
 func newTestServer(t *testing.T, o Options) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := New(o)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -390,20 +387,27 @@ func TestDrainCancelsOverdueSweeps(t *testing.T) {
 	}
 }
 
-// TestValidation covers the 400/404/409 error paths.
+// badSweepBodies are POST /v1/sweeps bodies the daemon must answer with
+// 400; FuzzSweepRequest starts from them too.
+var badSweepBodies = map[string]string{
+	"no jobs":         `{"jobs":[]}`,
+	"unknown profile": `{"jobs":[{"profile":"nope","model":"x86","inst_per_core":100}]}`,
+	"unknown model":   `{"jobs":[{"profile":"radix","model":"nope","inst_per_core":100}]}`,
+	"bad step mode":   `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":100,"step_mode":"warp"}]}`,
+	"naive step mode": `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":100,"step_mode":"naive"}]}`,
+	"zero insts":      `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":0}]}`,
+	"unknown field":   `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":100,"bogus":1}]}`,
+	"not json":        `not json`,
+	"max int insts":   `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":9223372036854775807}]}`,
+	"insts past bound": fmt.Sprintf(`{"jobs":[{"profile":"radix","model":"x86","inst_per_core":%d}]}`,
+		trace.MaxInstPerCore+1),
+}
+
+// TestValidation covers the 400/404/409 error paths. A body the daemon
+// rejects must leave it serving.
 func TestValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxWorkers: 1})
-	badBodies := map[string]string{
-		"no jobs":         `{"jobs":[]}`,
-		"unknown profile": `{"jobs":[{"profile":"nope","model":"x86","inst_per_core":100}]}`,
-		"unknown model":   `{"jobs":[{"profile":"radix","model":"nope","inst_per_core":100}]}`,
-		"bad step mode":   `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":100,"step_mode":"warp"}]}`,
-		"naive step mode": `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":100,"step_mode":"naive"}]}`,
-		"zero insts":      `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":0}]}`,
-		"unknown field":   `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":100,"bogus":1}]}`,
-		"not json":        `not json`,
-	}
-	for name, body := range badBodies {
+	for name, body := range badSweepBodies {
 		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -412,6 +416,14 @@ func TestValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)
 		}
+	}
+	health, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("daemon down after the bad bodies: %v", err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after the bad bodies: HTTP %d, want 200", health.StatusCode)
 	}
 
 	if code, _ := getStatus(t, ts, "sw-999999"); code != http.StatusNotFound {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,8 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"sesa/internal/config"
-	"sesa/internal/fleet"
 	"sesa/internal/telemetry"
 )
 
@@ -168,113 +165,8 @@ func fetchTimeline(t *testing.T, ts *httptest.Server, id string) chromeTrace {
 	return doc
 }
 
-// TestFleetTimelineStitching runs a sweep through a coordinator plus two
-// workers and checks the downloaded timeline: worker-side execution spans
-// shipped over the wire are stitched between the coordinator's own lease and
-// report spans, every job has an execution window, and the full
-// admission→aggregate lifecycle is present.
-func TestFleetTimelineStitching(t *testing.T) {
-	fc := config.Fleet{BatchSize: 2, LeaseTTL: 2 * time.Second, MaxAttempts: 5}
-	s, err := New(telemetryOptions(Options{MaxWorkers: 2, Fleet: &fc}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	ctx, cancel := context.WithCancel(context.Background())
-	const nWorkers = 2
-	done := make(chan struct{}, nWorkers)
-	for i := 0; i < nWorkers; i++ {
-		w := fleet.NewWorker(fleet.WorkerOptions{
-			Coordinator: ts.URL + "/v1/fleet",
-			Name:        "w" + string(rune('A'+i)),
-			Jobs:        1,
-			Poll:        5 * time.Millisecond,
-			Client:      ts.Client(),
-		})
-		go func() {
-			_ = w.Run(ctx)
-			done <- struct{}{}
-		}()
-	}
-	t.Cleanup(func() {
-		cancel()
-		for i := 0; i < nWorkers; i++ {
-			<-done
-		}
-		ts.Close()
-		s.Close()
-	})
-
-	req := fleetSweepRequest()
-	resp, st := post(t, ts, req)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", resp.StatusCode)
-	}
-	if fin := waitTerminal(t, ts, st.ID, 60*time.Second); fin.State != string(stateDone) {
-		t.Fatalf("fleet sweep finished %s, want done", fin.State)
-	}
-
-	doc := fetchTimeline(t, ts, st.ID)
-	stages := make(map[string]int)
-	workers := make(map[string]bool)
-	jobSpans := 0
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph != "X" {
-			continue
-		}
-		if ev.Ts < 0 || ev.Dur < 1 {
-			t.Errorf("span %q has ts=%d dur=%d; want ts>=0, dur>=1µs", ev.Name, ev.Ts, ev.Dur)
-		}
-		if ev.Args.Sweep != st.ID {
-			t.Errorf("span %q carries sweep=%q, want %q", ev.Name, ev.Args.Sweep, st.ID)
-		}
-		if ev.Args.Index != nil {
-			// Per-job execution window recorded worker-side and shipped over
-			// the completion report; its event name is the job name.
-			jobSpans++
-			if ev.Cat != "worker" || ev.Args.Worker == "" {
-				t.Errorf("job span %q not attributed to a worker: %+v", ev.Name, ev.Args)
-			}
-		} else {
-			stages[ev.Name]++
-		}
-		if ev.Args.Worker != "" {
-			workers[ev.Args.Worker] = true
-		}
-	}
-
-	if jobSpans != len(req.Jobs) {
-		t.Errorf("timeline has %d job spans, want %d (one execution window per job)",
-			jobSpans, len(req.Jobs))
-	}
-	wantBatches := (len(req.Jobs) + fc.BatchSize - 1) / fc.BatchSize
-	for stage, min := range map[string]int{
-		telemetry.StageAdmission: 1,
-		telemetry.StageQueue:     1,
-		telemetry.StageShard:     1,
-		telemetry.StageLease:     wantBatches,
-		telemetry.StageExecute:   wantBatches,
-		telemetry.StageReport:    wantBatches,
-		telemetry.StageAggregate: 1,
-	} {
-		if stages[stage] < min {
-			t.Errorf("timeline has %d %q spans, want >= %d (all stages: %v)",
-				stages[stage], stage, min, stages)
-		}
-	}
-	if len(workers) == 0 {
-		t.Error("no span is attributed to any worker")
-	}
-	for w := range workers {
-		if w != "wA" && w != "wB" {
-			t.Errorf("span attributed to unknown worker %q", w)
-		}
-	}
-}
-
-// TestTimelineLocalSweep: local-mode sweeps record the same lifecycle with the
-// daemon's own pool standing in as worker "local", so Perfetto renders both
-// modes identically.
+// TestTimelineLocalSweep: a sweep records its lifecycle, and its jobs and
+// execution window on worker "local", the daemon's own pool.
 func TestTimelineLocalSweep(t *testing.T) {
 	_, ts := newTestServer(t, telemetryOptions(Options{MaxWorkers: 2}))
 	req := SweepRequest{

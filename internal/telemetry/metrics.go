@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Registry is a dependency-free Prometheus-text metrics registry. It
@@ -16,80 +15,33 @@ import (
 // Prometheus scraper speaks) with families sorted by name and series sorted
 // by label set, so output is deterministic for a given state.
 //
-// Two kinds of series coexist:
+// Every family is sampled at scrape time: GaugeFunc and CounterFunc
+// register a callback that reads live component state (queue depth, cache
+// counters, sweep throughput) only when /metrics is actually read, so an
+// unscraped registry costs nothing.
 //
-//   - event-time counters, incremented where the event happens
-//     (Counter.Add is one atomic add);
-//   - scrape-time families registered with GaugeFunc, sampled only when
-//     /metrics is actually read — the right shape for anything derived from
-//     live state (queue depth, heartbeat age, sweep throughput), because an
-//     unscraped registry then costs nothing.
-//
-// Every method is safe on a nil *Registry (and Counter handles from one are
-// nil and equally inert), so components take a registry unconditionally and
-// instrument without branching.
+// Every method is safe on a nil *Registry, so components take a registry
+// unconditionally and instrument without branching.
 type Registry struct {
 	mu       sync.Mutex
-	families map[string]*family
+	families map[string]family
 }
 
-// Sample is one scrape-time series sample produced by a GaugeFunc callback.
+// Sample is one series sample produced by a scrape-time callback.
 type Sample struct {
-	// Labels are label name/value pairs, e.g. {"worker", "rack3-a"}.
+	// Labels are label name/value pairs, e.g. {"sweep", "sw-000001"}.
 	Labels [][2]string
 	Value  float64
 }
 
 type family struct {
 	name, help, typ string
-	series          map[string]*value // keyed by rendered label block
-	fn              func() []Sample   // scrape-time families
+	fn              func() []Sample
 }
-
-type value struct {
-	bits atomic.Uint64 // float64 bits
-}
-
-func (v *value) add(d float64) {
-	for {
-		old := v.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if v.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-func (v *value) get() float64 { return math.Float64frombits(v.bits.Load()) }
-
-// Counter is a monotonically increasing series handle; nil is a no-op.
-type Counter struct{ v *value }
-
-// Add increments the counter by d (callers pass non-negative deltas).
-func (c *Counter) Add(d float64) {
-	if c == nil || c.v == nil {
-		return
-	}
-	c.v.add(d)
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
-}
-
-// family returns the named family, creating it with the given type on first
-// use. Help and type are fixed by the first registration.
-func (r *Registry) family(name, help, typ string) *family {
-	f := r.families[name]
-	if f == nil {
-		f = &family{name: name, help: help, typ: typ, series: make(map[string]*value)}
-		r.families[name] = f
-	}
-	return f
+	return &Registry{families: make(map[string]family)}
 }
 
 // labelBlock renders a label set in sorted order: {a="x",b="y"} or "".
@@ -124,35 +76,10 @@ func escapeLabel(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// Counter returns (creating on first use) the counter series name{labels...}.
-// labels are name/value pairs: Counter("x_total", "...", "worker", "a").
-func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	if r == nil {
-		return nil
-	}
-	return &Counter{v: r.seriesValue(name, help, "counter", labels)}
-}
-
-func (r *Registry) seriesValue(name, help, typ string, kv []string) *value {
-	labels := make([][2]string, 0, len(kv)/2)
-	for i := 0; i+1 < len(kv); i += 2 {
-		labels = append(labels, [2]string{kv[i], kv[i+1]})
-	}
-	block := labelBlock(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.family(name, help, typ)
-	v := f.series[block]
-	if v == nil {
-		v = &value{}
-		f.series[block] = v
-	}
-	return v
-}
-
 // GaugeFunc registers a scrape-time family: fn is called once per render
 // and its samples become the family's series. Registering the same name
-// again replaces the callback.
+// again replaces the callback; help and type stay those of the first
+// registration.
 func (r *Registry) GaugeFunc(name, help string, fn func() []Sample) {
 	r.funcFamily(name, help, "gauge", fn)
 }
@@ -170,8 +97,12 @@ func (r *Registry) funcFamily(name, help, typ string, fn func() []Sample) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.family(name, help, typ)
+	f, ok := r.families[name]
+	if !ok {
+		f = family{name: name, help: help, typ: typ}
+	}
 	f.fn = fn
+	r.families[name] = f
 }
 
 // formatValue renders a sample value the way Prometheus clients do:
@@ -189,47 +120,24 @@ func (r *Registry) Render() string {
 		return ""
 	}
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	type row struct{ block, val string }
-	type fam struct {
-		name, help, typ string
-		rows            []row
-		fn              func() []Sample
-	}
-	fams := make([]fam, 0, len(names))
-	for _, name := range names {
-		f := r.families[name]
-		ff := fam{name: f.name, help: f.help, typ: f.typ, fn: f.fn}
-		blocks := make([]string, 0, len(f.series))
-		for b := range f.series {
-			blocks = append(blocks, b)
-		}
-		sort.Strings(blocks)
-		for _, b := range blocks {
-			ff.rows = append(ff.rows, row{block: b, val: formatValue(f.series[b].get())})
-		}
-		fams = append(fams, ff)
+	fams := make([]family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
 	}
 	r.mu.Unlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
-	// Scrape-time callbacks run outside the registry lock: they read live
-	// component state (coordinator tables, progress snapshots) that has its
-	// own locks.
+	// Callbacks run outside the registry lock: they read live component
+	// state (the server's sweep table, progress snapshots) that has its own
+	// locks.
+	type row struct{ block, val string }
 	var b strings.Builder
 	for _, f := range fams {
-		rows := f.rows
-		if f.fn != nil {
-			samples := f.fn()
-			rows = rows[:0]
-			for _, s := range samples {
-				rows = append(rows, row{block: labelBlock(s.Labels), val: formatValue(s.Value)})
-			}
-			sort.Slice(rows, func(i, j int) bool { return rows[i].block < rows[j].block })
+		var rows []row
+		for _, s := range f.fn() {
+			rows = append(rows, row{block: labelBlock(s.Labels), val: formatValue(s.Value)})
 		}
+		sort.Slice(rows, func(i, j int) bool { return rows[i].block < rows[j].block })
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
 		for _, rw := range rows {

@@ -1,6 +1,6 @@
 // Package telemetry is the service-layer observability stack: structured
 // logging on log/slog, a dependency-free Prometheus-text metrics registry,
-// and distributed sweep timelines exported as Chrome-trace JSON.
+// and sweep timelines exported as Chrome-trace JSON.
 //
 // It is the service-side sibling of internal/obs and internal/hist, and
 // follows the same discipline: every hook is nil-checked and off by
@@ -8,18 +8,14 @@
 // at most — simulation output stays byte-identical and the CI overhead
 // guard stays green. Unlike obs/hist, nothing here ever touches the
 // simulation hot path at all: telemetry instruments the layer *around* the
-// simulator (admission, queues, leases, HTTP), where events are per-job or
-// per-batch, not per-cycle.
+// simulator (admission, queues, HTTP), where events are per-job or
+// per-sweep, not per-cycle.
 //
-// Attribute conventions (shared by every component so fleet-wide logs
-// aggregate cleanly):
+// Attribute conventions (shared by every component so logs aggregate
+// cleanly):
 //
-//	component  which subsystem emitted the record ("serve",
-//	           "fleet.coordinator", "fleet.worker", "runner", or a cmd name)
+//	component  which subsystem emitted the record ("serve", or a cmd name)
 //	sweep      the sweep id ("sw-000001")
-//	worker     the fleet worker name (its -name label, not the minted id)
-//	batch      the lease batch id ("b-000001")
-//	attempt    the retry ordinal of the operation being logged
 package telemetry
 
 import (
@@ -34,9 +30,6 @@ import (
 const (
 	KeyComponent = "component"
 	KeySweep     = "sweep"
-	KeyWorker    = "worker"
-	KeyBatch     = "batch"
-	KeyAttempt   = "attempt"
 )
 
 // T bundles the two telemetry sinks a component receives: a structured
@@ -72,8 +65,8 @@ func (t *T) Component(name string) *slog.Logger {
 }
 
 // NewLogger builds a slog.Logger writing to w. level is one of debug, info,
-// warn, error; format is text or json (the -log-level and -log-format flag
-// values sesa-serve and sesa-worker accept via config.Telemetry).
+// warn, error; format is text or json (the values of sesa-serve's
+// -log-level and -log-format flags).
 func NewLogger(w io.Writer, level, format string) (*slog.Logger, error) {
 	lv, err := ParseLevel(level)
 	if err != nil {

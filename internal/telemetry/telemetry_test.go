@@ -49,13 +49,13 @@ func TestNewLoggerFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log.Debug("hello", KeyWorker, "rack3-a")
+	log.Debug("hello", KeySweep, "sw-000002")
 	var rec map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
 		t.Fatalf("json handler emitted invalid JSON: %v (%q)", err, buf.String())
 	}
-	if rec[KeyWorker] != "rack3-a" {
-		t.Errorf("json record = %v, missing worker attribute", rec)
+	if rec[KeySweep] != "sw-000002" {
+		t.Errorf("json record = %v, missing sweep attribute", rec)
 	}
 
 	if _, err := NewLogger(&buf, "info", "yaml"); err == nil {
@@ -87,15 +87,11 @@ func TestNilBundle(t *testing.T) {
 func TestDisabledTelemetryZeroCost(t *testing.T) {
 	var reg *Registry
 	var tl *Timeline
-	c := reg.Counter("sesa_x_total", "help")
 	span := Span{Name: StageJob, Start: time.Unix(0, 0), Dur: time.Millisecond}
 	checks := map[string]func(){
-		"nil Counter.Add":      func() { c.Inc() },
-		"nil Counter.Add(d)":   func() { c.Add(17) },
 		"nil Timeline.Add":     func() { tl.Add(span) },
 		"nil Timeline.Spans":   func() { _ = tl.Spans() },
 		"nil Timeline.Dropped": func() { _ = tl.Dropped() },
-		"nil Registry.Counter": func() { reg.Counter("sesa_z_total", "help").Inc() },
 		"nil Registry.Render":  func() { _ = reg.Render() },
 	}
 	for name, fn := range checks {
@@ -107,11 +103,15 @@ func TestDisabledTelemetryZeroCost(t *testing.T) {
 
 func TestRegistryRenderGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("sesa_fleet_leases_granted_total", "Lease batches granted to workers.",
-		"worker", "rack3-a").Add(3)
-	r.Counter("sesa_fleet_leases_granted_total", "Lease batches granted to workers.",
-		"worker", "rack3-b").Inc()
-	r.Counter("sesa_fleet_registrations_total", "Worker registrations accepted.").Add(2)
+	r.CounterFunc("sesa_fleet_leases_granted_total", "Lease batches granted to workers.",
+		func() []Sample {
+			return []Sample{
+				{Labels: [][2]string{{"worker", "rack3-b"}}, Value: 1},
+				{Labels: [][2]string{{"worker", "rack3-a"}}, Value: 3},
+			}
+		})
+	r.CounterFunc("sesa_fleet_registrations_total", "Worker registrations accepted.",
+		func() []Sample { return []Sample{{Value: 2}} })
 	r.GaugeFunc("sesa_serve_queue_depth", "Sweeps waiting in the admission queue.",
 		func() []Sample { return []Sample{{Value: 1.5}} })
 	r.GaugeFunc("sesa_fleet_workers", "Currently registered fleet workers.",
@@ -145,30 +145,12 @@ func TestRegistryRenderGolden(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("sesa_x_total", "h", "worker", "a\\b\"c\nd").Inc()
+	r.CounterFunc("sesa_x_total", "h", func() []Sample {
+		return []Sample{{Labels: [][2]string{{"worker", "a\\b\"c\nd"}}, Value: 1}}
+	})
 	want := `sesa_x_total{worker="a\\b\"c\nd"} 1`
 	if got := r.Render(); !strings.Contains(got, want) {
 		t.Errorf("Render = %q, want it to contain %q", got, want)
-	}
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("sesa_x_total", "h")
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func() {
-			for i := 0; i < 1000; i++ {
-				c.Inc()
-			}
-			done <- struct{}{}
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	if got := r.Render(); !strings.Contains(got, "sesa_x_total 8000") {
-		t.Errorf("concurrent adds lost updates: %q", got)
 	}
 }
 
@@ -192,20 +174,26 @@ func TestTimelineBound(t *testing.T) {
 	}
 }
 
+// TestWriteChromeGolden pins the document a local sweep's timeline
+// renders to: the lifecycle on the coordinator's track, and the pool's
+// execution window and jobs on worker "local", each job on its own track in
+// recording order (here the reverse of index order, as parallel workers
+// finish).
 func TestWriteChromeGolden(t *testing.T) {
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	tl := NewTimeline("sw-000001")
 	tl.Add(Span{Name: StageAdmission, Cat: "coordinator", Index: -1,
 		Start: base, Dur: 2 * time.Millisecond})
-	tl.Add(Span{Name: StageLease, Cat: "coordinator", Batch: "b-000001", Worker: "wA",
-		Attempt: 1, Index: -1, Start: base.Add(5 * time.Millisecond), Dur: 40 * time.Millisecond})
-	tl.Add(Span{Name: StageExecute, Cat: "worker", Batch: "b-000001", Worker: "wA",
-		Index: -1, Start: base.Add(6 * time.Millisecond), Dur: 30 * time.Millisecond})
-	tl.Add(Span{Name: StageJob, Cat: "worker", Batch: "b-000001", Worker: "wA",
-		Job: "radix/x86/seed42", Index: 0,
-		Start: base.Add(7 * time.Millisecond), Dur: 20 * time.Millisecond})
-	tl.Add(Span{Name: StageReport, Cat: "coordinator", Batch: "b-000001", Worker: "wA",
-		Index: -1, Start: base.Add(45 * time.Millisecond), Dur: 100 * time.Microsecond})
+	tl.Add(Span{Name: StageQueue, Cat: "coordinator", Index: -1,
+		Start: base.Add(2 * time.Millisecond), Dur: 3 * time.Millisecond})
+	tl.Add(Span{Name: StageJob, Cat: "worker", Job: "barnes/x86/seed42", Index: 1,
+		Start: base.Add(6 * time.Millisecond), Dur: 15 * time.Millisecond})
+	tl.Add(Span{Name: StageJob, Cat: "worker", Job: "radix/370-SLFSoS-key/seed42", Index: 0,
+		Start: base.Add(6 * time.Millisecond), Dur: 20 * time.Millisecond})
+	tl.Add(Span{Name: StageExecute, Cat: "worker", Index: -1,
+		Start: base.Add(5 * time.Millisecond), Dur: 22 * time.Millisecond})
+	tl.Add(Span{Name: StageAggregate, Cat: "coordinator", Index: -1,
+		Start: base.Add(27 * time.Millisecond), Dur: 300 * time.Microsecond})
 
 	var buf bytes.Buffer
 	if err := tl.WriteChrome(&buf); err != nil {
@@ -214,22 +202,23 @@ func TestWriteChromeGolden(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), new(any)); err != nil {
 		t.Fatalf("Chrome export is not valid JSON: %v\n%s", err, buf.String())
 	}
-	// 5 spans after process/thread metadata for coordinator (proc,
-	// lifecycle, reports, batch) and worker wA (proc, batches, 1 job slot).
+	// 6 spans after process/thread metadata for the coordinator (proc,
+	// lifecycle, reports) and worker local (proc, batches, 2 job slots).
 	// Timestamps are µs relative to the earliest span (admission).
 	const want = `{"displayTimeUnit":"ms","traceEvents":[
 {"ph":"M","pid":0,"name":"process_name","args":{"name":"coordinator (sw-000001)"}},
 {"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"sweep lifecycle"}},
 {"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"reports"}},
-{"ph":"M","pid":0,"tid":2,"name":"thread_name","args":{"name":"batch b-000001"}},
-{"ph":"M","pid":1,"name":"process_name","args":{"name":"worker wA"}},
+{"ph":"M","pid":1,"name":"process_name","args":{"name":"worker local"}},
 {"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"batches"}},
 {"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"job slot 0"}},
+{"ph":"M","pid":1,"tid":2,"name":"thread_name","args":{"name":"job slot 1"}},
 {"name":"admission","cat":"coordinator","ph":"X","ts":0,"dur":2000,"pid":0,"tid":0,"args":{"sweep":"sw-000001"}},
-{"name":"lease","cat":"coordinator","ph":"X","ts":5000,"dur":40000,"pid":0,"tid":2,"args":{"sweep":"sw-000001","batch":"b-000001","worker":"wA","attempt":1}},
-{"name":"worker-execute","cat":"worker","ph":"X","ts":6000,"dur":30000,"pid":1,"tid":0,"args":{"sweep":"sw-000001","batch":"b-000001","worker":"wA"}},
-{"name":"radix/x86/seed42","cat":"worker","ph":"X","ts":7000,"dur":20000,"pid":1,"tid":1,"args":{"sweep":"sw-000001","batch":"b-000001","worker":"wA","index":0}},
-{"name":"report","cat":"coordinator","ph":"X","ts":45000,"dur":100,"pid":0,"tid":1,"args":{"sweep":"sw-000001","batch":"b-000001","worker":"wA"}}
+{"name":"queue","cat":"coordinator","ph":"X","ts":2000,"dur":3000,"pid":0,"tid":0,"args":{"sweep":"sw-000001"}},
+{"name":"barnes/x86/seed42","cat":"worker","ph":"X","ts":6000,"dur":15000,"pid":1,"tid":1,"args":{"sweep":"sw-000001","worker":"local","index":1}},
+{"name":"radix/370-SLFSoS-key/seed42","cat":"worker","ph":"X","ts":6000,"dur":20000,"pid":1,"tid":2,"args":{"sweep":"sw-000001","worker":"local","index":0}},
+{"name":"worker-execute","cat":"worker","ph":"X","ts":5000,"dur":22000,"pid":1,"tid":0,"args":{"sweep":"sw-000001","worker":"local"}},
+{"name":"aggregate","cat":"coordinator","ph":"X","ts":27000,"dur":300,"pid":0,"tid":0,"args":{"sweep":"sw-000001"}}
 ]}
 `
 	if got := buf.String(); got != want {
@@ -239,7 +228,7 @@ func TestWriteChromeGolden(t *testing.T) {
 
 func TestWriteChromeSubMicrosecondDur(t *testing.T) {
 	tl := NewTimeline("sw-000001")
-	tl.Add(Span{Name: StageShard, Cat: "coordinator", Index: -1,
+	tl.Add(Span{Name: StageQueue, Cat: "coordinator", Index: -1,
 		Start: time.Unix(10, 0), Dur: 200 * time.Nanosecond})
 	var buf bytes.Buffer
 	if err := tl.WriteChrome(&buf); err != nil {

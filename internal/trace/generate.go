@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+
 	"sesa/internal/isa"
 )
 
@@ -242,6 +244,22 @@ func (g *gen) emitSyncEpisode() {
 func (g *gen) emitALU() {
 	r := g.nextALUReg()
 	g.emit(isa.ALUImm(r, r, 1, g.p.ALULat))
+}
+
+// MaxInstPerCore bounds a generated trace's instructions per core: five
+// times the largest scale the documentation runs (200,000). An 8-core trace
+// at the bound holds 384 MiB of instructions (48 bytes each).
+const MaxInstPerCore = 1 << 20
+
+// CheckInstPerCore rejects a per-core instruction count that Generate
+// cannot serve: zero or fewer instructions, or more than MaxInstPerCore.
+// Every path that takes the count from a user (the sweep service, the
+// CLIs' -n, a runner job) checks it before building a trace.
+func CheckInstPerCore(n int) error {
+	if n <= 0 || n > MaxInstPerCore {
+		return fmt.Errorf("trace: instructions per core must be in 1..%d, got %d", MaxInstPerCore, n)
+	}
+	return nil
 }
 
 // Generate produces a deterministic n-instruction stream for one core.

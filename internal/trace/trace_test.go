@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -160,5 +161,18 @@ func TestGenerateAnyProfileValid(t *testing.T) {
 func TestSuiteString(t *testing.T) {
 	if Parallel.String() != "parallel" || Sequential.String() != "sequential" {
 		t.Error("suite names")
+	}
+}
+
+func TestCheckInstPerCore(t *testing.T) {
+	for _, n := range []int{1, 2000, MaxInstPerCore} {
+		if err := CheckInstPerCore(n); err != nil {
+			t.Errorf("CheckInstPerCore(%d) = %v, want nil", n, err)
+		}
+	}
+	for _, n := range []int{0, -1, MaxInstPerCore + 1, math.MaxInt} {
+		if err := CheckInstPerCore(n); err == nil {
+			t.Errorf("CheckInstPerCore(%d) accepted", n)
+		}
 	}
 }
