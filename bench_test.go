@@ -261,7 +261,10 @@ func BenchmarkAblationRFO(b *testing.B) {
 		for _, rfo := range []bool{true, false} {
 			cfg := sesa.DefaultConfig(sesa.X86)
 			cfg.Mem.RFOPrefetch = rfo
-			w := sesa.BuildWorkload(p, cfg.Cores, benchInsts, benchSeed)
+			w, err := sesa.BuildWorkload(p, cfg.Cores, benchInsts, benchSeed)
+			if err != nil {
+				b.Fatal(err)
+			}
 			st, err := sesa.RunWorkload(sesa.X86, cfg, w, 100_000_000)
 			if err != nil {
 				b.Fatal(err)
@@ -281,7 +284,10 @@ func BenchmarkAblationRFO(b *testing.B) {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	p, _ := sesa.LookupProfile("swaptions")
 	cfg := sesa.DefaultConfig(sesa.SLFSoSKey370)
-	w := sesa.BuildWorkload(p, cfg.Cores, 20_000, benchSeed)
+	w, err := sesa.BuildWorkload(p, cfg.Cores, 20_000, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
@@ -307,7 +313,9 @@ func BenchmarkCheckerEnumerate(b *testing.B) {
 func BenchmarkTraceGeneration(b *testing.B) {
 	p, _ := sesa.LookupProfile("barnes")
 	for i := 0; i < b.N; i++ {
-		sesa.BuildWorkload(p, 8, 10_000, uint64(i))
+		if _, err := sesa.BuildWorkload(p, 8, 10_000, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -347,7 +355,10 @@ func BenchmarkSensitivitySBSize(b *testing.B) {
 				for _, model := range []sesa.Model{sesa.SLFSoS370, sesa.SLFSoSKey370} {
 					cfg := sesa.DefaultConfig(model)
 					cfg.Core.SQEntries = size
-					w := sesa.BuildWorkload(p, cfg.Cores, benchInsts, benchSeed)
+					w, err := sesa.BuildWorkload(p, cfg.Cores, benchInsts, benchSeed)
+					if err != nil {
+						b.Fatal(err)
+					}
 					st, err := sesa.RunWorkload(model, cfg, w, 100_000_000)
 					if err != nil {
 						b.Fatal(err)
@@ -376,7 +387,10 @@ func BenchmarkSensitivityROBSize(b *testing.B) {
 				for _, model := range []sesa.Model{sesa.X86, sesa.SLFSoSKey370} {
 					cfg := sesa.DefaultConfig(model)
 					cfg.Core.ROBEntries = size
-					w := sesa.BuildWorkload(p, cfg.Cores, benchInsts, benchSeed)
+					w, err := sesa.BuildWorkload(p, cfg.Cores, benchInsts, benchSeed)
+					if err != nil {
+						b.Fatal(err)
+					}
 					st, err := sesa.RunWorkload(model, cfg, w, 100_000_000)
 					if err != nil {
 						b.Fatal(err)

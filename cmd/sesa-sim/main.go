@@ -90,7 +90,10 @@ func run(args []string, w io.Writer) error {
 		if !ok {
 			return fmt.Errorf("unknown benchmark %q", *bench)
 		}
-		wl := sesa.BuildWorkload(p, sesa.DefaultConfig(models[0]).Cores, *n, *seed)
+		wl, err := sesa.BuildWorkload(p, sesa.DefaultConfig(models[0]).Cores, *n, *seed)
+		if err != nil {
+			return err
+		}
 		f, err := os.Create(*dump)
 		if err != nil {
 			return err

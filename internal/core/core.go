@@ -128,7 +128,6 @@ func New(id int, cfg config.Config, hier *mem.Hierarchy, st *stats.Core) *Core {
 		l1Lat:  cfg.Mem.L1D.HitCycles,
 		rob:    newRing(cfg.Core.ROBEntries),
 		lq:     newRing(cfg.Core.LQEntries),
-		sq:     newStoreQueue(cfg.Core.SQEntries),
 		ready:  newBitset(cfg.Core.ROBEntries),
 
 		wakeHints: true,
@@ -144,13 +143,20 @@ func New(id int, cfg config.Config, hier *mem.Hierarchy, st *stats.Core) *Core {
 func (c *Core) SetWakeHints(on bool) { c.wakeHints = on }
 
 // SetProgram installs the trace the core will execute and sizes the entry
-// arena for it. It must be called before the first Tick.
+// arena and the store queue for it. It must be called before the first
+// Tick.
 //
 // Arena bound: the ROB holds at most ROBEntries live entries and the SB at
 // most SQEntries retired stores no longer in the ROB. Every live slot also
 // holds a distinct trace index — the ROB a contiguous run ending at
 // fetchIdx, the SB stores that retired before it — so a trace shorter than
 // ROBEntries+SQEntries never needs more slots than it has instructions.
+//
+// Store-queue bound: the queued stores, and the allocations net of
+// rollbacks, are distinct trace stores, so a trace shorter than SQEntries
+// neither wraps a queue of len(p) slots nor fills it while an instruction is
+// left to dispatch. Each store gets the slot and sorting bit a full-size
+// queue would give it.
 func (c *Core) SetProgram(p isa.Program) {
 	c.prog = p
 	c.fetchIdx = 0
@@ -158,6 +164,7 @@ func (c *Core) SetProgram(p isa.Program) {
 	n := min(c.cfg.ROBEntries+c.cfg.SQEntries, len(p))
 	c.ar = newArena(n)
 	c.waiting = make([]uint64, n*len(c.ready))
+	c.sq = newStoreQueue(min(c.cfg.SQEntries, len(p)))
 }
 
 // Done reports whether the core has retired its whole trace and drained its
@@ -435,7 +442,7 @@ func (c *Core) drainSB(now uint64) {
 		if c.drainInflight >= maxDrainInflight {
 			return
 		}
-		r := q.slots[i]
+		r := q.slots[i].ref
 		if i++; i == len(q.slots) {
 			i = 0
 		}
@@ -653,13 +660,15 @@ func (c *Core) tryIssueStore(i int32, e *entry, now uint64) bool {
 // checkDependenceViolation runs when a store's address resolves: any
 // younger load that already performed on overlapping bytes without
 // forwarding from this store (or a younger one) is a memory-dependence
-// misspeculation; it is squashed and the StoreSet predictor trained.
+// misspeculation; it is squashed and the StoreSet predictor trained. The
+// scan starts at the first younger load, found from the store's age: the
+// store has not retired, so no younger load has either.
 func (c *Core) checkDependenceViolation(s *entry, now uint64) {
 	n := c.lq.len()
-	for k := 0; k < n; k++ {
+	for k := c.lq.since(s.age); k < n; k++ {
 		li := c.lq.at(k).index()
 		l := &c.ar.ents[li]
-		if l.dynSeq <= s.dynSeq || c.ar.stat[li] < stDone {
+		if c.ar.stat[li] < stDone {
 			continue
 		}
 		if !overlaps(s, l) {
@@ -961,10 +970,12 @@ func (c *Core) dispatchOne(in isa.Inst, now uint64) {
 		c.lastFence = ref
 	case isa.OpLoad:
 		e.fenceBarrier = c.lastFence
+		e.age = int32(c.sq.allocs)
 		c.lq.push(ref)
 	case isa.OpRMW:
 		c.rmws = append(c.rmws, ref)
 	case isa.OpStore:
+		e.age = int32(c.lq.pushes)
 		c.sq.alloc(ref, e)
 	case isa.OpBranch:
 		// Train in dispatch order so the global history is coherent;

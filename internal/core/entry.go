@@ -129,6 +129,14 @@ type entry struct {
 	sqKey        key  // slot + sorting bit
 	writtenL1    bool // store has written to the L1 (inserted in memory order)
 	draining     bool // write request issued to the hierarchy
+
+	// age is a load's or store's position against the other queue,
+	// recorded at dispatch: for a load, the SQ's allocation count (the
+	// stores older than it); for a store, the LQ's push count (the loads
+	// older than it). Each kind reads only its own meaning. The counts
+	// never exceed the trace's loads or stores, so 32 bits suffice, and
+	// the field fills padding.
+	age int32
 	// retiredAt is the cycle the store retired into the SB portion of its
 	// slot; the SBResidency histogram measures from here to the L1 write.
 	retiredAt uint64

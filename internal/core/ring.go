@@ -9,6 +9,9 @@ type ring struct {
 	buf   []entryRef
 	head  int
 	count int
+	// pushes counts pushes net of truncations. A store records the LQ's
+	// count at dispatch as its age (see since).
+	pushes int
 }
 
 func newRing(capacity int) ring {
@@ -38,6 +41,7 @@ func (r *ring) push(v entryRef) int {
 	p := r.pos(r.count)
 	r.buf[p] = v
 	r.count++
+	r.pushes++
 	return p
 }
 
@@ -57,5 +61,12 @@ func (r *ring) truncate(n int) {
 	if n > r.count {
 		panic("core: ring truncate grows")
 	}
+	r.pushes -= r.count - n
 	r.count = n
 }
+
+// since returns the offset from the head of the first entry pushed after
+// the first age pushes, for a caller that knows every popped entry was
+// among those age: pushes − count entries have left the head, so that entry
+// sits age − (pushes − count) from it, in [0, len()].
+func (r *ring) since(age int32) int { return int(age) - (r.pushes - r.count) }

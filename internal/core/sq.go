@@ -1,32 +1,47 @@
 package core
 
+import "sesa/internal/isa"
+
 // storeQueue is the combined store queue + store buffer: a single circular
 // structure where the retired/non-retired division is implicit in each
 // entry's status (Section II-A). A store occupies its slot from dispatch
 // until its L1 write completes; the sorting bit per slot flips on
 // wrap-around so that a (slot, sorting-bit) key uniquely names a live store.
 //
-// Slots hold arena refs; every occupied slot is live by construction (the
-// queue releases a slot before the arena recycles the entry), so lookups
-// index the arena directly.
+// Every slot from head to tail is live by construction (the queue releases
+// a slot before the arena recycles the entry), and the queued stores are in
+// dynSeq order, the retired ones (the SB portion) an oldest prefix. A slot
+// carries copies of what the load search tests, so the search reads no
+// entry.
 //
 // Occupancy changes only at dispatch (alloc), squash (rollback) — both
 // progress in the owning tick — or a store's L1-write event callback
 // (free). Predicates like anyOlderUnwritten are therefore constant across
 // a skipped quiescent range, which the two-level clock depends on.
 type storeQueue struct {
-	slots []entryRef
-	sort  []bool
+	slots []sqSlot
 	head  int // oldest occupied slot
 	tail  int // next free slot
 	count int
+	// allocs counts allocations net of rollbacks. A load records it at
+	// dispatch as its age: the number of stores older than it.
+	allocs int
+}
+
+// sqSlot is one SQ/SB slot: the store's arena ref (nilRef when free), the
+// slot's sorting bit, and copies of the store's address, size and address
+// producer, taken at alloc. src2Prod is written only at dispatch, before
+// alloc, so the copy never goes stale.
+type sqSlot struct {
+	ref      entryRef
+	addrProd entryRef
+	addr     uint64
+	size     uint8
+	sort     bool
 }
 
 func newStoreQueue(capacity int) storeQueue {
-	return storeQueue{
-		slots: make([]entryRef, capacity),
-		sort:  make([]bool, capacity),
-	}
+	return storeQueue{slots: make([]sqSlot, capacity)}
 }
 
 func (q *storeQueue) full() bool  { return q.count == len(q.slots) }
@@ -37,11 +52,20 @@ func (q *storeQueue) alloc(r entryRef, e *entry) {
 	if q.full() {
 		panic("core: store queue overflow")
 	}
+	s := &q.slots[q.tail]
 	e.sqSlot = q.tail
-	e.sqKey = key{slot: q.tail, sort: q.sort[q.tail]}
-	q.slots[q.tail] = r
-	q.tail = (q.tail + 1) % len(q.slots)
+	e.sqKey = key{slot: q.tail, sort: s.sort}
+	s.ref = r
+	s.addrProd = nilRef
+	if e.inst.Src2 != isa.RegNone {
+		s.addrProd = e.src2Prod
+	}
+	s.addr, s.size = e.inst.Addr, e.inst.EffSize()
+	if q.tail++; q.tail == len(q.slots) {
+		q.tail = 0
+	}
 	q.count++
+	q.allocs++
 }
 
 // oldest returns the store ref at the head of the queue, or nilRef.
@@ -49,18 +73,21 @@ func (q *storeQueue) oldest() entryRef {
 	if q.count == 0 {
 		return nilRef
 	}
-	return q.slots[q.head]
+	return q.slots[q.head].ref
 }
 
 // free releases the head slot after its store's L1 write, flipping the
 // sorting bit for the slot's next occupant.
 func (q *storeQueue) free(r entryRef) {
-	if q.slots[q.head] != r {
+	s := &q.slots[q.head]
+	if s.ref != r {
 		panic("core: store buffer freed out of order")
 	}
-	q.slots[q.head] = nilRef
-	q.sort[q.head] = !q.sort[q.head]
-	q.head = (q.head + 1) % len(q.slots)
+	s.ref = nilRef
+	s.sort = !s.sort
+	if q.head++; q.head == len(q.slots) {
+		q.head = 0
+	}
 	q.count--
 }
 
@@ -68,71 +95,77 @@ func (q *storeQueue) free(r entryRef) {
 // contiguous youngest suffix of the ROB, so the store must be the youngest
 // allocation.
 func (q *storeQueue) rollback(r entryRef) {
-	prev := (q.tail - 1 + len(q.slots)) % len(q.slots)
-	if q.slots[prev] != r {
+	prev := q.tail - 1
+	if prev < 0 {
+		prev = len(q.slots) - 1
+	}
+	if q.slots[prev].ref != r {
 		panic("core: store queue rollback out of order")
 	}
-	q.slots[prev] = nilRef
+	q.slots[prev].ref = nilRef
 	q.tail = prev
 	q.count--
+	q.allocs--
 }
 
 // present reports whether the store named by k is still in the SQ/SB; this
 // is the direct-slot sorting-bit check the retiring SLF load performs
 // (Section IV-B2).
 func (q *storeQueue) present(a *arena, k key) bool {
-	r := q.slots[k.slot]
+	r := q.slots[k.slot].ref
 	return r != nilRef && a.ents[r.index()].sqKey == k
 }
 
 // anyOlderUnwritten reports whether any store older than dynSeq has not yet
 // written to the L1. Fences and the 370-SLFSpec retire rule use it. An
 // in-queue store has by definition not written (its slot is freed at the
-// write), so only the age check matters.
+// write), and the head is the oldest, so only its age matters.
 func (q *storeQueue) anyOlderUnwritten(a *arena, dynSeq uint64) bool {
-	for i, n := q.head, q.count; n > 0; i, n = (i+1)%len(q.slots), n-1 {
-		if r := q.slots[i]; r != nilRef && a.ents[r.index()].dynSeq < dynSeq {
-			return true
-		}
-	}
-	return false
+	return q.count > 0 && a.ents[q.slots[q.head].ref.index()].dynSeq < dynSeq
 }
 
 // anyRetiredUnwritten reports whether the store-buffer portion is non-empty:
-// a retired store that has not yet written to the L1.
+// a retired store that has not yet written to the L1. Retired stores are the
+// queue's oldest prefix, so the head tells.
 func (q *storeQueue) anyRetiredUnwritten(a *arena) bool {
-	for i, n := q.head, q.count; n > 0; i, n = (i+1)%len(q.slots), n-1 {
-		if r := q.slots[i]; r != nilRef && a.stat[r.index()] == stRetired {
-			return true
-		}
-	}
-	return false
+	return q.count > 0 && a.stat[q.slots[q.head].ref.index()] == stRetired
 }
 
 // youngestOlderMatch returns the youngest store older than the load that
 // overlaps it, and separately the youngest older store whose address is
-// still unknown. Either may be -1. The search walks from the youngest
-// allocation backwards, which is the SQ/SB snoop every load already does in
-// a conventional core — the snoop our mechanism reuses to copy the key.
+// still unknown. Either may be -1. This is the SQ/SB snoop every load
+// already does in a conventional core — the snoop our mechanism reuses to
+// copy the key — bounded, as a real LSQ bounds it, by the load's age.
+//
+// The stores older than the load are the first age − (allocs − count)
+// slots from the head: every store the queue has freed since the load's
+// dispatch was older than it (the load has not retired, so no younger store
+// has), and every store rolled back since was younger (a squash that
+// flushed an older store would have flushed the load). The walk visits
+// them youngest first.
 func (q *storeQueue) youngestOlderMatch(a *arena, l *entry) (match, unknown int32) {
 	match, unknown = -1, -1
-	i := (q.tail - 1 + len(q.slots)) % len(q.slots)
-	for n := q.count; n > 0; n-- {
-		if r := q.slots[i]; r != nilRef {
-			idx := r.index()
-			e := &a.ents[idx]
-			if e.dynSeq < l.dynSeq {
-				if !a.addrKnown(e) {
-					if unknown < 0 {
-						unknown = idx
-					}
-				} else if overlaps(e, l) {
-					match = idx
-					return
-				}
-			}
+	lo, hi := l.inst.Addr, l.inst.Addr+uint64(l.inst.EffSize())
+	n := int(l.age) - (q.allocs - q.count)
+	i := q.head + n
+	if i >= len(q.slots) {
+		i -= len(q.slots)
+	}
+	for ; n > 0; n-- {
+		if i == 0 {
+			i = len(q.slots)
 		}
-		i = (i - 1 + len(q.slots)) % len(q.slots)
+		i--
+		s := &q.slots[i]
+		// The address is unknown while its producer is live and not done
+		// (arena.addrKnown); a stale producer retired.
+		if p := s.addrProd; p != nilRef && a.gens[p.index()] == p.gen() && a.stat[p.index()] < stDone {
+			if unknown < 0 {
+				unknown = s.ref.index()
+			}
+		} else if s.addr < hi && lo < s.addr+uint64(s.size) {
+			return s.ref.index(), unknown
+		}
 	}
 	return
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -137,7 +138,7 @@ func TestStoreQueueSearchOrder(t *testing.T) {
 	h := newSQHarness(8)
 	h.addStore(1, 0x100)
 	mid := h.addStore(2, 0x100)
-	ld := &entry{inst: isa.Load(1, 0x100), dynSeq: 3}
+	ld := &entry{inst: isa.Load(1, 0x100), dynSeq: 3, age: 2}
 	m, unk := h.q.youngestOlderMatch(&h.ar, ld)
 	if m != mid {
 		t.Error("search must return the youngest older matching store")
@@ -165,7 +166,7 @@ func TestStoreQueueUnknownAddressBlocksSearch(t *testing.T) {
 	de.dynSeq = 2
 	de.src2Prod = h.ar.refOf(prod)
 	h.q.alloc(h.ar.refOf(dep), de)
-	ld := &entry{inst: isa.Load(1, 0x200), dynSeq: 3}
+	ld := &entry{inst: isa.Load(1, 0x200), dynSeq: 3, age: 2}
 	m, unk := h.q.youngestOlderMatch(&h.ar, ld)
 	if unk != dep {
 		t.Error("unresolved store should be reported")
@@ -262,3 +263,257 @@ func TestOverlapSymmetry(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// lsqModel is a small core's memory window: an arena, an SQ and an LQ, and
+// the dispatched, unretired loads and stores in program order. Its methods
+// change the queues exactly as dispatch, retirement, the SB drain and a
+// squash do.
+type lsqModel struct {
+	ar  arena
+	sq  storeQueue
+	lq  ring
+	rob []int32
+	seq uint64
+}
+
+const (
+	lsqROB = 8
+	lsqSQ  = 4
+	lsqLQ  = 4
+)
+
+func newLSQModel() *lsqModel {
+	return &lsqModel{ar: newArena(lsqROB + lsqSQ), sq: newStoreQueue(lsqSQ), lq: newRing(lsqLQ)}
+}
+
+// memInst draws a load or store of 1, 2, 4 or 8 bytes within 32 bytes, so
+// that overlaps, partial overlaps and misses are all common.
+func memInst(op isa.Op, x uint64) isa.Inst {
+	return isa.Inst{Op: op, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone,
+		Addr: x % 32, Size: uint8(1) << (x >> 5 % 4)}
+}
+
+func (m *lsqModel) dispatch(in isa.Inst) *entry {
+	m.seq++
+	i := m.ar.alloc()
+	e := &m.ar.ents[i]
+	e.inst, e.dynSeq = in, m.seq
+	m.rob = append(m.rob, i)
+	return e
+}
+
+func (m *lsqModel) dispatchLoad(x uint64) {
+	e := m.dispatch(memInst(isa.OpLoad, x))
+	e.age = int32(m.sq.allocs)
+	m.lq.push(m.ar.refOf(m.rob[len(m.rob)-1]))
+}
+
+// dispatchStore gives the store an address register: with no producer
+// (captured at dispatch), or produced by an older unretired load.
+func (m *lsqModel) dispatchStore(x uint64) {
+	in := memInst(isa.OpStore, x)
+	var prod entryRef
+	if x>>7%3 > 0 {
+		in.Src2 = 5
+		if k := int(x >> 9 % uint64(len(m.rob)+1)); k < len(m.rob) && m.ar.ents[m.rob[k]].isLoad() {
+			prod = m.ar.refOf(m.rob[k])
+		}
+	}
+	e := m.dispatch(in)
+	e.src2Prod = prod
+	e.age = int32(m.lq.pushes)
+	i := m.rob[len(m.rob)-1]
+	m.sq.alloc(m.ar.refOf(i), e)
+}
+
+// retire takes the oldest op out of the window: a load leaves the LQ, a
+// store stays in the SQ as a retired (SB) store.
+func (m *lsqModel) retire() {
+	i := m.rob[0]
+	m.rob = m.rob[1:]
+	if m.ar.ents[i].isLoad() {
+		m.lq.popFront()
+		m.ar.release(i)
+		return
+	}
+	m.ar.stat[i] = stRetired
+}
+
+// write drains the SB head, as storeWrote does.
+func (m *lsqModel) write() {
+	r := m.sq.oldest()
+	m.sq.free(r)
+	m.ar.release(r.index())
+}
+
+// squash flushes the window from position k, youngest first, as squashFrom
+// does.
+func (m *lsqModel) squash(k int) {
+	for j := len(m.rob) - 1; j >= k; j-- {
+		i := m.rob[j]
+		if m.ar.ents[i].isStore() {
+			m.sq.rollback(m.ar.refOf(i))
+		}
+		m.ar.release(i)
+	}
+	m.rob = m.rob[:k]
+	for m.lq.len() > 0 && !m.ar.live(m.lq.at(m.lq.len()-1)) {
+		m.lq.truncate(m.lq.len() - 1)
+	}
+}
+
+// sqRefs returns the queued stores, oldest first.
+func (m *lsqModel) sqRefs() []entryRef {
+	var refs []entryRef
+	for k, i := 0, m.sq.head; k < m.sq.count; k++ {
+		refs = append(refs, m.sq.slots[i].ref)
+		i = (i + 1) % len(m.sq.slots)
+	}
+	return refs
+}
+
+// bruteMatch is the search over every queued store, youngest first, that
+// the age bound replaced: it skips stores not older than the load by
+// dynSeq and reads each store's entry.
+func (m *lsqModel) bruteMatch(l *entry) (match, unknown int32) {
+	match, unknown = -1, -1
+	refs := m.sqRefs()
+	for k := len(refs) - 1; k >= 0; k-- {
+		idx := refs[k].index()
+		e := &m.ar.ents[idx]
+		if e.dynSeq >= l.dynSeq {
+			continue
+		}
+		if !m.ar.addrKnown(e) {
+			if unknown < 0 {
+				unknown = idx
+			}
+		} else if overlaps(e, l) {
+			return idx, unknown
+		}
+	}
+	return
+}
+
+func (m *lsqModel) check(t *testing.T, where string) {
+	t.Helper()
+	refs := m.sqRefs()
+	retired := false
+	for _, r := range refs {
+		retired = retired || m.ar.stat[r.index()] == stRetired
+	}
+	if got := m.sq.anyRetiredUnwritten(&m.ar); got != retired {
+		t.Fatalf("%s: anyRetiredUnwritten = %v, want %v", where, got, retired)
+	}
+	for seq := uint64(0); seq <= m.seq+1; seq++ {
+		want := false
+		for _, r := range refs {
+			want = want || m.ar.ents[r.index()].dynSeq < seq
+		}
+		if got := m.sq.anyOlderUnwritten(&m.ar, seq); got != want {
+			t.Fatalf("%s: anyOlderUnwritten(%d) = %v, want %v", where, seq, got, want)
+		}
+	}
+	for _, i := range m.rob {
+		e := &m.ar.ents[i]
+		if e.isLoad() {
+			gm, gu := m.sq.youngestOlderMatch(&m.ar, e)
+			if wm, wu := m.bruteMatch(e); gm != wm || gu != wu {
+				t.Fatalf("%s: load %d: youngestOlderMatch = (%d, %d), want (%d, %d)", where, e.dynSeq, gm, gu, wm, wu)
+			}
+			continue
+		}
+		want := m.lq.len()
+		for k := 0; k < m.lq.len(); k++ {
+			if m.ar.ents[m.lq.at(k).index()].dynSeq > e.dynSeq {
+				want = k
+				break
+			}
+		}
+		if got := m.lq.since(e.age); got != want {
+			t.Fatalf("%s: store %d: first younger LQ position %d, want %d", where, e.dynSeq, got, want)
+		}
+	}
+}
+
+// TestAgeBoundedSearchesMatchDynSeqScans runs random dispatch, issue,
+// retire, SB-drain and squash sequences over a 4-entry SQ and LQ, wrapping
+// both many times, and checks every age-bounded search against the dynSeq
+// scan it replaced after every step: youngestOlderMatch's two results for
+// every load in flight, the first younger LQ position for every store in
+// flight, anyOlderUnwritten at every age, and anyRetiredUnwritten.
+func TestAgeBoundedSearchesMatchDynSeqScans(t *testing.T) {
+	var searched, squashed int
+	for seed := uint64(1); seed <= 200; seed++ {
+		m := newLSQModel()
+		x := seed
+		for step := 0; step < 300; step++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			r := x >> 33
+			var what string
+			switch r % 16 {
+			case 0, 1, 2:
+				if len(m.rob) == lsqROB || m.lq.full() {
+					continue
+				}
+				m.dispatchLoad(r >> 4)
+				what = "load"
+			case 3, 4, 5:
+				if len(m.rob) == lsqROB || m.sq.full() {
+					continue
+				}
+				m.dispatchStore(r >> 4)
+				what = "store"
+			case 6, 7, 8:
+				if len(m.rob) == 0 {
+					continue
+				}
+				m.ar.stat[m.rob[int(r>>4)%len(m.rob)]] = stDone
+				what = "issue"
+			case 9, 10:
+				if len(m.rob) == 0 {
+					continue
+				}
+				m.retire()
+				what = "retire"
+			case 11, 12, 13:
+				if m.sq.empty() || m.ar.stat[m.sq.oldest().index()] != stRetired {
+					continue
+				}
+				m.write()
+				what = "write"
+			default:
+				if len(m.rob) == 0 {
+					continue
+				}
+				m.squash(int(r>>4) % len(m.rob))
+				squashed++
+				what = "squash"
+			}
+			m.check(t, fmt.Sprintf("seed %d step %d (%s)", seed, step, what))
+			searched++
+		}
+	}
+	if searched < 10000 || squashed < 1000 {
+		t.Fatalf("only %d checked steps and %d squashes", searched, squashed)
+	}
+}
+
+// BenchmarkStoreQueueSearch is the load's SQ/SB snoop in a full 56-entry
+// queue: the load is the 29th op, so the search walks the 28 older stores
+// and finds no match. The CI perf-guard pins its allocs/op at zero.
+func BenchmarkStoreQueueSearch(b *testing.B) {
+	const n = 56
+	h := newSQHarness(n)
+	for i := uint64(1); i <= n; i++ {
+		h.addStore(i, i*64)
+	}
+	ld := &entry{inst: isa.Load(1, 0x10000), dynSeq: n/2 + 1, age: n / 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		searchSink, _ = h.q.youngestOlderMatch(&h.ar, ld)
+	}
+}
+
+var searchSink int32

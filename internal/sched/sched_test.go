@@ -186,8 +186,8 @@ func TestClockAdvanceTo(t *testing.T) {
 }
 
 func TestScheduleDrainAllocFree(t *testing.T) {
-	// Steady-state scheduling and draining must not allocate: the heap and
-	// batch buffer are reused once warmed up.
+	// Steady-state scheduling and draining must not allocate: the node
+	// slab, the heap and the batch buffer are reused once warmed up.
 	q := NewEventQueue()
 	h := batchFunc(func([]Event) {})
 	// Warm up the backing arrays.
@@ -209,24 +209,261 @@ func TestScheduleDrainAllocFree(t *testing.T) {
 }
 
 // BenchmarkEventQueueScheduleDrain is the NoC delivery path: schedule a
-// burst of events and drain them as one batch. The CI perf-guard pins its
-// allocs/op at zero.
+// burst of events and drain them as one batch. Four events per burst land
+// beyond the calendar's window, so the heap and the migration into buckets
+// run in steady state too. The CI perf-guard pins its allocs/op at zero.
 func BenchmarkEventQueueScheduleDrain(b *testing.B) {
 	q := NewEventQueue()
 	h := batchFunc(func([]Event) {})
-	// Warm the heap and batch buffer.
-	for i := uint64(0); i < 64; i++ {
-		q.Schedule(Event{Cycle: i})
-	}
-	q.RunUntil(1<<40, h)
-	b.ReportAllocs()
-	b.ResetTimer()
 	cycle := uint64(1 << 40)
-	for i := 0; i < b.N; i++ {
+	burst := func() {
 		for j := uint64(0); j < 32; j++ {
 			q.Schedule(Event{Cycle: cycle + j})
+		}
+		for j := uint64(0); j < 4; j++ {
+			q.Schedule(Event{Cycle: cycle + 2*window + j})
 		}
 		q.RunUntil(cycle+32, h)
 		cycle += 64
 	}
+	// Warm the node slab, the heap and the batch buffer.
+	for i := 0; i < 64; i++ {
+		burst()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		burst()
+	}
+}
+
+// refQueue is the binary (cycle, seq) min-heap the calendar replaced, kept
+// as the reference order for TestCalendarMatchesHeap.
+type refQueue struct {
+	h     []Event
+	seq   uint64
+	batch []Event
+}
+
+func (q *refQueue) Schedule(ev Event) {
+	q.seq++
+	ev.seq = q.seq
+	q.h = append(q.h, ev)
+	for i := len(q.h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q.h[i], q.h[parent] = q.h[parent], q.h[i]
+		i = parent
+	}
+}
+
+func (q *refQueue) Len() int { return len(q.h) }
+
+func (q *refQueue) NextCycle() (uint64, bool) {
+	if len(q.h) == 0 {
+		return 0, false
+	}
+	return q.h[0].Cycle, true
+}
+
+func (q *refQueue) RunUntil(cycle uint64, h Handler) {
+	for len(q.h) > 0 && q.h[0].Cycle <= cycle {
+		q.batch = q.batch[:0]
+		for len(q.h) > 0 && q.h[0].Cycle <= cycle {
+			q.batch = append(q.batch, q.pop())
+		}
+		h.HandleBatch(q.batch)
+	}
+}
+
+func (q *refQueue) less(i, j int) bool {
+	if q.h[i].Cycle != q.h[j].Cycle {
+		return q.h[i].Cycle < q.h[j].Cycle
+	}
+	return q.h[i].seq < q.h[j].seq
+}
+
+func (q *refQueue) pop() Event {
+	top := q.h[0]
+	n := len(q.h) - 1
+	q.h[0] = q.h[n]
+	q.h = q.h[:n]
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < n && q.less(l, small) {
+			small = l
+		}
+		if r < n && q.less(r, small) {
+			small = r
+		}
+		if small == i {
+			return top
+		}
+		q.h[i], q.h[small] = q.h[small], q.h[i]
+		i = small
+	}
+}
+
+// queue is the API both the calendar and the reference heap implement.
+type queue interface {
+	Schedule(Event)
+	RunUntil(uint64, Handler)
+	Len() int
+	NextCycle() (uint64, bool)
+}
+
+// diffSide drives one queue. Its handler logs every batch and schedules a
+// child for some events, at a distance drawn from the event's id: two
+// queues that deliver identically receive identical schedules.
+type diffSide struct {
+	q       queue
+	now     uint64 // the bound of the RunUntil in progress
+	ids     uint64
+	batches [][]uint64
+}
+
+// maxDiffEvents bounds a stream's events, so that every drain ends.
+const maxDiffEvents = 3000
+
+func (s *diffSide) schedule(cycle uint64) {
+	s.ids++
+	s.q.Schedule(Event{Cycle: cycle, Val: s.ids})
+}
+
+func (s *diffSide) HandleBatch(evs []Event) {
+	ids := make([]uint64, len(evs))
+	for i, ev := range evs {
+		ids[i] = ev.Val
+		if x := mix(ev.Val); x%3 == 0 && s.ids < maxDiffEvents {
+			s.schedule(at(s.now, x>>2))
+		}
+	}
+	s.batches = append(s.batches, ids)
+}
+
+// mix is splitmix64's finalizer.
+func mix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// at draws a cycle relative to now from x: now itself, a short hop, a spot
+// inside the window or at its edge, up to four windows ahead, or a few
+// cycles into the past.
+func at(now, x uint64) uint64 {
+	r := x >> 3
+	switch x % 8 {
+	case 0:
+		return now
+	case 1:
+		return now + 1 + r%8
+	case 2, 3:
+		return now + r%window
+	case 4:
+		return now + window - 2 + r%5
+	case 5, 6:
+		return now + r%(4*window)
+	default:
+		if back := 1 + r%16; back <= now {
+			return now - back
+		}
+		return 0
+	}
+}
+
+// TestCalendarMatchesHeap drives the calendar and the reference heap with
+// the same random streams: per-cycle drains, jumps longer than the window
+// (the skip clock), drains at the next pending cycle (Machine.finish),
+// bounds behind earlier ones, and events scheduled at the current cycle,
+// ahead of it and before it, from outside and inside the handler. Both must
+// deliver the same events in the same batches, and agree on Len and
+// NextCycle after every call.
+func TestCalendarMatchesHeap(t *testing.T) {
+	for seed := uint64(0); seed < 60; seed++ {
+		cal := &diffSide{q: NewEventQueue()}
+		ref := &diffSide{q: &refQueue{}}
+		sides := []*diffSide{cal, ref}
+		now := uint64(0)
+		if seed%2 == 1 {
+			now = 1<<40 + seed
+		}
+		rng := mix(seed)
+		draw := func() uint64 { rng = mix(rng); return rng }
+		check := func(step int, what string) {
+			t.Helper()
+			if cal.q.Len() != ref.q.Len() {
+				t.Fatalf("seed %d step %d %s: Len %d, heap %d", seed, step, what, cal.q.Len(), ref.q.Len())
+			}
+			c1, ok1 := cal.q.NextCycle()
+			c2, ok2 := ref.q.NextCycle()
+			if c1 != c2 || ok1 != ok2 {
+				t.Fatalf("seed %d step %d %s: NextCycle (%d, %v), heap (%d, %v)", seed, step, what, c1, ok1, c2, ok2)
+			}
+			if !equalBatches(cal.batches, ref.batches) {
+				t.Fatalf("seed %d step %d %s: delivered\n%v\nheap delivered\n%v", seed, step, what, cal.batches, ref.batches)
+			}
+		}
+		run := func(step int, bound uint64, what string) {
+			for _, s := range sides {
+				s.now = bound
+				s.q.RunUntil(bound, s)
+			}
+			check(step, what)
+		}
+		for step := 0; step < 400 && cal.ids < maxDiffEvents; step++ {
+			for k := draw() % 4; k > 0; k-- {
+				c := at(now, draw())
+				for _, s := range sides {
+					s.schedule(c)
+				}
+			}
+			check(step, "schedule")
+			switch r := draw() % 20; {
+			case r < 12:
+				now++
+				run(step, now, "tick")
+			case r < 15:
+				now += 1 + draw()%16
+				run(step, now, "hop")
+			case r < 17:
+				now += window + draw()%(3*window)
+				run(step, now, "jump")
+			case r < 18:
+				if next, ok := ref.q.NextCycle(); ok {
+					run(step, next, "next")
+				}
+			default:
+				run(step, now-draw()%(now/2+1), "behind")
+			}
+		}
+		for step := 0; ref.q.Len() > 0; step++ {
+			next, _ := ref.q.NextCycle()
+			run(step, next, "finish")
+		}
+		if len(ref.batches) < 100 {
+			t.Fatalf("seed %d: only %d batches delivered", seed, len(ref.batches))
+		}
+	}
+}
+
+func equalBatches(a, b [][]uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if a[i][j] != b[i][j] {
+				return false
+			}
+		}
+	}
+	return true
 }

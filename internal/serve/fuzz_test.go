@@ -11,11 +11,11 @@ import (
 )
 
 // FuzzSweepRequest drives the POST /v1/sweeps decoder with arbitrary
-// bodies. The decoder must never panic; every request it accepts has at
-// least one job, each with a registered profile and model and an
-// instruction count inside the trace bound; and an accepted request,
-// re-encoded and decoded again, resolves to the same content addresses.
-// No simulation runs.
+// bodies. The decoder must never panic; every body it accepts is one JSON
+// value (json.Unmarshal takes it too) with at least one job, each with a
+// registered profile and model and an instruction count inside the trace
+// bound; and an accepted request, re-encoded and decoded again, resolves to
+// the same content addresses. No simulation runs.
 func FuzzSweepRequest(f *testing.F) {
 	smoke, err := os.ReadFile("../../testdata/serve_sweep_request.json")
 	if err != nil {
@@ -29,6 +29,10 @@ func FuzzSweepRequest(f *testing.F) {
 		req, jobs, err := decodeSweep(bytes.NewReader(body))
 		if err != nil {
 			return
+		}
+		var v any
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatalf("accepted a body that is not one JSON value: %v\n%q", err, body)
 		}
 		if len(jobs) == 0 || len(jobs) != len(req.Jobs) {
 			t.Fatalf("accepted %d jobs from a request listing %d", len(jobs), len(req.Jobs))

@@ -57,15 +57,18 @@ func (sp JobSpec) resolve(hists bool) (runner.Job, error) {
 		Seed: sp.Seed, MaxCycles: sp.MaxCycles, Hists: hists}, nil
 }
 
-// decodeSweep reads a POST /v1/sweeps body and resolves its jobs. The
-// request is the body's first JSON value: an object with only known fields
-// and at least one job. Every error is the client's (HTTP 400).
+// decodeSweep reads a POST /v1/sweeps body and resolves its jobs. The body
+// is one JSON value, optionally followed by whitespace: an object with only
+// known fields and at least one job. Every error is the client's (HTTP 400).
 func decodeSweep(r io.Reader) (SweepRequest, []runner.Job, error) {
 	var req SweepRequest
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, nil, fmt.Errorf("serve: bad sweep request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, nil, errors.New("serve: bad sweep request: data after the JSON value")
 	}
 	if len(req.Jobs) == 0 {
 		return req, nil, errors.New("serve: sweep has no jobs")

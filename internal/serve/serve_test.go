@@ -401,6 +401,7 @@ var badSweepBodies = map[string]string{
 	"max int insts":   `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":9223372036854775807}]}`,
 	"insts past bound": fmt.Sprintf(`{"jobs":[{"profile":"radix","model":"x86","inst_per_core":%d}]}`,
 		trace.MaxInstPerCore+1),
+	"trailing data": `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":5}]} {"garbage"`,
 }
 
 // TestValidation covers the 400/404/409 error paths. A body the daemon

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sesa"
+	"sesa/internal/trace"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -80,7 +81,10 @@ func TestWorkloadAPI(t *testing.T) {
 	if !ok {
 		t.Fatal("barnes missing")
 	}
-	w := sesa.BuildWorkload(p, 4, 500, 9)
+	w, err := sesa.BuildWorkload(p, 4, 500, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(w.Programs) != 4 {
 		t.Fatalf("programs = %d", len(w.Programs))
 	}
@@ -95,9 +99,24 @@ func TestWorkloadAPI(t *testing.T) {
 
 func TestWorkloadTooManyPrograms(t *testing.T) {
 	p, _ := sesa.LookupProfile("barnes")
-	w := sesa.BuildWorkload(p, 4, 100, 9)
+	w, err := sesa.BuildWorkload(p, 4, 100, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := sesa.RunWorkload(sesa.X86, sesa.SkylakeConfig(2, sesa.X86), w, 1_000_000); err == nil {
 		t.Error("expected an error for more programs than cores")
+	}
+}
+
+// TestBuildWorkloadRejectsInstCount checks that an instruction count
+// outside 1..trace.MaxInstPerCore is an error, not a panic in the
+// generator.
+func TestBuildWorkloadRejectsInstCount(t *testing.T) {
+	p, _ := sesa.LookupProfile("radix")
+	for _, n := range []int{-1, 0, trace.MaxInstPerCore + 1} {
+		if _, err := sesa.BuildWorkload(p, 8, n, 1); err == nil {
+			t.Errorf("BuildWorkload(radix, 8, %d, 1) returned no error", n)
+		}
 	}
 }
 

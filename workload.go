@@ -36,8 +36,13 @@ func SequentialProfiles() []Profile { return trace.SequentialProfiles() }
 func LookupProfile(name string) (Profile, bool) { return trace.Lookup(name) }
 
 // BuildWorkload generates the deterministic per-core traces for a profile.
-func BuildWorkload(p Profile, cores, instPerCore int, seed uint64) Workload {
-	return trace.Build(p, cores, instPerCore, seed)
+// It returns an error when instPerCore is outside the generator's range, 1
+// to 2^20 instructions per core.
+func BuildWorkload(p Profile, cores, instPerCore int, seed uint64) (Workload, error) {
+	if err := trace.CheckInstPerCore(instPerCore); err != nil {
+		return Workload{}, err
+	}
+	return trace.Build(p, cores, instPerCore, seed), nil
 }
 
 // RunWorkload builds a machine for the model, runs the workload to
