@@ -115,6 +115,9 @@ func main() {
 	if err == nil {
 		err = trace.CheckInstPerCore(*n)
 	}
+	if err == nil {
+		err = checkSuite(*suite)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -154,6 +157,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// checkSuite rejects a -suite value that selects no suite.
+func checkSuite(s string) error {
+	switch s {
+	case "parallel", "sequential", "both":
+		return nil
+	}
+	return fmt.Errorf("unknown -suite %q (want parallel, sequential or both)", s)
 }
 
 func forSuites(f func(sesa.Suite)) {

@@ -7,6 +7,22 @@ import (
 	"sesa/internal/isa"
 )
 
+// newArena returns an arena of the given capacity, as SetProgram sizes
+// one.
+func newArena(capacity int) arena {
+	var a arena
+	a.resize(capacity)
+	return a
+}
+
+// newStoreQueue returns a store queue of the given capacity, as SetProgram
+// sizes one.
+func newStoreQueue(capacity int) storeQueue {
+	var q storeQueue
+	q.resize(capacity)
+	return q
+}
+
 func TestEntryRefPackUnpack(t *testing.T) {
 	if nilRef.index() != -1 {
 		t.Fatalf("nilRef.index() = %d, want -1", nilRef.index())
@@ -50,6 +66,32 @@ func TestArenaGenerationInvalidation(t *testing.T) {
 	}
 	if a.ents[j].dynSeq != 0 {
 		t.Fatal("alloc must hand out a zeroed entry")
+	}
+}
+
+// TestArenaResizeStartsAsNew: resizing a used arena within its capacity
+// keeps the storage and hands out the slots, refs and zeroed entries a new
+// arena of that size hands out.
+func TestArenaResizeStartsAsNew(t *testing.T) {
+	a := newArena(8)
+	for k := 0; k < 20; k++ {
+		i := a.alloc()
+		a.ents[i].dynSeq = uint64(k + 1)
+		a.stat[i] = stRetired
+		a.release(i)
+	}
+	ents := &a.ents[0]
+	a.resize(5)
+	if &a.ents[0] != ents {
+		t.Error("resize within capacity reallocated the entries")
+	}
+	fresh := newArena(5)
+	for k := 0; k < 5; k++ {
+		i, j := a.alloc(), fresh.alloc()
+		if i != j || a.refOf(i) != fresh.refOf(j) || a.ents[i] != fresh.ents[j] || a.stat[i] != fresh.stat[j] {
+			t.Fatalf("allocation %d: slot %d ref %#x on the resized arena, slot %d ref %#x on a new one",
+				k, i, a.refOf(i), j, fresh.refOf(j))
+		}
 	}
 }
 

@@ -118,22 +118,55 @@ type tickDelta struct {
 // hierarchy so that remote invalidations and local evictions snoop the LQ.
 func New(id int, cfg config.Config, hier *mem.Hierarchy, st *stats.Core) *Core {
 	c := &Core{
-		id:     id,
-		cfg:    cfg.Core,
-		policy: policyFor(cfg.Model),
-		hier:   hier,
+		id:    id,
+		cfg:   cfg.Core,
+		hier:  hier,
+		bp:    predictor.NewTAGE(),
+		ss:    predictor.NewStoreSet(),
+		l1Lat: cfg.Mem.L1D.HitCycles,
+		rob:   newRing(cfg.Core.ROBEntries),
+		lq:    newRing(cfg.Core.LQEntries),
+		ready: newBitset(cfg.Core.ROBEntries),
+	}
+	c.Reset(cfg.Model, st)
+	return c
+}
+
+// Reset returns the core to the state New builds, with the policy of model
+// and its counters in st, and registers it again as its hierarchy's client,
+// which a hierarchy reset drops. The core keeps its id, geometry and
+// hierarchy, and its storage, emptied: the predictor tables, the ROB and LQ
+// rings, the ready set, the RMW list, and the arena, waiter sets and SQ
+// slots that SetProgram sizes for the next program.
+func (c *Core) Reset(model config.Model, st *stats.Core) {
+	*c = Core{
+		id:     c.id,
+		cfg:    c.cfg,
+		policy: policyFor(model),
+		hier:   c.hier,
 		st:     st,
-		bp:     predictor.NewTAGE(),
-		ss:     predictor.NewStoreSet(),
-		l1Lat:  cfg.Mem.L1D.HitCycles,
-		rob:    newRing(cfg.Core.ROBEntries),
-		lq:     newRing(cfg.Core.LQEntries),
-		ready:  newBitset(cfg.Core.ROBEntries),
+		bp:     c.bp,
+		ss:     c.ss,
+		l1Lat:  c.l1Lat,
+		ar:     c.ar,
+		rob:    c.rob,
+		lq:     c.lq,
+		sq:     c.sq,
+		rmws:   c.rmws[:0],
+		ready:  c.ready,
+		// waiting keeps its storage at length 0, as SetProgram resizes it.
+		waiting: c.waiting[:0],
 
 		wakeHints: true,
 	}
-	hier.SetClient(id, c)
-	return c
+	c.bp.Reset()
+	c.ss.Reset()
+	c.ar.resize(0)
+	c.rob.reset()
+	c.lq.reset()
+	c.sq.resize(0)
+	clear(c.ready)
+	c.hier.SetClient(c.id, c)
 }
 
 // SetWakeHints enables or disables quiescence wake reports. With hints off a
@@ -157,14 +190,20 @@ func (c *Core) SetWakeHints(on bool) { c.wakeHints = on }
 // neither wraps a queue of len(p) slots nor fills it while an instruction is
 // left to dispatch. Each store gets the slot and sorting bit a full-size
 // queue would give it.
+//
+// All three reuse their storage when its capacity suffices, starting as new
+// ones do: every arena slot free with generation 0, so refs match a new
+// core's, every waiter set empty and every SQ slot free with its sorting bit
+// clear.
 func (c *Core) SetProgram(p isa.Program) {
 	c.prog = p
 	c.fetchIdx = 0
 	c.done = len(p) == 0
 	n := min(c.cfg.ROBEntries+c.cfg.SQEntries, len(p))
-	c.ar = newArena(n)
-	c.waiting = make([]uint64, n*len(c.ready))
-	c.sq = newStoreQueue(min(c.cfg.SQEntries, len(p)))
+	c.ar.resize(n)
+	c.waiting = sized(c.waiting, n*len(c.ready))
+	clear(c.waiting)
+	c.sq.resize(min(c.cfg.SQEntries, len(p)))
 }
 
 // Done reports whether the core has retired its whole trace and drained its

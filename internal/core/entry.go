@@ -167,23 +167,36 @@ type arena struct {
 	inflight  []bool
 }
 
-func newArena(capacity int) arena {
-	a := arena{
-		ents:      make([]entry, capacity),
-		gens:      make([]uint32, capacity),
-		free:      make([]int32, capacity),
-		stat:      make([]status, capacity),
-		execDone:  make([]uint64, capacity),
-		minRetire: make([]uint64, capacity),
-		lineAddr:  make([]uint64, capacity),
-		inflight:  make([]bool, capacity),
+// resize makes the arena capacity slots, every one free with generation 0,
+// reusing its storage when that is large enough. A slot's other fields are
+// left as they are: alloc zeroes a slot before handing it out, and only
+// slots handed out are read.
+func (a *arena) resize(capacity int) {
+	*a = arena{
+		ents:      sized(a.ents, capacity),
+		gens:      sized(a.gens, capacity),
+		free:      sized(a.free, capacity),
+		stat:      sized(a.stat, capacity),
+		execDone:  sized(a.execDone, capacity),
+		minRetire: sized(a.minRetire, capacity),
+		lineAddr:  sized(a.lineAddr, capacity),
+		inflight:  sized(a.inflight, capacity),
 	}
+	clear(a.gens)
 	// Stack the free list so the first allocations come out in ascending
 	// slot order (pure locality; slot choice is never observable).
 	for i := range a.free {
 		a.free[i] = int32(capacity - 1 - i)
 	}
-	return a
+}
+
+// sized returns s resliced to length n when its capacity allows, and a new
+// zeroed slice of length n otherwise.
+func sized[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // alloc hands out a zeroed slot.

@@ -18,6 +18,12 @@ func newRing(capacity int) ring {
 	return ring{buf: make([]entryRef, capacity)}
 }
 
+// reset empties the ring, keeping its buffer.
+func (r *ring) reset() {
+	*r = ring{buf: r.buf}
+	clear(r.buf)
+}
+
 func (r *ring) len() int   { return r.count }
 func (r *ring) full() bool { return r.count == len(r.buf) }
 

@@ -40,8 +40,11 @@ type sqSlot struct {
 	sort     bool
 }
 
-func newStoreQueue(capacity int) storeQueue {
-	return storeQueue{slots: make([]sqSlot, capacity)}
+// resize empties the queue at the given capacity, reusing its storage when
+// that is large enough: every slot free, with its sorting bit clear.
+func (q *storeQueue) resize(capacity int) {
+	*q = storeQueue{slots: sized(q.slots, capacity)}
+	clear(q.slots)
 }
 
 func (q *storeQueue) full() bool  { return q.count == len(q.slots) }

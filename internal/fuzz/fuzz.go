@@ -8,6 +8,7 @@ import (
 	"sesa/internal/checker"
 	"sesa/internal/config"
 	"sesa/internal/litmus"
+	"sesa/internal/sim"
 )
 
 // Mismatch kinds.
@@ -144,10 +145,22 @@ func CrossValidate(p checker.Program, opt Options) (*Report, error) {
 		}
 	}
 
+	// One machine per configuration serves every model, variant and
+	// iteration of the witness search: each run resets it.
+	var machines []*sim.Machine
+	if opt.SimIters > 0 && len(opt.Models) > 0 {
+		for _, cfg := range witnessConfigs(len(p.Threads), opt.Models[0], opt) {
+			m, err := sim.New(cfg, "fuzz")
+			if err != nil {
+				return nil, err
+			}
+			machines = append(machines, m)
+		}
+	}
 	witnessed := make(checker.OutcomeSet)
 	for mi, m := range opt.Models {
 		allowed := opSets[litmus.CheckerModelFor(m)]
-		observed, err := witness(p, m, mi, opt)
+		observed, err := witness(p, m, mi, opt, machines)
 		if err != nil {
 			return nil, err
 		}
@@ -165,11 +178,25 @@ func CrossValidate(p checker.Program, opt Options) (*Report, error) {
 	return r, nil
 }
 
+// witnessConfigs returns the witness search's base configurations for model
+// m: the Table III machine and, with SmallConfig, the tiny-cache machine.
+func witnessConfigs(cores int, m config.Model, opt Options) []config.Config {
+	configs := []config.Config{config.Skylake(cores, m)}
+	if opt.SmallConfig {
+		configs = append(configs, config.Small(cores, m))
+	}
+	for i := range configs {
+		configs[i].StepMode = opt.StepMode
+	}
+	return configs
+}
+
 // witness runs the timing-simulator witness search for one machine model:
 // SimIters timing samples per variant (plain, and under store-buffer
 // pressure) per configuration (Table III, and the tiny-cache machine), each
-// iteration with its own jitter seed and start stagger.
-func witness(p checker.Program, m config.Model, modelIdx int, opt Options) (checker.OutcomeSet, error) {
+// iteration with its own jitter seed and start stagger. machines holds one
+// machine per configuration, in witnessConfigs order.
+func witness(p checker.Program, m config.Model, modelIdx int, opt Options, machines []*sim.Machine) (checker.OutcomeSet, error) {
 	if opt.SimIters <= 0 {
 		return nil, nil
 	}
@@ -178,18 +205,13 @@ func witness(p checker.Program, m config.Model, modelIdx int, opt Options) (chec
 	if opt.Pressure > 0 {
 		variants = append(variants, litmus.WithSBPressure(base, opt.Pressure))
 	}
-	cores := len(p.Threads)
-	configs := []config.Config{config.Skylake(cores, m)}
-	if opt.SmallConfig {
-		configs = append(configs, config.Small(cores, m))
-	}
+	configs := witnessConfigs(len(p.Threads), m, opt)
 
 	observed := make(checker.OutcomeSet)
 	for vi, v := range variants {
 		for ci, cfg := range configs {
-			cfg.StepMode = opt.StepMode
 			seed := opt.SimSeed + uint64(modelIdx)*1000003 + uint64(vi)*101 + uint64(ci)*17
-			res, err := litmus.RunConfigTraced(v, cfg, opt.SimIters, seed, nil)
+			res, err := litmus.RunConfigTraced(machines[ci], v, cfg, opt.SimIters, seed, nil)
 			if err != nil {
 				return nil, err
 			}

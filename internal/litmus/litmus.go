@@ -503,20 +503,31 @@ func Run(t Test, model config.Model, iters int, seedBase uint64) (*Result, error
 }
 
 // RunTraced is Run with an observability hook: when attach is non-nil it is
-// called on every iteration's machine before it runs (e.g. to attach a
-// tracer). The hook must not keep the machine running concurrently —
-// iterations stay sequential and deterministic.
+// called on every iteration before the machine runs (e.g. to attach a
+// tracer). Every iteration runs on one machine, reset before the hook sees
+// it, so the hook receives the same machine each time, with no tracer or
+// histogram set attached: a hook that keeps per-iteration data must keep
+// the tracer, the histogram set or m.Stats, not the machine. The hook must
+// not keep the machine running concurrently — iterations stay sequential and
+// deterministic.
 func RunTraced(t Test, model config.Model, iters int, seedBase uint64, attach func(iter int, m *sim.Machine)) (*Result, error) {
-	return RunConfigTraced(t, config.Skylake(len(t.Prog.Threads), model), iters, seedBase, attach)
+	cfg := config.Skylake(len(t.Prog.Threads), model)
+	m, err := sim.New(cfg, t.Name)
+	if err != nil {
+		return nil, err
+	}
+	return RunConfigTraced(m, t, cfg, iters, seedBase, attach)
 }
 
-// RunConfigTraced is RunTraced with an explicit base machine configuration:
-// the litmus fuzzer's witness search runs each program both on the Table III
-// machine and on the tiny-cache variant, whose evictions perturb timing into
-// orderings the big caches never exhibit. Per-iteration jitter seeds and
-// start staggering are layered on top of the base configuration exactly as
-// in RunTraced.
-func RunConfigTraced(t Test, base config.Config, iters int, seedBase uint64, attach func(iter int, m *sim.Machine)) (*Result, error) {
+// RunConfigTraced is RunTraced on the machine m with an explicit base
+// configuration: the litmus fuzzer's witness search runs each program both
+// on the Table III machine and on the tiny-cache variant, whose evictions
+// perturb timing into orderings the big caches never exhibit, and keeps one
+// machine for each. Every iteration resets m to base with its own jitter
+// seed (sim.Machine.Reset), so m must have base's cores, core and memory
+// configuration; a reset machine runs exactly as a new one. Start
+// staggering is layered on top exactly as in RunTraced.
+func RunConfigTraced(m *sim.Machine, t Test, base config.Config, iters int, seedBase uint64, attach func(iter int, m *sim.Machine)) (*Result, error) {
 	res := &Result{Test: t.Name, Model: base.Model, Iters: iters, Outcomes: make(map[checker.Outcome]int)}
 	rng := seedBase*2654435761 + 1
 	for it := 0; it < iters; it++ {
@@ -524,8 +535,7 @@ func RunConfigTraced(t Test, base config.Config, iters int, seedBase uint64, att
 		cfg := base
 		cfg.Jitter = 9
 		cfg.JitterSeed = rng
-		m, err := sim.New(cfg, t.Name)
-		if err != nil {
+		if err := m.Reset(cfg, t.Name); err != nil {
 			return nil, err
 		}
 		if attach != nil {

@@ -26,8 +26,12 @@ func runStepped(t *testing.T, test Test, model config.Model, mode config.StepMod
 	t.Helper()
 	cfg := config.Skylake(len(test.Prog.Threads), model)
 	cfg.StepMode = mode
+	m, err := sim.New(cfg, test.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sts []*stats.Machine
-	res, err := RunConfigTraced(test, cfg, iters, seed, func(iter int, m *sim.Machine) {
+	res, err := RunConfigTraced(m, test, cfg, iters, seed, func(iter int, m *sim.Machine) {
 		sts = append(sts, m.Stats)
 		if attach != nil {
 			attach(iter, m)

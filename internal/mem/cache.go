@@ -68,6 +68,13 @@ func NewArray(c config.Cache) *Array {
 	}
 }
 
+// reset empties the array, keeping its geometry and its allocated pages:
+// every line Invalid and the LRU stamp back at 0.
+func (a *Array) reset() {
+	*a = Array{sets: a.sets, setMask: a.setMask, lineShift: a.lineShift, setBits: a.setBits, hashed: a.hashed}
+	a.sets.clear()
+}
+
 // NewHashedArray builds an array whose set index folds in higher address
 // bits, as shared LLCs do, so that large power-of-two-spaced regions do not
 // alias into the same sets.

@@ -41,6 +41,13 @@ func NewDirectory(cores int, l2 config.Cache, ways int, coverage float64, lineBy
 	}
 }
 
+// reset empties the directory, keeping its geometry and its allocated
+// pages: every entry invalid and the LRU stamp back at 0.
+func (d *Directory) reset() {
+	*d = Directory{sets: d.sets, setMask: d.setMask, lineShift: d.lineShift, setBits: d.setBits}
+	d.sets.clear()
+}
+
 func nextPow2(v int) int {
 	p := 1
 	for p < v {

@@ -135,7 +135,35 @@ func NewHierarchy(cores int, cfg config.Memory, net *noc.Network, evq *sched.Eve
 		h.l1[i] = NewArray(cfg.L1D)
 		h.l2[i] = NewArray(cfg.L2)
 	}
+	h.Reset()
 	return h
+}
+
+// Reset returns the hierarchy to the state NewHierarchy builds, on the same
+// network and event queue: every cache array and the directory empty, the
+// memory image and busy horizons empty, zero counters, and no client,
+// tracer or histogram sink. It keeps its storage: the allocated pages are
+// zeroed, which reads exactly as unallocated (DESIGN.md §6 item 6), and the
+// address tables keep their capacity, which no result can see (item 4).
+func (h *Hierarchy) Reset() {
+	*h = Hierarchy{
+		cfg: h.cfg, cores: h.cores, net: h.net, evq: h.evq,
+		l1: h.l1, l2: h.l2, l3: h.l3, dir: h.dir,
+		image: h.image, busyUntil: h.busyUntil,
+		clients: h.clients, tracers: h.tracers, hists: h.hists, pref: h.pref,
+	}
+	for i := range h.l1 {
+		h.l1[i].reset()
+		h.l2[i].reset()
+	}
+	h.l3.reset()
+	h.dir.reset()
+	h.image.clear()
+	h.busyUntil.clear()
+	clear(h.clients)
+	clear(h.tracers)
+	clear(h.hists)
+	clear(h.pref)
 }
 
 // SetClient registers the core's notification surface.

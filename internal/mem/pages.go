@@ -13,6 +13,9 @@ const pageBits = 4
 type pages[T any] struct {
 	p    [][]T
 	ways int
+	// used lists the allocated pages' indices, so that clear costs what
+	// the runs touched rather than the size of the page index.
+	used []int32
 }
 
 func newPages[T any](sets, ways int) pages[T] {
@@ -29,10 +32,20 @@ func (s *pages[T]) set(idx uint64) []T {
 	return pg[off : off+s.ways : off+s.ways]
 }
 
+// clear zeroes every allocated page and keeps it. A zeroed set finds
+// nothing, exactly as an unallocated one (DESIGN.md §6 item 6), so a
+// cleared structure answers every lookup as a new one does.
+func (s *pages[T]) clear() {
+	for _, i := range s.used {
+		clear(s.p[i])
+	}
+}
+
 // alloc returns set idx, allocating its page on first use.
 func (s *pages[T]) alloc(idx uint64) []T {
-	if s.p[idx>>pageBits] == nil {
-		s.p[idx>>pageBits] = make([]T, s.ways<<pageBits)
+	if pg := idx >> pageBits; s.p[pg] == nil {
+		s.p[pg] = make([]T, s.ways<<pageBits)
+		s.used = append(s.used, int32(pg))
 	}
 	return s.set(idx)
 }

@@ -1,9 +1,11 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 
 	"sesa/internal/config"
+	"sesa/internal/noc"
 	"sesa/internal/sched"
 )
 
@@ -116,5 +118,64 @@ func TestInsertAllocatesOnePage(t *testing.T) {
 	d.Allocate(line, nil)
 	if n := allocatedPages(&d.sets); n != 1 || d.sets.p[d.setIndex(line)>>pageBits] == nil {
 		t.Errorf("one directory allocation allocated %d pages, want exactly its own", n)
+	}
+}
+
+// TestResetKeepsPagesAndAnswersAsNew: a reset hierarchy keeps every page it
+// allocated, zeroed, and then serves a sequence of loads and stores with the
+// values, cycles, counters and page allocations of a new hierarchy.
+func TestResetKeepsPagesAndAnswersAsNew(t *testing.T) {
+	cfg := config.Small(2, config.X86)
+	build := func() (*Hierarchy, *sched.Clock) {
+		clock := sched.NewClock(2)
+		return NewHierarchy(2, cfg.Mem, noc.New(cfg.NoC, 0, 1), &clock.EventQueue), clock
+	}
+	pagesOf := func(h *Hierarchy) int {
+		n := allocatedPages(&h.dir.sets) + allocatedPages(&h.l3.sets)
+		for c := range h.l1 {
+			n += allocatedPages(&h.l1[c].sets) + allocatedPages(&h.l2[c].sets)
+		}
+		return n
+	}
+	// work stores to and loads from lines enough to evict from the small
+	// caches and the directory, and returns every completion seen.
+	work := func(h *Hierarchy, clock *sched.Clock, lines uint64) []uint64 {
+		var seen []uint64
+		for c := 0; c < 2; c++ {
+			h.SetClient(c, &testClient{
+				load:    func(_, v, w uint64) { seen = append(seen, v, w) },
+				store:   func(_, w uint64) { seen = append(seen, w) },
+				removed: func(l, w uint64, ev bool) { seen = append(seen, l, w) },
+			})
+		}
+		for i := uint64(0); i < lines; i++ {
+			a := 0x1000 + i*0x440
+			h.Store(int(i%2), a, 8, i+1, i*4, 0, 1)
+			h.Load(int(i+1)%2, a, 8, i*4+2, 1)
+		}
+		clock.RunUntil(1<<40, h)
+		return seen
+	}
+	h, clock := build()
+	work(h, clock, 400)
+	pages := pagesOf(h)
+	clock.Reset()
+	h.Reset()
+	if got := pagesOf(h); got != pages {
+		t.Errorf("reset kept %d of %d pages", got, pages)
+	}
+	if h.Stats != (Stats{}) || h.now != 0 || h.l3.stamp != 0 || h.dir.stamp != 0 || h.ReadImage(0x1000, 8) != 0 {
+		t.Errorf("reset left state behind: stats %+v, now %d, L3 stamp %d, directory stamp %d, [0x1000]=%d",
+			h.Stats, h.now, h.l3.stamp, h.dir.stamp, h.ReadImage(0x1000, 8))
+	}
+	fresh, freshClock := build()
+	got, want := work(h, clock, 150), work(fresh, freshClock, 150)
+	if !slices.Equal(got, want) || h.Stats != fresh.Stats {
+		t.Errorf("a reset hierarchy differs from a new one:\nreset: %v %+v\nnew:   %v %+v", got, h.Stats, want, fresh.Stats)
+	}
+	// The second pass touches a prefix of the first's lines: the reset
+	// hierarchy serves it from the pages it kept.
+	if n := pagesOf(h); n != pages {
+		t.Errorf("the second pass grew the reset hierarchy from %d to %d pages", pages, n)
 	}
 }

@@ -45,6 +45,14 @@ func (t *addrTable) init(capacity int) {
 	t.n = 0
 }
 
+// clear removes every key and keeps the table's capacity. The table is never
+// iterated, so a larger capacity than a new table's cannot change a result.
+func (t *addrTable) clear() {
+	*t = addrTable{keys: t.keys, vals: t.vals, sh: t.sh}
+	clear(t.keys)
+	clear(t.vals)
+}
+
 // get returns the value stored for key, or zero when absent.
 func (t *addrTable) get(key uint64) uint64 {
 	if key == 0 {

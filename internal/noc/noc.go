@@ -54,7 +54,16 @@ func (n *Network) AttachHists(c *hist.Collector) { n.hc = c }
 // deterministic pseudo-random 0..jitter extra cycles to each message (0
 // disables it); seed selects the jitter stream.
 func New(cfg config.NoC, jitter int, seed uint64) *Network {
-	return &Network{cfg: cfg, jitter: jitter, rng: rngState(seed*0x9E3779B97F4A7C15 + 0x61C88647)}
+	n := new(Network)
+	n.Reset(cfg, jitter, seed)
+	return n
+}
+
+// Reset returns the network to the state New(cfg, jitter, seed) builds:
+// zero traffic, the jitter stream restarted from seed, and no histogram
+// sink.
+func (n *Network) Reset(cfg config.NoC, jitter int, seed uint64) {
+	*n = Network{cfg: cfg, jitter: jitter, rng: rngState(seed*0x9E3779B97F4A7C15 + 0x61C88647)}
 }
 
 // Delay returns the one-way latency of a message of the given kind,

@@ -36,7 +36,20 @@ const (
 )
 
 // NewTAGE returns a predictor with default geometry. It allocates no table.
-func NewTAGE() *TAGE { return &TAGE{} }
+func NewTAGE() *TAGE {
+	t := new(TAGE)
+	t.Reset()
+	return t
+}
+
+// Reset returns the predictor to the state NewTAGE builds: empty history
+// and, when allocated, zeroed tables, which it keeps. A zeroed table answers
+// exactly as an unallocated one.
+func (t *TAGE) Reset() {
+	*t = TAGE{base: t.base, tagged: t.tagged}
+	clear(t.base)
+	clear(t.tagged)
+}
 
 // alloc allocates the zeroed tables.
 func (t *TAGE) alloc() {

@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -159,5 +160,36 @@ func TestFreshTablesAnswerZeroedWithoutAllocating(t *testing.T) {
 	s.TrainViolation(0x10, 0x20)
 	if len(s.ssit) != 1<<ssitBits {
 		t.Errorf("after the first TrainViolation: %d SSIT entries, want %d", len(s.ssit), 1<<ssitBits)
+	}
+}
+
+// TestResetAnswersAsNew: a trained predictor, once reset, keeps its tables
+// and answers a training sequence exactly as a new predictor does.
+func TestResetAnswersAsNew(t *testing.T) {
+	train := func(p *TAGE, s *StoreSet) []bool {
+		var out []bool
+		for i := uint64(0); i < 3000; i++ {
+			pc := 0x400 + (i%37)*4
+			out = append(out, p.Update(pc, (i*i+pc)%3 != 0))
+			if i%5 == 0 {
+				s.TrainViolation(pc, pc^0x80)
+			}
+			id, ok := s.SetOf(pc)
+			out = append(out, ok, id%2 == 1, s.PredictDependent(pc+8, pc^0x88))
+		}
+		return out
+	}
+	p, s := NewTAGE(), NewStoreSet()
+	train(p, s)
+	p.Reset()
+	s.Reset()
+	if p.base == nil || s.ssit == nil {
+		t.Fatal("reset dropped the tables")
+	}
+	if p.hist != 0 || s.nextID != 0 {
+		t.Errorf("reset left history %#x and next store-set ID %d", p.hist, s.nextID)
+	}
+	if got, want := train(p, s), train(NewTAGE(), NewStoreSet()); !slices.Equal(got, want) {
+		t.Error("a reset predictor answers differently from a new one")
 	}
 }

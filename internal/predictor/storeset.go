@@ -23,7 +23,19 @@ const (
 )
 
 // NewStoreSet returns an empty predictor. It allocates no table.
-func NewStoreSet() *StoreSet { return &StoreSet{} }
+func NewStoreSet() *StoreSet {
+	s := new(StoreSet)
+	s.Reset()
+	return s
+}
+
+// Reset returns the predictor to the state NewStoreSet builds: no store set
+// and the ID counter at 0. An allocated SSIT is kept, cleared; a cleared
+// SSIT answers exactly as an unallocated one.
+func (s *StoreSet) Reset() {
+	*s = StoreSet{ssit: s.ssit}
+	s.Clear()
+}
 
 func (s *StoreSet) index(pc uint64) uint64 {
 	return (pc ^ pc>>ssitBits) & ((1 << ssitBits) - 1)

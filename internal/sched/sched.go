@@ -67,6 +67,7 @@ type node struct {
 // in sequence order. Events before base precede every bucket.
 //
 // The zero value is not ready for use; call NewEventQueue (or NewClock).
+// Clock.Reset empties a queue for reuse.
 type EventQueue struct {
 	base uint64
 	next uint64 // earliest pending cycle, Never when empty
@@ -84,7 +85,20 @@ type EventQueue struct {
 }
 
 // NewEventQueue returns an empty queue.
-func NewEventQueue() *EventQueue { return &EventQueue{next: Never} }
+func NewEventQueue() *EventQueue {
+	q := new(EventQueue)
+	q.reset()
+	return q
+}
+
+// reset empties the queue: the calendar's occupancy bits, base, next, seq
+// and free list start over, and the node slab, heap and batch keep their
+// storage at length 0. Nothing reads a bucket tail without its occupancy
+// bit, a node past the slab's length, or an event past the heap's or the
+// batch's, so an emptied queue schedules and delivers exactly as a new one.
+func (q *EventQueue) reset() {
+	*q = EventQueue{next: Never, nodes: q.nodes[:0], h: q.h[:0], batch: q.batch[:0]}
+}
 
 // Schedule enqueues the event for delivery at ev.Cycle.
 func (q *EventQueue) Schedule(ev Event) {
@@ -289,11 +303,20 @@ type Clock struct {
 // NewClock returns a clock at cycle 0 for the given core count, with every
 // wake registration cleared to Never.
 func NewClock(cores int) *Clock {
-	c := &Clock{EventQueue: EventQueue{next: Never}, wakes: make([]uint64, cores)}
+	c := &Clock{wakes: make([]uint64, cores)}
+	c.Reset()
+	return c
+}
+
+// Reset returns the clock to the state NewClock builds, for the same core
+// count: cycle 0, an empty queue and every wake cleared to Never. It keeps
+// the queue's storage and the wake table.
+func (c *Clock) Reset() {
+	*c = Clock{EventQueue: c.EventQueue, wakes: c.wakes}
+	c.EventQueue.reset()
 	for i := range c.wakes {
 		c.wakes[i] = Never
 	}
-	return c
 }
 
 // Now returns the current cycle.

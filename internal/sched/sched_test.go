@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -182,6 +183,37 @@ func TestClockAdvanceTo(t *testing.T) {
 	c.Tick()
 	if c.Now() != 11 {
 		t.Fatalf("now after Tick = %d, want 11", c.Now())
+	}
+}
+
+// TestClockResetAnswersAsNew: a clock reset with events pending in buckets
+// and in the heap, wakes registered and the window moved on is back at cycle
+// 0 with nothing pending, and then delivers a schedule exactly as a new
+// clock does.
+func TestClockResetAnswersAsNew(t *testing.T) {
+	run := func(c *Clock) []uint64 {
+		var fired []uint64
+		h := collect(&fired)
+		for i := uint64(0); i < 200; i++ {
+			c.Schedule(Event{Cycle: c.Now() + i*i%700, Val: i})
+			c.SetWake(int(i%2), c.Now()+i)
+			fired = append(fired, c.Horizon(Never))
+			c.Deliver(h)
+			c.Tick()
+		}
+		return fired
+	}
+	c := NewClock(2)
+	run(c)
+	if c.Len() == 0 {
+		t.Fatal("no event pending before the reset: the test checks nothing")
+	}
+	c.Reset()
+	if _, ok := c.NextCycle(); ok || c.Len() != 0 || c.Now() != 0 || c.Horizon(Never) != Never {
+		t.Fatalf("reset clock: %d pending, now %d, horizon %d", c.Len(), c.Now(), c.Horizon(Never))
+	}
+	if got, want := run(c), run(NewClock(2)); !slices.Equal(got, want) {
+		t.Errorf("a reset clock delivers differently from a new one:\nreset: %v\nnew:   %v", got, want)
 	}
 }
 

@@ -20,33 +20,53 @@ import (
 // mp's pages and each core's queues) and below a build that allocates
 // every core's predictor tables (145 KiB and 424 KiB), let alone every set
 // of the configured machine (4.2 MiB and 6.5 MiB).
+//
+// A reused machine pays almost nothing: after a warm-up run, Reset,
+// SetProgram and Run of mp allocate at most 4 KiB (608 B on two cores and
+// 2.1 KiB on eight, nearly all of it the run's new Stats).
 func TestBuildAllocBudget(t *testing.T) {
-	const budget = 128 << 10
+	const budget, reuseBudget = 128 << 10, 4 << 10
 	mp := []isa.Program{
 		{isa.Load(1, 0x1000), isa.Load(2, 0x1040)},
 		{isa.StoreImm(0x1040, 1), isa.StoreImm(0x1000, 1)},
 	}
+	runMP := func(t *testing.T, m *Machine) {
+		for i, p := range mp {
+			if err := m.SetProgram(i, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Run(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, cores := range []int{2, 8} {
 		t.Run(fmt.Sprintf("%d cores", cores), func(t *testing.T) {
+			cfg := config.Skylake(cores, config.X86)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			m, err := New(config.Skylake(cores, config.X86), "mp")
+			m, err := New(cfg, "mp")
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, p := range mp {
-				if err := m.SetProgram(i, p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := m.Run(1_000_000); err != nil {
-				t.Fatal(err)
-			}
+			runMP(t, m)
 			runtime.ReadMemStats(&after)
 			got := after.TotalAlloc - before.TotalAlloc
 			t.Logf("building and running mp allocated %d KiB", got>>10)
 			if got > budget {
 				t.Errorf("building and running mp allocated %d KiB, budget %d KiB", got>>10, budget>>10)
+			}
+
+			runtime.ReadMemStats(&before)
+			if err := m.Reset(cfg, "mp"); err != nil {
+				t.Fatal(err)
+			}
+			runMP(t, m)
+			runtime.ReadMemStats(&after)
+			got = after.TotalAlloc - before.TotalAlloc
+			t.Logf("resetting the machine and running mp again allocated %d B", got)
+			if got > reuseBudget {
+				t.Errorf("resetting the machine and running mp again allocated %d B, budget %d B", got, reuseBudget)
 			}
 		})
 	}

@@ -91,17 +91,54 @@ func New(cfg config.Config, workload string) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		cfg:   cfg,
 		clock: sched.NewClock(cfg.Cores),
 		net:   noc.New(cfg.NoC, cfg.Jitter, cfg.JitterSeed),
-		Stats: stats.New(cfg.Model.String(), workload, cfg.Cores),
 	}
 	m.hier = mem.NewHierarchy(cfg.Cores, cfg.Mem, m.net, &m.clock.EventQueue)
 	m.cores = make([]*core.Core, cfg.Cores)
-	for i := 0; i < cfg.Cores; i++ {
-		m.cores[i] = core.New(i, cfg, m.hier, &m.Stats.Cores[i])
+	for i := range m.cores {
+		// The reset below gives every core its counters.
+		m.cores[i] = core.New(i, cfg, m.hier, nil)
 	}
+	m.reset(cfg, workload)
 	return m, nil
+}
+
+// Reset returns the machine to the state New(cfg, workload) builds, keeping
+// its storage, so one machine can serve run after run. cfg may change the
+// model, the jitter and its seed, the step mode and the NoC latencies; its
+// Cores, Core and Mem size the storage and must equal the machine's. Reset
+// detaches any tracer and histogram set and allocates a new Stats, so a
+// Stats pointer taken before stays the previous run's.
+func (m *Machine) Reset(cfg config.Config, workload string) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cfg.Cores != m.cfg.Cores || cfg.Core != m.cfg.Core || cfg.Mem != m.cfg.Mem {
+		return fmt.Errorf("sim: Reset cannot change the cores, core or memory configuration the machine was built with")
+	}
+	m.reset(cfg, workload)
+	return nil
+}
+
+// reset is the one initialization path New and Reset share: a fresh Machine
+// that carries over only the layers, each of which then resets itself. The
+// hierarchy drops its clients before the cores register again.
+func (m *Machine) reset(cfg config.Config, workload string) {
+	*m = Machine{
+		cfg:   cfg,
+		clock: m.clock,
+		net:   m.net,
+		hier:  m.hier,
+		cores: m.cores,
+		Stats: stats.New(cfg.Model.String(), workload, cfg.Cores),
+	}
+	m.clock.Reset()
+	m.net.Reset(cfg.NoC, cfg.Jitter, cfg.JitterSeed)
+	m.hier.Reset()
+	for i, c := range m.cores {
+		c.Reset(cfg.Model, &m.Stats.Cores[i])
+	}
 }
 
 // AttachTracer wires the observability sink through the cores and the

@@ -16,12 +16,18 @@
 //	rmw  r1, [0x2000], add=1
 //	thread 1
 //	...
+//
+// Loads, stores and RMWs take optional size= and dep= suffixes, and every
+// instruction but fence and nop an optional pc=. Read rejects any other
+// option, fields after fence or nop, and a value that overflows its field,
+// so a file reads back exactly as Write would write it.
 package tracefile
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -72,7 +78,8 @@ func writeInst(w io.Writer, in isa.Inst) error {
 	case isa.OpFence:
 		_, err = fmt.Fprintln(w, "fence")
 	case isa.OpRMW:
-		_, err = fmt.Fprintf(w, "rmw r%d, [%#x], add=%d%s\n", in.Dst, in.Addr, in.Imm, pcSuffix(in))
+		_, err = fmt.Fprintf(w, "rmw r%d, [%#x], add=%d%s%s%s\n",
+			in.Dst, in.Addr, in.Imm, sizeSuffix(in), depSuffix(in), pcSuffix(in))
 	case isa.OpNop:
 		_, err = fmt.Fprintln(w, "nop")
 	default:
@@ -89,7 +96,7 @@ func regStr(r isa.Reg) string {
 }
 
 func sizeSuffix(in isa.Inst) string {
-	if in.Size == 0 || in.Size == 8 {
+	if in.Size == 0 {
 		return ""
 	}
 	return fmt.Sprintf(", size=%d", in.Size)
@@ -112,7 +119,7 @@ func pcSuffix(in isa.Inst) string {
 // Read parses a trace file back into per-thread programs.
 func Read(r io.Reader) ([]isa.Program, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // lines up to 1 MiB; the buffer grows to fit
 	var threads []isa.Program
 	cur := -1
 	lineNo := 0
@@ -182,7 +189,7 @@ func parseInst(line string) (isa.Inst, error) {
 			return isa.Inst{}, err
 		}
 		in := isa.Load(dst, addr)
-		return applyOptions(in, fields[2:])
+		return applyOptions(in, fields[2:], "size", "dep", "pc")
 	case "st":
 		if len(fields) < 2 {
 			return isa.Inst{}, fmt.Errorf("st needs an address and a value")
@@ -205,7 +212,7 @@ func parseInst(line string) (isa.Inst, error) {
 			}
 			in = isa.StoreImm(addr, v)
 		}
-		return applyOptions(in, fields[2:])
+		return applyOptions(in, fields[2:], "size", "dep", "pc")
 	case "alu":
 		if len(fields) < 3 {
 			return isa.Inst{}, fmt.Errorf("alu needs three register operands")
@@ -223,13 +230,17 @@ func parseInst(line string) (isa.Inst, error) {
 			return isa.Inst{}, err
 		}
 		in := isa.Inst{Op: isa.OpALU, Dst: dst, Src1: s1, Src2: s2}
-		return applyOptions(in, fields[3:])
+		return applyOptions(in, fields[3:], "imm", "lat", "pc")
 	case "br":
 		in := isa.Inst{Op: isa.OpBranch, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone}
-		return applyOptions(in, fields)
-	case "fence":
-		return isa.Fence(), nil
-	case "nop":
+		return applyOptions(in, fields, "pc", "taken", "nottaken")
+	case "fence", "nop":
+		if len(fields) > 0 {
+			return isa.Inst{}, fmt.Errorf("%s takes no operands, got %q", op, rest)
+		}
+		if op == "fence" {
+			return isa.Fence(), nil
+		}
 		return isa.Nop(), nil
 	case "rmw":
 		if len(fields) < 2 {
@@ -244,59 +255,39 @@ func parseInst(line string) (isa.Inst, error) {
 			return isa.Inst{}, err
 		}
 		in := isa.RMW(dst, addr, 0)
-		return applyOptions(in, fields[2:])
+		return applyOptions(in, fields[2:], "add", "size", "dep", "pc")
 	}
 	return isa.Inst{}, fmt.Errorf("unknown mnemonic %q", op)
 }
 
-// applyOptions parses key=value suffix fields.
-func applyOptions(in isa.Inst, opts []string) (isa.Inst, error) {
+// applyOptions parses the suffix fields: key=value options and the bare
+// taken/nottaken flags. allowed names the options the instruction carries,
+// which are exactly those Write emits for it, so nothing read is dropped on
+// the way back out. A value that overflows its field is an error.
+func applyOptions(in isa.Inst, opts []string, allowed ...string) (isa.Inst, error) {
 	for _, o := range opts {
-		key, val, ok := strings.Cut(o, "=")
-		if !ok {
-			switch o {
-			case "taken":
-				in.Taken = true
-				continue
-			case "nottaken":
-				in.Taken = false
-				continue
-			}
-			return in, fmt.Errorf("bad option %q", o)
+		key, val, hasVal := strings.Cut(o, "=")
+		flag := key == "taken" || key == "nottaken"
+		if !slices.Contains(allowed, key) || hasVal == flag {
+			return in, fmt.Errorf("bad option %q for %v", o, in.Op)
 		}
+		var err error
 		switch key {
-		case "size":
-			v, err := parseUint(val)
-			if err != nil {
-				return in, err
-			}
-			in.Size = uint8(v)
+		case "taken", "nottaken":
+			in.Taken = key == "taken"
 		case "dep":
-			r, err := parseReg(val)
-			if err != nil {
-				return in, err
-			}
-			in.Src2 = r
-		case "imm", "add":
-			v, err := parseUint(val)
-			if err != nil {
-				return in, err
-			}
-			in.Imm = v
+			in.Src2, err = parseReg(val)
+		case "size":
+			in.Size, err = parseUint8(val)
 		case "lat":
-			v, err := parseUint(val)
-			if err != nil {
-				return in, err
-			}
-			in.Lat = uint8(v)
+			in.Lat, err = parseUint8(val)
+		case "imm", "add":
+			in.Imm, err = parseUint(val)
 		case "pc":
-			v, err := parseUint(val)
-			if err != nil {
-				return in, err
-			}
-			in.PC = v
-		default:
-			return in, fmt.Errorf("unknown option %q", key)
+			in.PC, err = parseUint(val)
+		}
+		if err != nil {
+			return in, fmt.Errorf("bad option %q: %v", o, err)
 		}
 	}
 	return in, nil
@@ -339,4 +330,9 @@ func parseAddr(s string) (uint64, error) {
 
 func parseUint(s string) (uint64, error) {
 	return strconv.ParseUint(s, 0, 64)
+}
+
+func parseUint8(s string) (uint8, error) {
+	v, err := strconv.ParseUint(s, 0, 8)
+	return uint8(v), err
 }

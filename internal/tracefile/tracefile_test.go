@@ -2,6 +2,7 @@ package tracefile
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -23,25 +24,28 @@ func roundTrip(t *testing.T, threads []isa.Program) []isa.Program {
 	return got
 }
 
+// handWritten covers every instruction form and option of the format.
+var handWritten = []isa.Program{
+	{
+		isa.Load(1, 0x1000),
+		{Op: isa.OpLoad, Dst: 1, Src1: isa.RegNone, Src2: 8, Addr: 0x104, Size: 4, PC: 0x400},
+		isa.StoreImm(0x1008, 42),
+		isa.StoreReg(0x1010, 3),
+		isa.ALUImm(2, 1, 5, 2),
+		isa.Branch(0x404, true),
+		isa.Fence(),
+		isa.RMW(4, 0x2000, 1),
+		{Op: isa.OpRMW, Dst: 5, Src1: isa.RegNone, Src2: 2, Addr: 0x2004, Size: 4, Imm: 3, PC: 0x408},
+		isa.Nop(),
+	},
+	{
+		isa.Branch(0x500, false),
+		isa.Load(7, 0x3000),
+	},
+}
+
 func TestRoundTripHandWritten(t *testing.T) {
-	ld4 := isa.Inst{Op: isa.OpLoad, Dst: 1, Src1: isa.RegNone, Src2: 8, Addr: 0x104, Size: 4, PC: 0x400}
-	threads := []isa.Program{
-		{
-			isa.Load(1, 0x1000),
-			ld4,
-			isa.StoreImm(0x1008, 42),
-			isa.StoreReg(0x1010, 3),
-			isa.ALUImm(2, 1, 5, 2),
-			isa.Branch(0x404, true),
-			isa.Fence(),
-			isa.RMW(4, 0x2000, 1),
-			isa.Nop(),
-		},
-		{
-			isa.Branch(0x500, false),
-			isa.Load(7, 0x3000),
-		},
-	}
+	threads := handWritten
 	got := roundTrip(t, threads)
 	if len(got) != 2 {
 		t.Fatalf("threads = %d", len(got))
@@ -51,12 +55,7 @@ func TestRoundTripHandWritten(t *testing.T) {
 			t.Fatalf("thread %d: %d instructions, want %d", ti, len(got[ti]), len(threads[ti]))
 		}
 		for i := range threads[ti] {
-			want, have := threads[ti][i], got[ti][i]
-			// Lat/PC on branches and metadata must survive.
-			if want.Op != have.Op || want.Addr != have.Addr || want.Dst != have.Dst ||
-				want.Src1 != have.Src1 || want.Src2 != have.Src2 ||
-				want.Imm != have.Imm || want.EffSize() != have.EffSize() ||
-				want.Taken != have.Taken || want.Lat != have.Lat {
+			if want, have := threads[ti][i], got[ti][i]; want != have {
 				t.Errorf("thread %d inst %d: %+v != %+v", ti, i, have, want)
 			}
 		}
@@ -94,11 +93,39 @@ func TestReadRejectsGarbage(t *testing.T) {
 		Header + "\nthread 0\nld r1, [0x101]\n", // misaligned (Validate)
 		Header + "\nthread 0\nld r1\n",          // missing operand
 		Header + "\nthread 0\nld r1, [0x100], bogus=1\n",
+		// A value that overflows its field.
+		Header + "\nthread 0\nalu r1, r2, r3, imm=1, lat=300\n",
+		Header + "\nthread 0\nld r1, [0x0], size=264\n",
+		// An option the instruction does not carry.
+		Header + "\nthread 0\nld r1, [0x0], lat=10\n",
+		Header + "\nthread 0\nld r1, [0x0], imm=1\n",
+		Header + "\nthread 0\nld r1, [0x0], taken\n",
+		Header + "\nthread 0\nst 0,0,lat=10\n",
+		Header + "\nthread 0\nst [0x0], r1, imm=5\n",
+		Header + "\nthread 0\nst [0x0], 1, nottaken\n",
+		Header + "\nthread 0\nalu r1, r2, r3, size=4\n",
+		Header + "\nthread 0\nbr pc=0x40, taken=1\n",
+		// Trailing fields after an instruction without operands.
+		Header + "\nthread 0\nfence extra\n",
+		Header + "\nthread 0\nnop 1\n",
 	}
 	for i, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d: garbage accepted:\n%s", i, c)
 		}
+	}
+}
+
+// TestRMWSizeRoundTrips: an RMW keeps its access size through Write and
+// Read.
+func TestRMWSizeRoundTrips(t *testing.T) {
+	in := Header + "\nthread 0\nrmw r1, [0x8], add=3, size=4\n"
+	threads, err := Read(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := roundTrip(t, threads); got[0][0] != threads[0][0] || got[0][0].Size != 4 {
+		t.Fatalf("rmw read as %+v, after a round trip %+v", threads[0][0], got[0][0])
 	}
 }
 
@@ -146,4 +173,42 @@ func TestRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzTracefileRoundTrip: Read never panics, and every input it accepts is
+// read back unchanged after a Write: Read(Write(Read(x))) == Read(x). The
+// seed corpus is the hand-written program, short generated workloads and
+// the rejected inputs.
+func FuzzTracefileRoundTrip(f *testing.F) {
+	seeds := [][]isa.Program{handWritten}
+	for _, name := range []string{"barnes", "x264", "505.mcf"} {
+		p, _ := trace.Lookup(name)
+		seeds = append(seeds, trace.Build(p, 2, 40, 7).Programs)
+	}
+	for _, threads := range seeds {
+		var buf bytes.Buffer
+		if err := Write(&buf, threads); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.String())
+	}
+	f.Add(Header + "\nthread 0\nrmw r1, [0x8], add=3, size=4\nalu r1, r2, r3, imm=1, lat=300\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		threads, err := Read(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, threads); err != nil {
+			t.Fatalf("Write rejects what Read accepted: %v", err)
+		}
+		text := buf.String()
+		again, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("Read rejects what Write wrote: %v\n%s", err, text)
+		}
+		if !reflect.DeepEqual(again, threads) {
+			t.Fatalf("round trip changed the program:\nread    %+v\nwritten %s\nre-read %+v", threads, text, again)
+		}
+	})
 }

@@ -46,7 +46,11 @@ func (s *System) Tracer() *Tracer { return s.m.Tracer() }
 type SimMachine = sim.Machine
 
 // RunLitmusTraced is RunLitmus with a per-iteration machine hook, used to
-// attach tracers to litmus iterations.
+// attach tracers to litmus iterations. Every iteration runs on one machine,
+// reset before the hook is called, so the hook receives the same machine on
+// every iteration, already reset and with no tracer or histogram set
+// attached. A hook that keeps per-iteration data must keep the tracer, the
+// histogram set or m.Stats, not the machine.
 func RunLitmusTraced(t LitmusTest, model Model, iters int, seed uint64,
 	attach func(iter int, m *sim.Machine)) (*LitmusResult, error) {
 	return litmus.RunTraced(t, model, iters, seed, attach)
