@@ -375,10 +375,22 @@ func Small(cores int, model Model) Config {
 	return c
 }
 
-// Validate checks the configuration for structural consistency.
+// MaxCores bounds a machine's cores: the directory keeps each line's
+// sharers in a 64-bit set and its owner in an int8.
+const MaxCores = 64
+
+// MinLineBytes is the smallest cache line the hierarchy can represent. A
+// line holds at least one 8-byte word, so that one line's coherence covers
+// every byte a word access touches, and a line address leaves the three low
+// bits a cache array packs its state and dirty flag into.
+const MinLineBytes = 8
+
+// Validate checks the configuration for structural consistency and for the
+// geometry the hierarchy can represent: at most MaxCores cores, and lines of
+// a power of two of at least MinLineBytes bytes.
 func (c Config) Validate() error {
-	if c.Cores <= 0 {
-		return fmt.Errorf("config: cores must be positive, got %d", c.Cores)
+	if c.Cores <= 0 || c.Cores > MaxCores {
+		return fmt.Errorf("config: cores must be in 1..%d, got %d", MaxCores, c.Cores)
 	}
 	if _, ok := c.Model.Info(); !ok {
 		return fmt.Errorf("config: unknown model %d (want %s)", int(c.Model), strings.Join(ModelNames(), ", "))
@@ -396,6 +408,10 @@ func (c Config) Validate() error {
 	}{{"L1D", c.Mem.L1D}, {"L2", c.Mem.L2}, {"L3", c.Mem.L3}} {
 		if cc.c.LineBytes == 0 || cc.c.Ways == 0 || cc.c.SizeBytes == 0 {
 			return fmt.Errorf("config: %s has zero geometry: %+v", cc.name, cc.c)
+		}
+		if cc.c.LineBytes < MinLineBytes || cc.c.LineBytes&(cc.c.LineBytes-1) != 0 {
+			return fmt.Errorf("config: %s line size must be a power of two of at least %d bytes, got %d",
+				cc.name, MinLineBytes, cc.c.LineBytes)
 		}
 		if cc.c.SizeBytes%(cc.c.Ways*cc.c.LineBytes) != 0 {
 			return fmt.Errorf("config: %s size %d not divisible by ways*line", cc.name, cc.c.SizeBytes)

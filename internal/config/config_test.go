@@ -166,6 +166,16 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"negative directory coverage", func(c *Config) { c.Mem.DirectoryCoverage = -1 }},
 		{"NaN directory coverage", func(c *Config) { c.Mem.DirectoryCoverage = math.NaN() }},
 		{"infinite directory coverage", func(c *Config) { c.Mem.DirectoryCoverage = math.Inf(1) }},
+		// The directory's sharer set has 64 bits: a 65th core's copies
+		// would never be invalidated.
+		{"65 cores", func(c *Config) { c.Cores = MaxCores + 1 }},
+		// Sub-word lines split a word across lines only the first one's
+		// coherence covers; other sizes are not lines the arrays address.
+		{"1-byte lines", withLines(1)},
+		{"2-byte lines", withLines(2)},
+		{"4-byte lines", withLines(4)},
+		{"48-byte lines", withLines(48)},
+		{"96-byte lines", withLines(96)},
 	}
 	for _, m := range mutations {
 		c := Default(X86)
@@ -182,6 +192,36 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	err := c.Validate()
 	if err == nil || !strings.Contains(err.Error(), "370-SLFSoS-key") || !strings.Contains(err.Error(), "370-RCP") {
 		t.Errorf("unknown-model error should list valid names, got %v", err)
+	}
+}
+
+// withLines sets every level's line size to n bytes, keeping its sets and
+// ways, so only the line size can make the configuration invalid.
+func withLines(n int) func(*Config) {
+	return func(c *Config) {
+		for _, cc := range []*Cache{&c.Mem.L1D, &c.Mem.L2, &c.Mem.L3} {
+			cc.SizeBytes = cc.Sets() * cc.Ways * n
+			cc.LineBytes = n
+		}
+	}
+}
+
+// TestValidateAcceptsGeometryBounds: the largest machine and the smallest
+// and a larger power-of-two line stay valid.
+func TestValidateAcceptsGeometryBounds(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		f    func(*Config)
+	}{
+		{"64 cores", func(c *Config) { c.Cores = MaxCores }},
+		{"8-byte lines", withLines(MinLineBytes)},
+		{"128-byte lines", withLines(128)},
+	} {
+		c := Default(X86)
+		m.f(&c)
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s: %v", m.name, err)
+		}
 	}
 }
 

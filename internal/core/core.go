@@ -99,7 +99,30 @@ type Core struct {
 	progressed bool
 	delta      tickDelta
 
+	// asleep marks a core whose last full tick was quiescent with wake
+	// hints on: until cycle sleepUntil, or until a client callback wakes it,
+	// each Tick replays delta instead of running the pipeline (DESIGN.md
+	// §5c).
+	asleep     bool
+	sleepUntil uint64
+
+	// lqLines is the LQ snoop filter: a superset of the hashed line numbers
+	// of the LQ loads that have issued (see lineBit). A snoop whose bit is
+	// clear finds no performed load on its line and skips the walk.
+	lqLines   [lqFilterWords]uint64
+	lineShift uint
+
 	done bool
+}
+
+// lqFilterWords sizes the LQ snoop filter: 1024 bits.
+const lqFilterWords = 16
+
+// lineBit returns the word and mask of lineAddr's bit in the LQ snoop
+// filter, hashed by line number.
+func (c *Core) lineBit(lineAddr uint64) (int, uint64) {
+	n := lineAddr >> c.lineShift
+	return int(n>>6) & (lqFilterWords - 1), 1 << (n & 63)
 }
 
 // tickDelta records the per-cycle counter increments of the tick just
@@ -124,9 +147,11 @@ func New(id int, cfg config.Config, hier *mem.Hierarchy, st *stats.Core) *Core {
 		bp:    predictor.NewTAGE(),
 		ss:    predictor.NewStoreSet(),
 		l1Lat: cfg.Mem.L1D.HitCycles,
-		rob:   newRing(cfg.Core.ROBEntries),
-		lq:    newRing(cfg.Core.LQEntries),
-		ready: newBitset(cfg.Core.ROBEntries),
+		// Validated line sizes are powers of two.
+		lineShift: uint(bits.TrailingZeros(uint(cfg.Mem.L1D.LineBytes))),
+		rob:       newRing(cfg.Core.ROBEntries),
+		lq:        newRing(cfg.Core.LQEntries),
+		ready:     newBitset(cfg.Core.ROBEntries),
 	}
 	c.Reset(cfg.Model, st)
 	return c
@@ -140,20 +165,21 @@ func New(id int, cfg config.Config, hier *mem.Hierarchy, st *stats.Core) *Core {
 // slots that SetProgram sizes for the next program.
 func (c *Core) Reset(model config.Model, st *stats.Core) {
 	*c = Core{
-		id:     c.id,
-		cfg:    c.cfg,
-		policy: policyFor(model),
-		hier:   c.hier,
-		st:     st,
-		bp:     c.bp,
-		ss:     c.ss,
-		l1Lat:  c.l1Lat,
-		ar:     c.ar,
-		rob:    c.rob,
-		lq:     c.lq,
-		sq:     c.sq,
-		rmws:   c.rmws[:0],
-		ready:  c.ready,
+		id:        c.id,
+		cfg:       c.cfg,
+		policy:    policyFor(model),
+		hier:      c.hier,
+		st:        st,
+		bp:        c.bp,
+		ss:        c.ss,
+		l1Lat:     c.l1Lat,
+		ar:        c.ar,
+		lineShift: c.lineShift,
+		rob:       c.rob,
+		lq:        c.lq,
+		sq:        c.sq,
+		rmws:      c.rmws[:0],
+		ready:     c.ready,
 		// waiting keeps its storage at length 0, as SetProgram resizes it.
 		waiting: c.waiting[:0],
 
@@ -171,9 +197,13 @@ func (c *Core) Reset(model config.Model, st *stats.Core) {
 
 // SetWakeHints enables or disables quiescence wake reports. With hints off a
 // quiescent Tick returns sched.Never without scanning the ready set for the
-// next timed-work cycle. Only the skip stepper reads the reports; the naive
-// stepper disables them. Hints are on by default.
-func (c *Core) SetWakeHints(on bool) { c.wakeHints = on }
+// next timed-work cycle, and without sleeping, so every Tick runs the
+// pipeline. Only the skip stepper reads the reports; the naive stepper
+// disables them. Hints are on by default.
+func (c *Core) SetWakeHints(on bool) {
+	c.wakeHints = on
+	c.asleep = c.asleep && on
+}
 
 // SetProgram installs the trace the core will execute and sizes the entry
 // arena and the store queue for it. It must be called before the first
@@ -302,9 +332,23 @@ func (c *Core) forwardValue(s, l *entry) uint64 {
 // do timed work (sched.Never when it is purely event-blocked). A quiescent
 // core's following ticks are exact replays until that wake cycle or an
 // event, which is what lets the machine skip them with SkipCycles.
+//
+// With wake hints on, the core also sleeps through those replays itself:
+// after a quiescent tick, each Tick before the wake cycle applies the
+// recorded deltas and reports the same wake, until one of the hierarchy's
+// client callbacks delivers outside state and wakes the core. A tick that
+// makes no progress reads no hierarchy state, so the callbacks are the only
+// way anything outside the core can change what its next tick does.
 func (c *Core) Tick(now uint64) (progressed bool, wake uint64) {
 	if c.done {
 		return false, sched.Never
+	}
+	if c.asleep {
+		if now < c.sleepUntil {
+			c.SkipCycles(1)
+			return false, c.sleepUntil
+		}
+		c.asleep = false
 	}
 	c.progressed = false
 	c.delta = tickDelta{stall: -1}
@@ -327,7 +371,8 @@ func (c *Core) Tick(now uint64) (progressed bool, wake uint64) {
 	if !c.wakeHints {
 		return false, sched.Never
 	}
-	return false, c.wakeCycle(now)
+	c.asleep, c.sleepUntil = true, c.wakeCycle(now)
+	return false, c.sleepUntil
 }
 
 // SkipCycles bulk-applies n quiescent cycles: the per-cycle counter deltas
@@ -522,6 +567,7 @@ func (c *Core) drainSB(now uint64) {
 func (c *Core) OnStoreWrote(ref, when uint64) { c.storeWrote(entryRef(ref), when) }
 
 func (c *Core) storeWrote(r entryRef, when uint64) {
+	c.asleep = false
 	i := r.index()
 	e := &c.ar.ents[i]
 	e.writtenL1 = true
@@ -697,17 +743,20 @@ func (c *Core) tryIssueStore(i int32, e *entry, now uint64) bool {
 }
 
 // checkDependenceViolation runs when a store's address resolves: any
-// younger load that already performed on overlapping bytes without
-// forwarding from this store (or a younger one) is a memory-dependence
-// misspeculation; it is squashed and the StoreSet predictor trained. The
-// scan starts at the first younger load, found from the store's age: the
-// store has not retired, so no younger load has either.
+// younger load that already issued on overlapping bytes without forwarding
+// from this store (or a younger one) is a memory-dependence misspeculation;
+// it is squashed and the StoreSet predictor trained. An issued load counts
+// whether it has performed or not: one still in flight to memory, or
+// forwarding from a store older than this one, would otherwise return a
+// value this store's write never reaches. The scan starts at the first
+// younger load, found from the store's age: the store has not retired, so
+// no younger load has either.
 func (c *Core) checkDependenceViolation(s *entry, now uint64) {
 	n := c.lq.len()
 	for k := c.lq.since(s.age); k < n; k++ {
 		li := c.lq.at(k).index()
 		l := &c.ar.ents[li]
-		if c.ar.stat[li] < stDone {
+		if c.ar.stat[li] == stDispatched {
 			continue
 		}
 		if !overlaps(s, l) {
@@ -746,6 +795,7 @@ func (c *Core) OnRMWDone(ref, old, when uint64) {
 	if !c.ar.live(rmw) {
 		return
 	}
+	c.asleep = false
 	ri := rmw.index()
 	re := &c.ar.ents[ri]
 	re.val = old
@@ -767,7 +817,10 @@ func (c *Core) tryIssueLoad(i int32, e *entry, now uint64) bool {
 	if len(c.rmws) > 0 && c.rmwBlocked(e) {
 		return false
 	}
-	c.ar.lineAddr[i] = c.hier.LineAddr(e.inst.Addr)
+	la := c.hier.LineAddr(e.inst.Addr)
+	c.ar.lineAddr[i] = la
+	w, b := c.lineBit(la)
+	c.lqLines[w] |= b
 
 	// Blocked on a specific store writing to the L1 (370-NoSpec blanket
 	// enforcement, or a partial-overlap forwarding block)? A live ref is
@@ -915,6 +968,7 @@ func (c *Core) OnLoadDone(ref, val, when uint64) {
 	if !c.ar.live(ld) {
 		return
 	}
+	c.asleep = false
 	li := ld.index()
 	le := &c.ar.ents[li]
 	le.val = val

@@ -20,11 +20,18 @@ func (s bitset) has(p int) bool { return s[p>>6]&(1<<(p&63)) != 0 }
 // because core cannot import sim. Each cycle of run delivers the cycle's
 // events one at a time and checks the receiving core after each, then ticks
 // the cores the way sim.Machine.Step does and checks each after its tick.
+//
+// Its cores keep their wake hints on, so they sleep through quiescent ticks.
+// naive is the same machine with hints off, stepped in lockstep: its cores
+// run the pipeline on every tick, and each sleeping core must report the
+// same progress and counters as its naive twin after every tick. A callback
+// that fails to wake a core shows at the first tick its twin progresses in.
 type readyMachine struct {
 	t     *testing.T
 	clock *sched.Clock
 	hier  *mem.Hierarchy
 	cores []*Core
+	naive *readyMachine
 	// parks counts, over every check, the loads found parked on an
 	// address producer and on a waitStore.
 	addrParks, storeParks int
@@ -32,6 +39,15 @@ type readyMachine struct {
 
 func newReadyMachine(t *testing.T, cfg config.Config, progs []isa.Program) *readyMachine {
 	t.Helper()
+	m := buildReadyMachine(t, cfg, progs)
+	m.naive = buildReadyMachine(t, cfg, progs)
+	for _, c := range m.naive.cores {
+		c.SetWakeHints(false)
+	}
+	return m
+}
+
+func buildReadyMachine(t *testing.T, cfg config.Config, progs []isa.Program) *readyMachine {
 	m := &readyMachine{t: t, clock: sched.NewClock(cfg.Cores)}
 	m.hier = mem.NewHierarchy(cfg.Cores, cfg.Mem, noc.New(cfg.NoC, cfg.Jitter, cfg.JitterSeed), &m.clock.EventQueue)
 	st := stats.New(cfg.Model.String(), "ready", cfg.Cores)
@@ -41,6 +57,12 @@ func newReadyMachine(t *testing.T, cfg config.Config, progs []isa.Program) *read
 		m.cores = append(m.cores, c)
 	}
 	return m
+}
+
+// writeImage sets an initial 8-byte value in both machines' memory.
+func (m *readyMachine) writeImage(addr, val uint64) {
+	m.hier.WriteImage(addr, 8, val)
+	m.naive.hier.WriteImage(addr, 8, val)
 }
 
 // HandleBatch hands the hierarchy one event at a time, so a callback that
@@ -60,12 +82,19 @@ func (m *readyMachine) run(maxCycles uint64) {
 			m.t.Fatalf("not done after %d cycles", maxCycles)
 		}
 		m.clock.Deliver(m)
+		m.naive.clock.Deliver(m.naive.hier)
 		for i, c := range m.cores {
-			_, wake := c.Tick(now)
+			progressed, wake := c.Tick(now)
 			m.clock.SetWake(i, wake)
 			m.check(c, "after a tick")
+			n := m.naive.cores[i]
+			if np, _ := n.Tick(now); np != progressed || *n.st != *c.st {
+				m.t.Fatalf("core %d, cycle %d (asleep %v): tick progressed = %v with counters %+v; without wake hints, progressed = %v with counters %+v",
+					i, now, c.asleep, progressed, *c.st, np, *n.st)
+			}
 		}
 		m.clock.Tick()
+		m.naive.clock.Tick()
 	}
 }
 
@@ -81,11 +110,31 @@ func (m *readyMachine) done() bool {
 func (m *readyMachine) check(c *Core, when string) {
 	m.t.Helper()
 	a, s, err := readyInvariants(c)
+	if err == nil {
+		err = snoopFilterInvariant(c)
+	}
 	if err != nil {
 		m.t.Fatalf("core %d, cycle %d, %s: %v", c.id, m.clock.Now(), when, err)
 	}
 	m.addrParks += a
 	m.storeParks += s
+}
+
+// snoopFilterInvariant checks that the LQ snoop filter covers every issued
+// LQ load's line. The snoop acts only on performed loads, which have all
+// issued, so a walk the filter skips would have found nothing.
+func snoopFilterInvariant(c *Core) error {
+	for k := 0; k < c.lq.len(); k++ {
+		i := c.lq.at(k).index()
+		if c.ar.stat[i] == stDispatched {
+			continue
+		}
+		if w, b := c.lineBit(c.ar.lineAddr[i]); c.lqLines[w]&b == 0 {
+			return fmt.Errorf("LQ load %d (%v, status %d) on line %#x is missing from the snoop filter",
+				k, c.ar.ents[i].inst, c.ar.stat[i], c.ar.lineAddr[i])
+		}
+	}
+	return nil
 }
 
 // readyInvariants checks c's ready set and waiter sets against the entries
@@ -228,7 +277,7 @@ func TestReadySetWakePaths(t *testing.T) {
 				for _, cfg := range readyConfigs(1, model) {
 					m := newReadyMachine(t, cfg, []isa.Program{tc.prog})
 					for a, v := range tc.mem {
-						m.hier.WriteImage(a, 8, v)
+						m.writeImage(a, v)
 					}
 					m.run(100_000)
 					for r, want := range tc.regs {

@@ -11,14 +11,29 @@ import (
 // is squashed if it is speculative under the core's model — the mechanism
 // that dynamically enforces store atomicity exactly when a violation would
 // otherwise become observable (Sections III and IV).
+//
+// The walk runs only when the line's bit is set in the snoop filter: every
+// performed LQ load was issued, and issuing set its line's bit, so a clear
+// bit means the walk would find nothing. A walk that squashes nothing has
+// seen every LQ load and rebuilds the filter from the issued ones, which
+// drops the bits of loads that have since retired or been squashed.
 func (c *Core) OnLineRemoved(lineAddr uint64, when uint64, eviction bool) {
 	if c.done {
 		return
 	}
 	c.st.LQSnoops++
+	if w, b := c.lineBit(lineAddr); c.lqLines[w]&b == 0 {
+		return
+	}
+	var lines [lqFilterWords]uint64
 	n := c.lq.len()
 	for k := 0; k < n; k++ {
 		i := c.lq.at(k).index()
+		if c.ar.stat[i] == stDispatched {
+			continue
+		}
+		w, b := c.lineBit(c.ar.lineAddr[i])
+		lines[w] |= b
 		if c.ar.stat[i] != stDone || c.ar.lineAddr[i] != lineAddr {
 			continue
 		}
@@ -43,9 +58,11 @@ func (c *Core) OnLineRemoved(lineAddr uint64, when uint64, eviction bool) {
 		if sa {
 			cause = obs.CauseSA
 		}
+		c.asleep = false
 		c.squashFrom(i, when, true, sa, cause, lineAddr)
 		return
 	}
+	c.lqLines = lines
 }
 
 // loadSpeculative decides whether the performed load at LQ position k may

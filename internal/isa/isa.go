@@ -69,18 +69,19 @@ const RegNone Reg = 0xFF
 // NumRegs is the number of architectural registers.
 const NumRegs = 32
 
-// Inst is one micro-operation of a trace.
+// Inst is one micro-operation of a trace. The one-byte fields come first,
+// so an instruction is 32 bytes.
 type Inst struct {
 	Op   Op
-	Dst  Reg    // destination register (RegNone if none)
-	Src1 Reg    // first source (store data for OpStore/OpRMW)
-	Src2 Reg    // second source (RegNone if none)
-	Addr uint64 // virtual address for memory ops
-	Size uint8  // access size in bytes (memory ops); 0 defaults to 8
-	Imm  uint64 // immediate: store data when Src1==RegNone, ALU constant
-	Lat  uint8  // extra execution latency for OpALU beyond 1 cycle
+	Dst  Reg   // destination register (RegNone if none)
+	Src1 Reg   // first source (store data for OpStore/OpRMW)
+	Src2 Reg   // second source (RegNone if none)
+	Size uint8 // access size in bytes (memory ops); 0 defaults to 8
+	Lat  uint8 // extra execution latency for OpALU beyond 1 cycle
 	// Taken is the trace outcome for OpBranch.
 	Taken bool
+	Addr  uint64 // virtual address for memory ops
+	Imm   uint64 // immediate: store data when Src1==RegNone, ALU constant
 	// PC is the (synthetic) program counter, used by the branch and
 	// memory-dependence predictors for indexing.
 	PC uint64

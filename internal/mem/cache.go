@@ -33,14 +33,48 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
 
-// line is one cache-array entry.
+// line is one cache-array entry, 16 bytes. tag packs the line address with
+// the MESI state in its two low bits and the dirty flag in the next one:
+// lines are at least 8 bytes (config.Validate), so a line address leaves
+// those three bits clear. An Invalid line is the zero value.
 type line struct {
-	tag   uint64
-	state State
-	dirty bool
+	tag uint64
 	// lru is a monotonically increasing use stamp; the smallest stamp in
 	// a set is the LRU victim.
 	lru uint64
+}
+
+// The low bits of line.tag.
+const (
+	stateBits = 3 // the MESI state
+	dirtyBit  = 4 // the line was written while resident
+	flagBits  = stateBits | dirtyBit
+)
+
+func (l *line) state() State { return State(l.tag & stateBits) }
+
+func (l *line) dirty() bool { return l.tag&dirtyBit != 0 }
+
+// holds reports whether the line is valid and caches lineAddr.
+func (l *line) holds(lineAddr uint64) bool {
+	x := l.tag ^ lineAddr
+	return x <= flagBits && x&stateBits != 0
+}
+
+// setState changes a resident line's state; entering Modified marks it
+// dirty, and the mark stays until the line leaves.
+func (l *line) setState(s State) {
+	l.tag = l.tag&^stateBits | uint64(s)
+	if s == Modified {
+		l.tag |= dirtyBit
+	}
+}
+
+// newLine is a line freshly filled with lineAddr in state s.
+func newLine(lineAddr uint64, s State, lru uint64) line {
+	l := line{tag: lineAddr, lru: lru}
+	l.setState(s)
+	return l
 }
 
 // Array is a set-associative cache array with LRU replacement. Tags are full
@@ -122,10 +156,10 @@ func hashIndex(lineNum uint64, setBits uint) uint64 {
 func (a *Array) Lookup(lineAddr uint64) State {
 	set := a.sets.set(a.setIndex(lineAddr))
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == lineAddr {
+		if set[i].holds(lineAddr) {
 			a.stamp++
 			set[i].lru = a.stamp
-			return set[i].state
+			return set[i].state()
 		}
 	}
 	return Invalid
@@ -135,8 +169,8 @@ func (a *Array) Lookup(lineAddr uint64) State {
 func (a *Array) Peek(lineAddr uint64) State {
 	set := a.sets.set(a.setIndex(lineAddr))
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == lineAddr {
-			return set[i].state
+		if set[i].holds(lineAddr) {
+			return set[i].state()
 		}
 	}
 	return Invalid
@@ -147,15 +181,12 @@ func (a *Array) Peek(lineAddr uint64) State {
 func (a *Array) SetState(lineAddr uint64, s State) {
 	set := a.sets.set(a.setIndex(lineAddr))
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == lineAddr {
+		if set[i].holds(lineAddr) {
 			if s == Invalid {
 				set[i] = line{}
 				return
 			}
-			set[i].state = s
-			if s == Modified {
-				set[i].dirty = true
-			}
+			set[i].setState(s)
 			return
 		}
 	}
@@ -176,19 +207,16 @@ func (a *Array) Insert(lineAddr uint64, s State) (Victim, bool) {
 	a.stamp++
 	// Already resident: update in place.
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == lineAddr {
-			set[i].state = s
+		if set[i].holds(lineAddr) {
+			set[i].setState(s)
 			set[i].lru = a.stamp
-			if s == Modified {
-				set[i].dirty = true
-			}
 			return Victim{}, false
 		}
 	}
 	// Free way.
 	for i := range set {
-		if set[i].state == Invalid {
-			set[i] = line{tag: lineAddr, state: s, lru: a.stamp, dirty: s == Modified}
+		if set[i].state() == Invalid {
+			set[i] = newLine(lineAddr, s, a.stamp)
 			return Victim{}, false
 		}
 	}
@@ -199,8 +227,9 @@ func (a *Array) Insert(lineAddr uint64, s State) (Victim, bool) {
 			vi = i
 		}
 	}
-	v := Victim{LineAddr: set[vi].tag, State: set[vi].state, Dirty: set[vi].dirty}
-	set[vi] = line{tag: lineAddr, state: s, lru: a.stamp, dirty: s == Modified}
+	old := &set[vi]
+	v := Victim{LineAddr: old.tag &^ flagBits, State: old.state(), Dirty: old.dirty()}
+	*old = newLine(lineAddr, s, a.stamp)
 	return v, true
 }
 

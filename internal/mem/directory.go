@@ -3,13 +3,15 @@ package mem
 import "sesa/internal/config"
 
 // dirEntry tracks the coherence state of one line across the private cache
-// hierarchy: which cores hold it and whether one holds it exclusively.
+// hierarchy: which cores hold it and whether one holds it exclusively. It
+// is 32 bytes: machines have at most 64 cores (config.Validate), so the
+// sharer set fits a uint64 and the owner an int8.
 type dirEntry struct {
 	tag       uint64
-	valid     bool
-	owner     int    // core holding E/M, or -1
 	sharers   uint64 // bitmask of cores holding S
 	lru       uint64
+	owner     int8 // core holding E/M, or -1
+	valid     bool
 	presentL3 bool // whether the data is also cached in the L3
 }
 

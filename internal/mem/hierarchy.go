@@ -361,7 +361,7 @@ func (h *Hierarchy) dropFromDirectory(core int, lineAddr uint64, dirty bool) {
 	if e == nil {
 		return
 	}
-	if e.owner == core {
+	if int(e.owner) == core {
 		e.owner = -1
 		if dirty {
 			h.Stats.Writebacks++
@@ -399,7 +399,7 @@ func (h *Hierarchy) evictDirEntry(ev dirEntry, t uint64) {
 	h.Stats.DirEvictions++
 	if ev.owner >= 0 {
 		h.Stats.InvalsSent++
-		h.invalidateCore(ev.owner, ev.tag, t+h.ctrl(), false)
+		h.invalidateCore(int(ev.owner), ev.tag, t+h.ctrl(), false)
 	}
 	for c := 0; c < h.cores; c++ {
 		if ev.sharers&(1<<uint(c)) != 0 {
@@ -457,7 +457,7 @@ func (h *Hierarchy) LoadInvisible(core int, addr uint64, size uint8, t uint64, r
 		req := h.claimLine(lineAddr, t+l1lat+uint64(h.cfg.L2.HitCycles)+h.ctrl())
 		e := h.dir.Lookup(lineAddr)
 		switch {
-		case e != nil && e.owner >= 0 && e.owner != core:
+		case e != nil && e.owner >= 0 && int(e.owner) != core:
 			// The owner supplies the data covertly: no downgrade, no
 			// writeback, no sharer registration.
 			when, lvl = req+h.ctrl()+h.data(), hist.LoadRemote
@@ -516,7 +516,7 @@ func (h *Hierarchy) loadLine(core int, addr uint64, t uint64, prefetch bool) (ui
 	lvl := hist.LoadL3
 	grant := Shared
 	switch {
-	case e.owner >= 0 && e.owner != core:
+	case e.owner >= 0 && int(e.owner) != core:
 		// Owner holds E/M: forward the request; the owner downgrades
 		// to S and supplies the data.
 		h.Stats.OwnerForwards++
@@ -544,7 +544,7 @@ func (h *Hierarchy) loadLine(core int, addr uint64, t uint64, prefetch bool) (ui
 	}
 	if e.sharers == 0 && e.owner == -1 {
 		grant = Exclusive
-		e.owner = core
+		e.owner = int8(core)
 	} else {
 		e.sharers |= 1 << uint(core)
 	}
@@ -705,9 +705,9 @@ func (h *Hierarchy) storeLine(core int, addr uint64, t, notBefore uint64) uint64
 	// travel in parallel, so the ack time is one control round trip.
 	ackAt := req
 	sentInval := false
-	if e.owner >= 0 && e.owner != core {
+	if e.owner >= 0 && int(e.owner) != core {
 		h.Stats.InvalsSent++
-		h.invalidateCore(e.owner, lineAddr, req+h.ctrl(), false)
+		h.invalidateCore(int(e.owner), lineAddr, req+h.ctrl(), false)
 		sentInval = true
 		// Dirty data is forwarded to the requester.
 		h.Stats.OwnerForwards++
@@ -729,7 +729,7 @@ func (h *Hierarchy) storeLine(core int, addr uint64, t, notBefore uint64) uint64
 	switch {
 	case hadCopy:
 		dataAt = req // upgrade: no data needed
-	case e.owner >= 0 && e.owner != core:
+	case e.owner >= 0 && int(e.owner) != core:
 		dataAt = req + h.ctrl() + h.data()
 	case e.presentL3 && h.l3.Lookup(lineAddr) != Invalid:
 		h.Stats.L3Hits++
@@ -745,7 +745,7 @@ func (h *Hierarchy) storeLine(core int, addr uint64, t, notBefore uint64) uint64
 		done = ackAt
 	}
 	done = clamp(done)
-	e.owner = core
+	e.owner = int8(core)
 	e.sharers = 0
 	e.presentL3 = false
 	h.l3.SetState(lineAddr, Invalid)

@@ -96,40 +96,48 @@ func (t *TAGE) Predict(pc uint64) bool {
 }
 
 // Update trains the predictor with the actual outcome and returns whether
-// the prediction was correct.
+// the prediction was correct. It computes each bank's index and tag once,
+// for the prediction, the training of its provider and the allocation
+// alike: the history they fold does not change until the end.
 func (t *TAGE) Update(pc uint64, taken bool) bool {
 	if t.base == nil {
 		t.alloc()
 	}
-	pred := t.Predict(pc)
-	correct := pred == taken
+	var idx [len(tageHistLens)]uint64
+	var tag [len(tageHistLens)]uint16
+	for b := range tageHistLens {
+		idx[b], tag[b] = t.bankIndex(b, pc)
+	}
 
-	// Train the providing component.
+	// The provider is the longest-history bank holding a useful entry for
+	// pc, as in Predict; without one the base counter predicts.
 	provider := -1
 	for b := len(tageHistLens) - 1; b >= 0; b-- {
-		idx, tag := t.bankIndex(b, pc)
-		e := &t.tagged[idx]
-		if e.tag == tag && e.useful > 0 {
+		if e := &t.tagged[idx[b]]; e.tag == tag[b] && e.useful > 0 {
 			provider = b
-			bump(&e.ctr, taken, 3)
-			if correct && e.useful < 3 {
-				e.useful++
-			}
 			break
 		}
 	}
-	if provider < 0 {
-		i := pc & ((1 << tageBaseBits) - 1)
-		bump(&t.base[i], taken, 2)
+	var correct bool
+	if provider >= 0 {
+		e := &t.tagged[idx[provider]]
+		correct = (e.ctr >= 0) == taken
+		bump(&e.ctr, taken, 3)
+		if correct && e.useful < 3 {
+			e.useful++
+		}
+	} else {
+		c := &t.base[pc&((1<<tageBaseBits)-1)]
+		correct = (*c >= 0) == taken
+		bump(c, taken, 2)
 	}
 
 	// On a misprediction, allocate in a longer-history bank.
 	if !correct {
 		for b := provider + 1; b < len(tageHistLens); b++ {
-			idx, tag := t.bankIndex(b, pc)
-			e := &t.tagged[idx]
+			e := &t.tagged[idx[b]]
 			if e.useful == 0 {
-				*e = tageEntry{tag: tag, useful: 1}
+				*e = tageEntry{tag: tag[b], useful: 1}
 				if taken {
 					e.ctr = 0
 				} else {

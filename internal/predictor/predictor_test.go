@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -191,5 +192,78 @@ func TestResetAnswersAsNew(t *testing.T) {
 	}
 	if got, want := train(p, s), train(NewTAGE(), NewStoreSet()); !slices.Equal(got, want) {
 		t.Error("a reset predictor answers differently from a new one")
+	}
+}
+
+// referenceUpdate is Update as it was before it computed each bank's index
+// and tag once: Predict, the provider search and the allocation loop each
+// recompute them.
+func referenceUpdate(t *TAGE, pc uint64, taken bool) bool {
+	if t.base == nil {
+		t.alloc()
+	}
+	correct := t.Predict(pc) == taken
+	provider := -1
+	for b := len(tageHistLens) - 1; b >= 0; b-- {
+		idx, tag := t.bankIndex(b, pc)
+		e := &t.tagged[idx]
+		if e.tag == tag && e.useful > 0 {
+			provider = b
+			bump(&e.ctr, taken, 3)
+			if correct && e.useful < 3 {
+				e.useful++
+			}
+			break
+		}
+	}
+	if provider < 0 {
+		bump(&t.base[pc&((1<<tageBaseBits)-1)], taken, 2)
+	}
+	if !correct {
+		for b := provider + 1; b < len(tageHistLens); b++ {
+			idx, tag := t.bankIndex(b, pc)
+			e := &t.tagged[idx]
+			if e.useful == 0 {
+				*e = tageEntry{tag: tag, useful: 1}
+				if taken {
+					e.ctr = 0
+				} else {
+					e.ctr = -1
+				}
+				break
+			}
+			e.useful--
+		}
+	}
+	t.hist = t.hist<<1 | b2u(taken)
+	return correct
+}
+
+// TestUpdateMatchesReference drives Update and the reference with the same
+// branch streams, biased, periodic and random over a few PCs, and requires
+// the same answer from every update and the same tables every 500 updates.
+func TestUpdateMatchesReference(t *testing.T) {
+	got, want := NewTAGE(), NewTAGE()
+	r := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 100_000; i++ {
+		pc := uint64(r.IntN(64))*4 + 0x400000
+		var taken bool
+		switch pc % 3 {
+		case 0:
+			taken = r.IntN(10) > 0
+		case 1:
+			taken = i%7 < 3
+		default:
+			taken = r.IntN(2) == 0
+		}
+		if g, w := got.Update(pc, taken), referenceUpdate(want, pc, taken); g != w {
+			t.Fatalf("update %d (pc %#x, taken %v): correct = %v, reference %v", i, pc, taken, g, w)
+		}
+		if i%500 != 0 {
+			continue
+		}
+		if got.hist != want.hist || !slices.Equal(got.base, want.base) || !slices.Equal(got.tagged, want.tagged) {
+			t.Fatalf("update %d (pc %#x, taken %v): tables differ from the reference", i, pc, taken)
+		}
 	}
 }

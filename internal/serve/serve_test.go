@@ -292,10 +292,14 @@ func TestAdmissionBound429(t *testing.T) {
 // pick up the next sweep.
 func TestDeleteRunningSweepFreesWorkers(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxWorkers: 2})
-	// Sized so trace generation (not cancellable) finishes well inside the
-	// sleep below even under -race, while the simulation itself runs for
-	// seconds — the cancel must land mid-simulation to exercise partial
-	// statistics.
+	// The cancel must land mid-simulation to exercise partial statistics.
+	// Trace generation is not cancellable, so the job's trace is put in the
+	// shared trace cache first: the running job then starts simulating at
+	// once, and the cancel lands a tenth of a second into a simulation of
+	// 8x100k instructions, which runs for over a second on a 2-vCPU Xeon
+	// guest.
+	radix, _ := trace.Lookup("radix")
+	trace.CachedWorkload(radix, config.Default(config.X86).Cores, 100_000, 11)
 	resp, st := post(t, ts, SweepRequest{Jobs: []JobSpec{
 		{Profile: "radix", Model: "x86", InstPerCore: 100_000, Seed: 11},
 	}})
@@ -303,7 +307,7 @@ func TestDeleteRunningSweepFreesWorkers(t *testing.T) {
 		t.Fatalf("submit: HTTP %d", resp.StatusCode)
 	}
 	waitState(t, ts, st.ID, stateRunning, 20*time.Second)
-	time.Sleep(1 * time.Second)
+	time.Sleep(100 * time.Millisecond)
 
 	start := time.Now()
 	code, state := del(t, ts, st.ID)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"sesa/internal/config"
@@ -8,14 +9,17 @@ import (
 )
 
 // benchMachine builds a warm machine on the barnes workload: programs
-// installed, predictors and tables past their cold-start transient.
-func benchMachine(b *testing.B, n int) *Machine {
-	return benchMachineModel(b, n, config.X86)
+// installed, predictors and tables past their cold-start transient. hints
+// sets the cores' wake hints: off for the naive stepper, whose cores run
+// the pipeline on every tick, and on for the skip clock, whose quiescent
+// cores sleep.
+func benchMachine(b *testing.B, n int, hints bool) *Machine {
+	return benchMachineModel(b, n, config.X86, hints)
 }
 
 // benchMachineModel is benchMachine under an arbitrary consistency policy,
 // so the perf-guard can pin the policy indirection itself at 0 allocs/op.
-func benchMachineModel(b *testing.B, n int, model config.Model) *Machine {
+func benchMachineModel(b *testing.B, n int, model config.Model, hints bool) *Machine {
 	b.Helper()
 	p, ok := trace.Lookup("barnes")
 	if !ok {
@@ -32,6 +36,9 @@ func benchMachineModel(b *testing.B, n int, model config.Model) *Machine {
 			b.Fatal(err)
 		}
 	}
+	for c := 0; c < cfg.Cores; c++ {
+		m.Core(c).SetWakeHints(hints)
+	}
 	for i := 0; i < 20_000 && !m.Done(); i++ {
 		m.Step()
 	}
@@ -42,19 +49,39 @@ func benchMachineModel(b *testing.B, n int, model config.Model) *Machine {
 }
 
 // BenchmarkMachineStepNaive is the hot loop itself: one naive-mode machine
-// step — core.Tick on every core plus batched event delivery. The CI
+// step — core.Tick on every core, with wake hints off as RunContext sets
+// them for the naive stepper, plus batched event delivery. The CI
 // perf-guard pins its allocs/op at zero.
 func BenchmarkMachineStepNaive(b *testing.B) {
-	m := benchMachine(b, 300_000)
+	m := benchMachine(b, 300_000, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if m.Done() {
 			b.StopTimer()
-			m = benchMachine(b, 300_000)
+			m = benchMachine(b, 300_000, false)
 			b.StartTimer()
 		}
 		m.Step()
+	}
+}
+
+// BenchmarkMachineStepSkip is one iteration of the skip clock's loop: a
+// machine step with wake hints on, in which quiescent cores sleep, and the
+// jump that follows a fully quiescent one. The CI perf-guard pins its
+// allocs/op at zero.
+func BenchmarkMachineStepSkip(b *testing.B) {
+	m := benchMachine(b, 300_000, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m.Done() {
+			b.StopTimer()
+			m = benchMachine(b, 300_000, true)
+			b.StartTimer()
+		}
+		m.Step()
+		m.skipAhead(math.MaxUint64)
 	}
 }
 
@@ -67,13 +94,13 @@ func BenchmarkMachineStepNaive(b *testing.B) {
 func BenchmarkMachineStepNaivePolicy(b *testing.B) {
 	for _, model := range []config.Model{config.Louvre370, config.RCP370, config.NoSpec370} {
 		b.Run(model.String(), func(b *testing.B) {
-			m := benchMachineModel(b, 300_000, model)
+			m := benchMachineModel(b, 300_000, model, false)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if m.Done() {
 					b.StopTimer()
-					m = benchMachineModel(b, 300_000, model)
+					m = benchMachineModel(b, 300_000, model, false)
 					b.StartTimer()
 				}
 				m.Step()
@@ -86,7 +113,7 @@ func BenchmarkMachineStepNaivePolicy(b *testing.B) {
 // one skipped quiescent cycle to every core. The CI perf-guard pins its
 // allocs/op at zero.
 func BenchmarkSkipCyclesReplay(b *testing.B) {
-	m := benchMachine(b, 300_000)
+	m := benchMachine(b, 300_000, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -235,6 +235,30 @@ func TestStoreSetLearnsDependence(t *testing.T) {
 	}
 }
 
+// TestInFlightLoadSeesOlderStore: a load that issues to memory before an
+// older store to its address resolves that address is a dependence
+// violation even while the load is still in flight, so it re-executes and
+// reads the store's value on every machine.
+func TestInFlightLoadSeesOlderStore(t *testing.T) {
+	const delayReg = isa.Reg(30)
+	for _, lat := range []uint8{20, 60, 200} {
+		st := isa.StoreImm(0x3000, 5)
+		st.Src2 = delayReg
+		prog := isa.Program{isa.ALUImm(delayReg, delayReg, 1, lat), st, isa.Load(2, 0x3000)}
+		for _, model := range config.AllModels() {
+			m := newMachine(t, config.Skylake(1, model), "inflight")
+			if err := m.SetProgram(0, prog); err != nil {
+				t.Fatal(err)
+			}
+			mustRun(t, m)
+			if got := m.Core(0).RegValue(2); got != 5 {
+				t.Errorf("%s, lat %d: r2 = %d, want 5 (%d dependence squashes)",
+					model, lat, got, m.Stats.Total().DepSquashes)
+			}
+		}
+	}
+}
+
 // TestNoDeadlockProperty is the Section IV-C liveness argument as a
 // property test: random programs on random models always finish.
 func TestNoDeadlockProperty(t *testing.T) {

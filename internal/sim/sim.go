@@ -70,6 +70,10 @@ type Machine struct {
 	hier  *mem.Hierarchy
 	cores []*core.Core
 
+	// live lists, in index order, the cores Step still ticks: every core
+	// after a reset, less each core once it has finished (DESIGN.md §5c).
+	live []int
+
 	// quiet records whether the last Step was fully quiescent — the
 	// precondition for skipAhead.
 	quiet bool
@@ -131,7 +135,11 @@ func (m *Machine) reset(cfg config.Config, workload string) {
 		net:   m.net,
 		hier:  m.hier,
 		cores: m.cores,
+		live:  m.live[:0],
 		Stats: stats.New(cfg.Model.String(), workload, cfg.Cores),
+	}
+	for i := range m.cores {
+		m.live = append(m.live, i)
 	}
 	m.clock.Reset()
 	m.net.Reset(cfg.NoC, cfg.Jitter, cfg.JitterSeed)
@@ -206,7 +214,8 @@ func (m *Machine) Hierarchy() *mem.Hierarchy { return m.hier }
 // Network exposes interconnect traffic counters.
 func (m *Machine) Network() *noc.Network { return m.net }
 
-// SetProgram installs the trace for core i.
+// SetProgram validates the trace for core i and installs it. Call it after
+// New or Reset and before the first Step.
 func (m *Machine) SetProgram(i int, p isa.Program) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -224,10 +233,12 @@ func (m *Machine) ReadMemory(addr uint64) uint64 { return m.hier.ReadImage(addr,
 // Cycle returns the current cycle.
 func (m *Machine) Cycle() uint64 { return m.clock.Now() }
 
-// Done reports whether every core has finished its trace.
+// Done reports whether every core has finished its trace. Only the cores
+// Step still ticks can be unfinished, and a core can also finish outside a
+// Step, when SetProgram installs an empty program.
 func (m *Machine) Done() bool {
-	for _, c := range m.cores {
-		if !c.Done() {
+	for _, i := range m.live {
+		if !m.cores[i].Done() {
 			return false
 		}
 	}
@@ -235,17 +246,29 @@ func (m *Machine) Done() bool {
 }
 
 // Step advances the machine one cycle: deliver the cycle's memory events,
-// then tick every core in index order (deterministic), collecting each
-// core's quiescence report into the clock's wake registrations.
+// then tick every unfinished core in index order (deterministic),
+// collecting each core's quiescence report into the clock's wake
+// registrations. A finished core's Tick would do nothing and report no
+// wake, so a core leaves the loop once it has finished, its wake set to
+// Never. The tick a core finishes in reports progress, so that Step is not
+// quiescent and the clock reads no wake before the next one.
 func (m *Machine) Step() {
 	now := m.clock.Now()
 	m.clock.Deliver(m.hier)
 	quiet := true
-	for i, c := range m.cores {
+	live := m.live[:0]
+	for _, i := range m.live {
+		c := m.cores[i]
 		progressed, wake := c.Tick(now)
 		quiet = quiet && !progressed
+		if c.Done() {
+			wake = sched.Never
+		} else {
+			live = append(live, i)
+		}
 		m.clock.SetWake(i, wake)
 	}
+	m.live = live
 	m.quiet = quiet
 	m.clock.Tick()
 	if iv := m.tracer.MetricsInterval(); iv > 0 && m.clock.Now()%iv == 0 {
@@ -284,13 +307,14 @@ func (m *Machine) skipAhead(bound uint64) {
 	m.clock.AdvanceTo(target)
 }
 
-// bulkTick applies n skipped quiescent cycles to every core.
+// bulkTick applies n skipped quiescent cycles to every unfinished core; a
+// finished core counts no cycles.
 func (m *Machine) bulkTick(n uint64) {
 	if n == 0 {
 		return
 	}
-	for _, c := range m.cores {
-		c.SkipCycles(n)
+	for _, i := range m.live {
+		m.cores[i].SkipCycles(n)
 	}
 }
 

@@ -218,3 +218,17 @@ func TestTimeoutRecordsCycles(t *testing.T) {
 		t.Errorf("Stats.Cycles = %d, want the machine cycle %d", m.Stats.Cycles, m.Cycle())
 	}
 }
+
+// TestSetProgramValidates: SetProgram rejects a program the core cannot
+// run, a misaligned access or a register out of range.
+func TestSetProgramValidates(t *testing.T) {
+	for name, p := range map[string]isa.Program{
+		"misaligned load":       {isa.Load(1, 0x104)},
+		"register out of range": {isa.ALUImm(40, 1, 1, 0)},
+	} {
+		m := newMachine(t, config.Small(1, config.X86), "invalid")
+		if err := m.SetProgram(0, p); err == nil {
+			t.Errorf("%s: SetProgram accepted %v", name, p)
+		}
+	}
+}

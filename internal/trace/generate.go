@@ -248,7 +248,7 @@ func (g *gen) emitALU() {
 
 // MaxInstPerCore bounds a generated trace's instructions per core: five
 // times the largest scale the documentation runs (200,000). An 8-core trace
-// at the bound holds 384 MiB of instructions (48 bytes each).
+// at the bound holds 256 MiB of instructions (32 bytes each).
 const MaxInstPerCore = 1 << 20
 
 // CheckInstPerCore rejects a per-core instruction count that Generate

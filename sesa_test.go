@@ -151,3 +151,20 @@ func TestGeoMeanPublic(t *testing.T) {
 		t.Errorf("mean = %f", m)
 	}
 }
+
+// TestLoadProgramValidates: LoadProgram rejects a program the simulator
+// cannot run, a misaligned access or a register out of range.
+func TestLoadProgramValidates(t *testing.T) {
+	for name, p := range map[string]sesa.Program{
+		"misaligned load":       {sesa.Load(1, 0x104)},
+		"register out of range": {sesa.ALUImm(40, 1, 1, 0)},
+	} {
+		sys, err := sesa.NewSystem(sesa.SkylakeConfig(1, sesa.X86), "invalid")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.LoadProgram(0, p); err == nil {
+			t.Errorf("%s: LoadProgram accepted %v", name, p)
+		}
+	}
+}
