@@ -80,8 +80,8 @@ func main() {
 	if opt.models, err = sesa.ParseModels(*modelsSpec); err != nil {
 		fatal(err)
 	}
-	if opt.count < 0 {
-		fatal(fmt.Errorf("-count must be >= 0"))
+	if err := checkCounts(opt); err != nil {
+		fatal(err)
 	}
 
 	failures, err := run(os.Stdout, opt)
@@ -91,6 +91,22 @@ func main() {
 	if failures > 0 {
 		os.Exit(1)
 	}
+}
+
+// checkCounts rejects the counts that would silently do nothing: a negative
+// -count, a -sim-iters below 1, which would witness nothing on the machines
+// -models selects (-models none is how to skip the witness leg), and a
+// negative -pressure, which would act as 0.
+func checkCounts(opt options) error {
+	switch {
+	case opt.count < 0:
+		return fmt.Errorf("-count must be >= 0")
+	case opt.simIters < 1:
+		return fmt.Errorf("-sim-iters must be >= 1")
+	case opt.pressure < 0:
+		return fmt.Errorf("-pressure must be >= 0")
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -132,3 +132,26 @@ func TestCorpusRejectsBadProgram(t *testing.T) {
 		t.Fatalf("want parse error naming the file, got %v", err)
 	}
 }
+
+// TestCheckCounts: the counts that would run nothing visible are rejected
+// before any simulation, the rest accepted.
+func TestCheckCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name                      string
+		count, simIters, pressure int
+		ok                        bool
+	}{
+		{"defaults", 20, 3, 3, true},
+		{"no programs", 0, 3, 3, true},
+		{"one iteration, no pressure", 20, 1, 0, true},
+		{"negative count", -1, 3, 3, false},
+		{"zero sim-iters", 20, 0, 3, false},
+		{"negative sim-iters", 20, -1, 3, false},
+		{"negative pressure", 20, 3, -1, false},
+	} {
+		err := checkCounts(options{count: tc.count, simIters: tc.simIters, pressure: tc.pressure})
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: checkCounts = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}

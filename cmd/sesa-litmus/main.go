@@ -46,6 +46,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	if err := checkCounts(*iters, *pressure); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	traceOpts, wantHists := outs.TraceOptions(), outs.WantHists()
 
 	tests, err := litmus.Select(*testName)
@@ -134,4 +138,16 @@ func main() {
 		os.Exit(1)
 	}
 	os.Exit(exit)
+}
+
+// checkCounts rejects an -iters below 1, which would print every model's
+// row with no outcomes, and a negative -pressure, which would act as 0.
+func checkCounts(iters, pressure int) error {
+	if iters < 1 {
+		return fmt.Errorf("-iters must be >= 1")
+	}
+	if pressure < 0 {
+		return fmt.Errorf("-pressure must be >= 0")
+	}
+	return nil
 }

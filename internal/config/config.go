@@ -398,6 +398,9 @@ func (c Config) Validate() error {
 	if c.Core.Width <= 0 || c.Core.ROBEntries <= 0 || c.Core.LQEntries <= 0 || c.Core.SQEntries <= 0 {
 		return fmt.Errorf("config: core structure sizes must be positive: %+v", c.Core)
 	}
+	if c.Core.BranchMispredictPenalty < 0 || c.Core.SquashRefillPenalty < 0 || c.Core.PipelineDepth < 0 {
+		return fmt.Errorf("config: core latencies and penalties must be non-negative: %+v", c.Core)
+	}
 	if c.Core.ROBEntries < c.Core.LQEntries && c.Core.ROBEntries < c.Core.SQEntries {
 		return fmt.Errorf("config: ROB (%d) smaller than both LQ (%d) and SQ (%d)",
 			c.Core.ROBEntries, c.Core.LQEntries, c.Core.SQEntries)
@@ -408,6 +411,9 @@ func (c Config) Validate() error {
 	}{{"L1D", c.Mem.L1D}, {"L2", c.Mem.L2}, {"L3", c.Mem.L3}} {
 		if cc.c.LineBytes == 0 || cc.c.Ways == 0 || cc.c.SizeBytes == 0 {
 			return fmt.Errorf("config: %s has zero geometry: %+v", cc.name, cc.c)
+		}
+		if cc.c.HitCycles < 0 {
+			return fmt.Errorf("config: %s hit latency must be non-negative, got %d", cc.name, cc.c.HitCycles)
 		}
 		if cc.c.LineBytes < MinLineBytes || cc.c.LineBytes&(cc.c.LineBytes-1) != 0 {
 			return fmt.Errorf("config: %s line size must be a power of two of at least %d bytes, got %d",
@@ -425,6 +431,9 @@ func (c Config) Validate() error {
 	}
 	if c.Mem.L3Banks <= 0 || c.Mem.L3Banks&(c.Mem.L3Banks-1) != 0 {
 		return fmt.Errorf("config: L3 banks must be a positive power of two, got %d", c.Mem.L3Banks)
+	}
+	if c.Mem.MemCycles < 0 {
+		return fmt.Errorf("config: memory latency must be non-negative, got %d", c.Mem.MemCycles)
 	}
 	if c.Mem.DirectoryWays <= 0 {
 		return fmt.Errorf("config: directory ways must be positive, got %d", c.Mem.DirectoryWays)

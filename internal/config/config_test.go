@@ -176,6 +176,15 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"4-byte lines", withLines(4)},
 		{"48-byte lines", withLines(48)},
 		{"96-byte lines", withLines(96)},
+		// Latencies and penalties feed uint64 cycle arithmetic, where a
+		// negative one wraps: livelock, or a run that ends too early.
+		{"negative L1 hit", func(c *Config) { c.Mem.L1D.HitCycles = -4 }},
+		{"negative L2 hit", func(c *Config) { c.Mem.L2.HitCycles = -12 }},
+		{"negative L3 hit", func(c *Config) { c.Mem.L3.HitCycles = -100 }},
+		{"negative memory latency", func(c *Config) { c.Mem.MemCycles = -300 }},
+		{"negative pipeline depth", func(c *Config) { c.Core.PipelineDepth = -1 }},
+		{"negative branch penalty", func(c *Config) { c.Core.BranchMispredictPenalty = -20 }},
+		{"negative squash penalty", func(c *Config) { c.Core.SquashRefillPenalty = -1 }},
 	}
 	for _, m := range mutations {
 		c := Default(X86)

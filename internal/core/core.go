@@ -520,12 +520,17 @@ const maxDrainInflight = 8
 // pipelined — several may be in flight — but TSO's in-order memory-order
 // insertion is preserved by chaining each store's completion to be no
 // earlier than its predecessor's (and at most one insertion per cycle).
+//
+// Drains issue in queue order, a write frees only the head, and retired
+// stores are never squashed, so the stores draining are exactly the oldest
+// drainInflight slots: the walk starts past them.
 func (c *Core) drainSB(now uint64) {
 	q := &c.sq
-	for i, n := q.head, q.count; n > 0; n-- {
-		if c.drainInflight >= maxDrainInflight {
-			return
-		}
+	i := q.head + c.drainInflight
+	if i >= len(q.slots) {
+		i -= len(q.slots)
+	}
+	for n := q.count - c.drainInflight; n > 0 && c.drainInflight < maxDrainInflight; n-- {
 		r := q.slots[i].ref
 		if i++; i == len(q.slots) {
 			i = 0
@@ -538,10 +543,6 @@ func (c *Core) drainSB(now uint64) {
 			// younger can be drainable either.
 			return
 		}
-		if st.draining {
-			continue
-		}
-		st.draining = true
 		c.progressed = true
 		c.drainInflight++
 		if st.inst.Op != isa.OpStore {

@@ -128,7 +128,6 @@ type entry struct {
 	sqSlot       int  // SQ/SB slot index
 	sqKey        key  // slot + sorting bit
 	writtenL1    bool // store has written to the L1 (inserted in memory order)
-	draining     bool // write request issued to the hierarchy
 
 	// age is a load's or store's position against the other queue,
 	// recorded at dispatch: for a load, the SQ's allocation count (the

@@ -26,6 +26,33 @@ type storeQueue struct {
 	// allocs counts allocations net of rollbacks. A load records it at
 	// dispatch as its age: the number of stores older than it.
 	allocs int
+
+	// words counts the queued stores on each hashed 8-byte word, a store
+	// once on every word it covers, and prods the queued stores whose slot
+	// carries an address producer: the word filter youngestOlderMatch
+	// consults before it walks. A count never exceeds twice the queued
+	// stores, which fit in an int.
+	words *[sqWordBuckets]int
+	prods int
+}
+
+// sqWordBuckets sizes the store queue's word filter.
+const sqWordBuckets = 256
+
+// wordBucket hashes an 8-byte word number to its filter counter. The
+// multiplicative hash spreads the page-strided words that a mask of the low
+// bits would pile into one counter.
+func wordBucket(w uint64) uint8 { return uint8((w * 0x9e3779b97f4a7c15) >> 56) }
+
+// onWords reports whether a queued store may cover a word of the bytes
+// [lo, hi): false means none does.
+func (q *storeQueue) onWords(lo, hi uint64) bool {
+	for w, last := lo>>3, (hi-1)>>3; w <= last; w++ {
+		if q.words[wordBucket(w)] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // sqSlot is one SQ/SB slot: the store's arena ref (nilRef when free), the
@@ -41,9 +68,16 @@ type sqSlot struct {
 }
 
 // resize empties the queue at the given capacity, reusing its storage when
-// that is large enough: every slot free, with its sorting bit clear.
+// that is large enough: every slot free, with its sorting bit clear, and
+// every word count zero. A queue that is already empty has all-zero counts.
 func (q *storeQueue) resize(capacity int) {
-	*q = storeQueue{slots: sized(q.slots, capacity)}
+	words := q.words
+	if words == nil {
+		words = new([sqWordBuckets]int)
+	} else if q.count > 0 {
+		clear(words[:])
+	}
+	*q = storeQueue{slots: sized(q.slots, capacity), words: words}
 	clear(q.slots)
 }
 
@@ -64,11 +98,24 @@ func (q *storeQueue) alloc(r entryRef, e *entry) {
 		s.addrProd = e.src2Prod
 	}
 	s.addr, s.size = e.inst.Addr, e.inst.EffSize()
+	q.countStore(s, 1)
 	if q.tail++; q.tail == len(q.slots) {
 		q.tail = 0
 	}
 	q.count++
 	q.allocs++
+}
+
+// countStore adds d to the filter counts of the store in slot s: to the
+// counter of every word it covers (one for an aligned access, two for a
+// misaligned one), and to prods when it has an address producer.
+func (q *storeQueue) countStore(s *sqSlot, d int) {
+	for w, last := s.addr>>3, (s.addr+uint64(s.size)-1)>>3; w <= last; w++ {
+		q.words[wordBucket(w)] += d
+	}
+	if s.addrProd != nilRef {
+		q.prods += d
+	}
 }
 
 // oldest returns the store ref at the head of the queue, or nilRef.
@@ -86,6 +133,7 @@ func (q *storeQueue) free(r entryRef) {
 	if s.ref != r {
 		panic("core: store buffer freed out of order")
 	}
+	q.countStore(s, -1)
 	s.ref = nilRef
 	s.sort = !s.sort
 	if q.head++; q.head == len(q.slots) {
@@ -102,10 +150,12 @@ func (q *storeQueue) rollback(r entryRef) {
 	if prev < 0 {
 		prev = len(q.slots) - 1
 	}
-	if q.slots[prev].ref != r {
+	s := &q.slots[prev]
+	if s.ref != r {
 		panic("core: store queue rollback out of order")
 	}
-	q.slots[prev].ref = nilRef
+	q.countStore(s, -1)
+	s.ref = nilRef
 	q.tail = prev
 	q.count--
 	q.allocs--
@@ -146,9 +196,17 @@ func (q *storeQueue) anyRetiredUnwritten(a *arena) bool {
 // has), and every store rolled back since was younger (a squash that
 // flushed an older store would have flushed the load). The walk visits
 // them youngest first.
+//
+// The word filter answers without walking when no queued store can match:
+// a store that overlaps the load shares a word with it, and with no
+// address producer queued no store's address is unknown. Counting the
+// younger stores too only makes the filter walk when it need not.
 func (q *storeQueue) youngestOlderMatch(a *arena, l *entry) (match, unknown int32) {
 	match, unknown = -1, -1
 	lo, hi := l.inst.Addr, l.inst.Addr+uint64(l.inst.EffSize())
+	if q.prods == 0 && !q.onWords(lo, hi) {
+		return
+	}
 	n := int(l.age) - (q.allocs - q.count)
 	i := q.head + n
 	if i >= len(q.slots) {

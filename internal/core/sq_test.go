@@ -286,11 +286,13 @@ func newLSQModel() *lsqModel {
 	return &lsqModel{ar: newArena(lsqROB + lsqSQ), sq: newStoreQueue(lsqSQ), lq: newRing(lsqLQ)}
 }
 
-// memInst draws a load or store of 1, 2, 4 or 8 bytes within 32 bytes, so
-// that overlaps, partial overlaps and misses are all common.
+// memInst draws a load or store of 1, 2, 4 or 8 bytes at any byte of one
+// of four 32-byte blocks spaced 64 bytes apart, so that overlaps, partial
+// overlaps, accesses that straddle two words and loads on a word no queued
+// store covers are all common.
 func memInst(op isa.Op, x uint64) isa.Inst {
 	return isa.Inst{Op: op, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone,
-		Addr: x % 32, Size: uint8(1) << (x >> 5 % 4)}
+		Addr: x%32 + x>>11%4*64, Size: uint8(1) << (x >> 5 % 4)}
 }
 
 func (m *lsqModel) dispatch(in isa.Inst) *entry {
@@ -308,12 +310,12 @@ func (m *lsqModel) dispatchLoad(x uint64) {
 	m.lq.push(m.ar.refOf(m.rob[len(m.rob)-1]))
 }
 
-// dispatchStore gives the store an address register: with no producer
-// (captured at dispatch), or produced by an older unretired load.
+// dispatchStore gives one store in three an address register: with no
+// producer (captured at dispatch), or produced by an older unretired load.
 func (m *lsqModel) dispatchStore(x uint64) {
 	in := memInst(isa.OpStore, x)
 	var prod entryRef
-	if x>>7%3 > 0 {
+	if x>>7%3 == 0 {
 		in.Src2 = 5
 		if k := int(x >> 9 % uint64(len(m.rob)+1)); k < len(m.rob) && m.ar.ents[m.rob[k]].isLoad() {
 			prod = m.ar.refOf(m.rob[k])
@@ -395,9 +397,30 @@ func (m *lsqModel) bruteMatch(l *entry) (match, unknown int32) {
 	return
 }
 
-func (m *lsqModel) check(t *testing.T, where string) {
+// check compares the age-bounded searches with the dynSeq scans, and the
+// store queue's word filter with a recount from the queued stores' entries.
+// It returns how many loads the filter answered without walking although
+// older stores were queued.
+func (m *lsqModel) check(t *testing.T, where string) (filtered int) {
 	t.Helper()
 	refs := m.sqRefs()
+	var words [sqWordBuckets]int
+	prods := 0
+	for _, r := range refs {
+		e := &m.ar.ents[r.index()]
+		for a := e.inst.Addr; a < e.inst.Addr+uint64(e.inst.EffSize()); a++ {
+			if a == e.inst.Addr || a%8 == 0 {
+				words[wordBucket(a>>3)]++
+			}
+		}
+		if e.inst.Src2 != isa.RegNone && e.src2Prod != nilRef {
+			prods++
+		}
+	}
+	if words != *m.sq.words || prods != m.sq.prods {
+		t.Fatalf("%s: word filter counts %v and %d producers, want %v and %d",
+			where, *m.sq.words, m.sq.prods, words, prods)
+	}
 	retired := false
 	for _, r := range refs {
 		retired = retired || m.ar.stat[r.index()] == stRetired
@@ -417,6 +440,10 @@ func (m *lsqModel) check(t *testing.T, where string) {
 	for _, i := range m.rob {
 		e := &m.ar.ents[i]
 		if e.isLoad() {
+			if m.sq.prods == 0 && !m.sq.onWords(e.inst.Addr, e.inst.Addr+uint64(e.inst.EffSize())) &&
+				int(e.age) > m.sq.allocs-m.sq.count {
+				filtered++
+			}
 			gm, gu := m.sq.youngestOlderMatch(&m.ar, e)
 			if wm, wu := m.bruteMatch(e); gm != wm || gu != wu {
 				t.Fatalf("%s: load %d: youngestOlderMatch = (%d, %d), want (%d, %d)", where, e.dynSeq, gm, gu, wm, wu)
@@ -434,6 +461,7 @@ func (m *lsqModel) check(t *testing.T, where string) {
 			t.Fatalf("%s: store %d: first younger LQ position %d, want %d", where, e.dynSeq, got, want)
 		}
 	}
+	return filtered
 }
 
 // TestAgeBoundedSearchesMatchDynSeqScans runs random dispatch, issue,
@@ -441,9 +469,11 @@ func (m *lsqModel) check(t *testing.T, where string) {
 // both many times, and checks every age-bounded search against the dynSeq
 // scan it replaced after every step: youngestOlderMatch's two results for
 // every load in flight, the first younger LQ position for every store in
-// flight, anyOlderUnwritten at every age, and anyRetiredUnwritten.
+// flight, anyOlderUnwritten at every age, and anyRetiredUnwritten. After
+// every step the word filter's counts must equal a recount, and the
+// filter must have answered thousands of searches without walking.
 func TestAgeBoundedSearchesMatchDynSeqScans(t *testing.T) {
-	var searched, squashed int
+	var searched, squashed, filtered int
 	for seed := uint64(1); seed <= 200; seed++ {
 		m := newLSQModel()
 		x := seed
@@ -490,29 +520,46 @@ func TestAgeBoundedSearchesMatchDynSeqScans(t *testing.T) {
 				squashed++
 				what = "squash"
 			}
-			m.check(t, fmt.Sprintf("seed %d step %d (%s)", seed, step, what))
+			filtered += m.check(t, fmt.Sprintf("seed %d step %d (%s)", seed, step, what))
 			searched++
 		}
 	}
-	if searched < 10000 || squashed < 1000 {
-		t.Fatalf("only %d checked steps and %d squashes", searched, squashed)
+	if searched < 10000 || squashed < 1000 || filtered < 5000 {
+		t.Fatalf("only %d checked steps, %d squashes and %d filtered searches", searched, squashed, filtered)
 	}
+	t.Logf("%d checked steps, %d squashes, %d filtered searches", searched, squashed, filtered)
 }
 
 // BenchmarkStoreQueueSearch is the load's SQ/SB snoop in a full 56-entry
-// queue: the load is the 29th op, so the search walks the 28 older stores
-// and finds no match. The CI perf-guard pins its allocs/op at zero.
+// queue, the load the 29th op. In "filtered" no queued store is on the
+// load's word, and the word filter answers without walking; in
+// "oldest-match" the oldest store is, and the search walks the 28 older
+// stores to find it. The CI perf-guard pins both at zero allocs/op.
 func BenchmarkStoreQueueSearch(b *testing.B) {
 	const n = 56
-	h := newSQHarness(n)
-	for i := uint64(1); i <= n; i++ {
-		h.addStore(i, i*64)
-	}
-	ld := &entry{inst: isa.Load(1, 0x10000), dynSeq: n/2 + 1, age: n / 2}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		searchSink, _ = h.q.youngestOlderMatch(&h.ar, ld)
+	for _, bc := range []struct {
+		name  string
+		first uint64 // the oldest store's address
+	}{{"filtered", 64}, {"oldest-match", 0x20000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			h := newSQHarness(n)
+			oldest := h.addStore(1, bc.first)
+			for i := uint64(2); i <= n; i++ {
+				h.addStore(i, i*64)
+			}
+			ld := &entry{inst: isa.Load(1, 0x20000), dynSeq: n/2 + 1, age: n / 2}
+			if filtered := !h.q.onWords(0x20000, 0x20008); filtered != (bc.first != 0x20000) {
+				b.Fatalf("word filter answers %v", filtered)
+			}
+			if m, _ := h.q.youngestOlderMatch(&h.ar, ld); (m == oldest) != (bc.first == 0x20000) {
+				b.Fatalf("search returned %d", m)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				searchSink, _ = h.q.youngestOlderMatch(&h.ar, ld)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,14 @@
 // result slice is in job order and bit-identical no matter how many workers
 // ran the sweep (Workers=1 reproduces the historical serial path exactly).
 //
+// Each worker keeps one machine and resets it between jobs of the same
+// shape (cores, core and memory configuration) instead of building one per
+// job: a sweep's jobs would otherwise allocate a machine's pages, tables and
+// arena each, about 2 MiB per Fig. 10 job, all garbage after it. Isolation
+// between a worker's jobs rests on sim.Machine.Reset leaving a machine
+// indistinguishable from a new one, with its own Stats and no tracer or
+// histogram set.
+//
 // A failed job (most commonly a machine exceeding its cycle bound) does not
 // abort the sweep: it becomes a Result with Err set, and its partial
 // statistics — including the cycle count at which it was cut off — remain
@@ -186,9 +194,11 @@ func (p Pool) RunContext(ctx context.Context, jobs []Job) ([]Result, report.Swee
 	results := make([]Result, len(jobs))
 	n := p.workers()
 	p.Progress.begin(len(jobs))
+	// Each worker keeps the machine of its last job in m (runOne).
 	if n <= 1 || len(jobs) <= 1 {
+		var m *sim.Machine
 		for i := range jobs {
-			results[i] = p.runJob(ctx, i, jobs[i])
+			results[i] = p.runJob(ctx, i, jobs[i], &m)
 		}
 	} else {
 		idx := make(chan int)
@@ -197,8 +207,9 @@ func (p Pool) RunContext(ctx context.Context, jobs []Job) ([]Result, report.Swee
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				var m *sim.Machine
 				for i := range idx {
-					results[i] = p.runJob(ctx, i, jobs[i])
+					results[i] = p.runJob(ctx, i, jobs[i], &m)
 				}
 			}()
 		}
@@ -213,9 +224,9 @@ func (p Pool) RunContext(ctx context.Context, jobs []Job) ([]Result, report.Swee
 
 // runJob wraps runOne with progress notifications (nil-safe no-ops when the
 // pool has no Progress attached). A job picked up after the sweep's context
-// was canceled fails without building a machine, so a canceled sweep drains
+// was canceled fails without touching a machine, so a canceled sweep drains
 // its remaining queue in microseconds.
-func (p Pool) runJob(ctx context.Context, i int, j Job) Result {
+func (p Pool) runJob(ctx context.Context, i int, j Job, m **sim.Machine) Result {
 	if err := ctx.Err(); err != nil {
 		if cause := context.Cause(ctx); cause != err {
 			err = fmt.Errorf("%w (%w)", err, cause)
@@ -227,7 +238,7 @@ func (p Pool) runJob(ctx context.Context, i int, j Job) Result {
 	}
 	p.Progress.jobStarted(i, j.Name())
 	start := time.Now()
-	r := p.runOne(ctx, i, j)
+	r := p.runOne(ctx, i, j, m)
 	end := time.Now()
 	r.Wall = end.Sub(start)
 	if p.OnJobSpan != nil {
@@ -239,7 +250,13 @@ func (p Pool) runJob(ctx context.Context, i int, j Job) Result {
 
 // runOne executes a single job on the calling goroutine. A job whose
 // instruction count no trace can have fails without building one.
-func (p Pool) runOne(ctx context.Context, i int, j Job) Result {
+//
+// The job runs on the worker's machine *m, reset, when the job has its
+// shape (sim.Machine.Fits), and otherwise on a new machine, which *m then
+// keeps for the next job. A reset machine is indistinguishable from a new
+// one and starts with its own Stats and no tracer or histogram set, so the
+// result depends only on the job, whatever ran on the machine before.
+func (p Pool) runOne(ctx context.Context, i int, j Job, m **sim.Machine) Result {
 	res := Result{Job: j, Index: i}
 	if err := trace.CheckInstPerCore(j.InstPerCore); err != nil {
 		res.Err = err
@@ -261,36 +278,42 @@ func (p Pool) runOne(ctx context.Context, i int, j Job) Result {
 	} else {
 		w = trace.Build(j.Profile, cfg.Cores, j.InstPerCore, j.Seed)
 	}
-
-	m, err := sim.New(cfg, w.Name)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.Stats = m.Stats
 	if len(w.Programs) > cfg.Cores {
 		res.Err = fmt.Errorf("runner: workload %s has %d programs but machine has %d cores",
 			w.Name, len(w.Programs), cfg.Cores)
 		return res
 	}
+
+	mach := *m
+	var err error
+	if mach != nil && mach.Fits(cfg) {
+		err = mach.Reset(cfg, w.Name)
+	} else if mach, err = sim.New(cfg, w.Name); err == nil {
+		*m = mach
+	}
+	if err != nil {
+		res.Err = err
+		return res
+	}
+	res.Stats = mach.Stats
 	for c, prog := range w.Programs {
-		if err := m.SetProgram(c, prog); err != nil {
+		if err := mach.SetProgram(c, prog); err != nil {
 			res.Err = err
 			return res
 		}
 	}
 	if j.Trace != nil {
 		res.Trace = obs.New(cfg.Cores, *j.Trace)
-		m.AttachTracer(res.Trace)
+		mach.AttachTracer(res.Trace)
 	}
 	if j.Hists {
 		res.Hists = hist.NewSet(cfg.Cores)
-		m.AttachHists(res.Hists)
+		mach.AttachHists(res.Hists)
 	}
-	if err := m.RunContext(ctx, j.DefaultMaxCycles()); err != nil {
+	if err := mach.RunContext(ctx, j.DefaultMaxCycles()); err != nil {
 		res.Err = err
 	}
-	res.Char = m.Stats.Characterize()
+	res.Char = mach.Stats.Characterize()
 	return res
 }
 

@@ -294,48 +294,62 @@ func TestDeleteRunningSweepFreesWorkers(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxWorkers: 2})
 	// The cancel must land mid-simulation to exercise partial statistics.
 	// Trace generation is not cancellable, so the job's trace is put in the
-	// shared trace cache first: the running job then starts simulating at
-	// once, and the cancel lands a tenth of a second into a simulation of
-	// 8x100k instructions, which runs for over a second on a 2-vCPU Xeon
-	// guest.
+	// shared trace cache first. The running job still builds its machine
+	// and validates 8x100k instructions before its first cycle, which under
+	// the race detector can outlast a fixed sleep, and a cancel that lands
+	// there stops the run at cycle 0. So the sweep is resubmitted (a
+	// canceled sweep is never cached) with a doubling delay until a cancel
+	// lands mid-run. The simulation runs for over a second on a 2-vCPU Xeon
+	// guest, and for longer under the race detector, so the delays stay
+	// inside it.
 	radix, _ := trace.Lookup("radix")
 	trace.CachedWorkload(radix, config.Default(config.X86).Cores, 100_000, 11)
-	resp, st := post(t, ts, SweepRequest{Jobs: []JobSpec{
+	req := SweepRequest{Jobs: []JobSpec{
 		{Profile: "radix", Model: "x86", InstPerCore: 100_000, Seed: 11},
-	}})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", resp.StatusCode)
-	}
-	waitState(t, ts, st.ID, stateRunning, 20*time.Second)
-	time.Sleep(100 * time.Millisecond)
+	}}
+	const attempts = 5
+	for attempt, delay := 1, 50*time.Millisecond; ; attempt, delay = attempt+1, 2*delay {
+		resp, st := post(t, ts, req)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d", resp.StatusCode)
+		}
+		waitState(t, ts, st.ID, stateRunning, 20*time.Second)
+		time.Sleep(delay)
 
-	start := time.Now()
-	code, state := del(t, ts, st.ID)
-	if code != http.StatusAccepted || state != string(stateCanceling) {
-		t.Fatalf("DELETE running: HTTP %d state %s, want 202 canceling", code, state)
-	}
-	fin := waitTerminal(t, ts, st.ID, 15*time.Second)
-	if fin.State != string(stateCanceled) {
-		t.Fatalf("sweep finished %s, want canceled", fin.State)
-	}
-	if wall := time.Since(start); wall > 10*time.Second {
-		t.Errorf("cancellation took %s; workers were not freed promptly", wall)
-	}
+		start := time.Now()
+		code, state := del(t, ts, st.ID)
+		if code != http.StatusAccepted || state != string(stateCanceling) {
+			t.Fatalf("DELETE running: HTTP %d state %s, want 202 canceling", code, state)
+		}
+		fin := waitTerminal(t, ts, st.ID, 15*time.Second)
+		if fin.State != string(stateCanceled) {
+			t.Fatalf("sweep finished %s, want canceled", fin.State)
+		}
+		if wall := time.Since(start); wall > 10*time.Second {
+			t.Errorf("cancellation took %s; workers were not freed promptly", wall)
+		}
 
-	var doc SweepResults
-	r, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/results")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if doc.Summary.Canceled != 1 || len(doc.Failures) != 1 || !doc.Failures[0].Canceled {
-		t.Errorf("canceled sweep results: summary.Canceled=%d failures=%+v", doc.Summary.Canceled, doc.Failures)
-	}
-	if doc.Summary.SimCycles == 0 {
-		t.Error("canceled mid-run but no partial sim cycles reported")
+		var doc SweepResults
+		r, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/results")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if doc.Summary.Canceled != 1 || len(doc.Failures) != 1 || !doc.Failures[0].Canceled {
+			t.Errorf("canceled sweep results: summary.Canceled=%d failures=%+v", doc.Summary.Canceled, doc.Failures)
+		}
+		if doc.Summary.SimCycles > 0 {
+			break
+		}
+		if attempt == attempts {
+			t.Fatalf("canceled mid-run but no partial sim cycles reported, in %d attempts up to %s after the job started",
+				attempts, delay)
+		}
+		t.Logf("attempt %d: a cancel %s after the job started landed before its first cycle: %+v",
+			attempt, delay, doc.Failures)
 	}
 
 	// The freed worker runs the next sweep to completion.

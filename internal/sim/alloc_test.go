@@ -15,11 +15,12 @@ import (
 // allocated a page at a time on first insert, and each core's entry arena is
 // sized by its trace, so construction costs what the program touches: mp
 // touches two lines. The predictor tables are allocated on first use, and
-// mp has no branch. The budget sits above what that costs (about 65 KiB
-// for two cores, 100 KiB for eight, most of it the cache page indexes,
-// mp's pages and each core's queues) and below a build that allocates
-// every core's predictor tables (145 KiB and 424 KiB), let alone every set
-// of the configured machine (4.2 MiB and 6.5 MiB).
+// mp has no branch. The budget sits above what that costs (about 62 KiB
+// for two cores, 108 KiB for eight, most of it the cache page indexes,
+// mp's pages and each core's queues and store-queue word counts) and below
+// a build that allocates every core's predictor tables (145 KiB and
+// 424 KiB), let alone every set of the configured machine (4.2 MiB and
+// 6.5 MiB).
 //
 // A reused machine pays almost nothing: after a warm-up run, Reset,
 // SetProgram and Run of mp allocate at most 4 KiB (608 B on two cores and

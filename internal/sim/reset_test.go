@@ -343,6 +343,9 @@ func TestResetRejectsShapeChange(t *testing.T) {
 	ok := base
 	ok.Model, ok.Jitter, ok.JitterSeed, ok.StepMode = config.SLFSoSKey370, 9, 7, config.StepNaive
 	ok.NoC.SwitchLatency++
+	if !m.Fits(ok) {
+		t.Error("Fits rejects a same-shape configuration")
+	}
 	if err := m.Reset(ok, "ok"); err != nil {
 		t.Fatalf("reset to a same-shape configuration: %v", err)
 	}
@@ -356,6 +359,9 @@ func TestResetRejectsShapeChange(t *testing.T) {
 		bad(&cfg)
 		if err := m.Reset(cfg, name); err == nil {
 			t.Errorf("reset accepted a changed %s", name)
+		}
+		if m.Fits(cfg) == (name != "invalid") {
+			t.Errorf("Fits = %v for a changed %s", m.Fits(cfg), name)
 		}
 	}
 	// A rejected reset leaves the machine as it was.

@@ -118,11 +118,17 @@ func (m *Machine) Reset(cfg config.Config, workload string) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if cfg.Cores != m.cfg.Cores || cfg.Core != m.cfg.Core || cfg.Mem != m.cfg.Mem {
+	if !m.Fits(cfg) {
 		return fmt.Errorf("sim: Reset cannot change the cores, core or memory configuration the machine was built with")
 	}
 	m.reset(cfg, workload)
 	return nil
+}
+
+// Fits reports whether Reset can take the machine to cfg: whether cfg has
+// the cores, core and memory configuration the machine was built with.
+func (m *Machine) Fits(cfg config.Config) bool {
+	return cfg.Cores == m.cfg.Cores && cfg.Core == m.cfg.Core && cfg.Mem == m.cfg.Mem
 }
 
 // reset is the one initialization path New and Reset share: a fresh Machine

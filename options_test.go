@@ -95,6 +95,46 @@ func TestNewRejectsBadDirectory(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNegativeLatencies: a negative latency or penalty wraps
+// through the machine's uint64 cycle arithmetic, so New refuses each one;
+// zero stays legal, and a machine with all seven at zero runs barnes to
+// completion.
+func TestNewRejectsNegativeLatencies(t *testing.T) {
+	fields := []struct {
+		name string
+		f    func(*sesa.Config) *int
+	}{
+		{"L1 hit", func(c *sesa.Config) *int { return &c.Mem.L1D.HitCycles }},
+		{"L2 hit", func(c *sesa.Config) *int { return &c.Mem.L2.HitCycles }},
+		{"L3 hit", func(c *sesa.Config) *int { return &c.Mem.L3.HitCycles }},
+		{"memory", func(c *sesa.Config) *int { return &c.Mem.MemCycles }},
+		{"pipeline depth", func(c *sesa.Config) *int { return &c.Core.PipelineDepth }},
+		{"branch penalty", func(c *sesa.Config) *int { return &c.Core.BranchMispredictPenalty }},
+		{"squash penalty", func(c *sesa.Config) *int { return &c.Core.SquashRefillPenalty }},
+	}
+	zero := sesa.SkylakeConfig(2, sesa.X86)
+	for _, fd := range fields {
+		cfg := sesa.SkylakeConfig(2, sesa.X86)
+		*fd.f(&cfg) = -1
+		if _, err := sesa.New(cfg); err == nil {
+			t.Errorf("New accepted a %s latency of -1", fd.name)
+		}
+		*fd.f(&zero) = 0
+	}
+	p, _ := sesa.LookupProfile("barnes")
+	w, err := sesa.BuildWorkload(p, 2, 2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sesa.RunWorkload(sesa.X86, zero, w, 10_000_000)
+	if err != nil {
+		t.Fatalf("all latencies zero: %v", err)
+	}
+	if got := st.Total().RetiredInsts; got != 4000 {
+		t.Errorf("all latencies zero: retired %d, want 4000", got)
+	}
+}
+
 func TestNewWithStepModeAndSinks(t *testing.T) {
 	cfg := sesa.SmallConfig(2, sesa.X86)
 	hists := sesa.NewHistSet(cfg.Cores)
