@@ -34,7 +34,7 @@ var (
 	format     = flag.String("format", "text", "output format for -table 4 and -fig 10: text, csv or json")
 	jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
 	quiet      = flag.Bool("q", false, "suppress the sweep summary on stderr")
-	statusAddr = flag.String("status-addr", "", "serve live sweep status, histograms and pprof on this address (e.g. localhost:6060)")
+	statusAddr = flag.String("status-addr", "", "serve the sweep's /metrics, /healthz and pprof on this address (e.g. localhost:6060)")
 	listModels = flag.Bool("list-models", false, "print the machine-model roster and exit")
 	outs       = report.NewOutputs(flag.CommandLine, false)
 )
@@ -130,7 +130,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "status endpoints up at http://%s/status\n", addr)
+		fmt.Fprintf(os.Stderr, "status endpoints up at http://%s/metrics\n", addr)
 	}
 
 	switch {

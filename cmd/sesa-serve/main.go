@@ -16,10 +16,12 @@
 // drains gracefully: admission stops (503), queued and running sweeps get
 // -drain-timeout to finish, then the rest is canceled and the process exits.
 //
-// Telemetry: -log-level/-log-format control the structured log on stderr,
-// GET /metrics serves the result-cache and sweep-throughput families in
-// Prometheus text format, and GET /v1/sweeps/{id}/timeline exports a
-// sweep's span timeline as Chrome-trace JSON (open it in ui.perfetto.dev).
+// Telemetry: -log-level/-log-format control the structured log on stderr.
+// GET /metrics is the one metrics surface: the admission queue, the result
+// cache and each sweep's progress in Prometheus text format. GET
+// /v1/sweeps/{id} is the one document per sweep, and
+// GET /v1/sweeps/{id}/timeline exports a sweep's span timeline as
+// Chrome-trace JSON (open it in ui.perfetto.dev).
 package main
 
 import (
@@ -68,7 +70,7 @@ func main() {
 		MaxQueued:  *maxQueued,
 		MaxCached:  *maxCached,
 		ResultsDir: *resultsDir,
-		Telemetry:  &telemetry.T{Log: logger, Metrics: telemetry.NewRegistry()},
+		Log:        logger,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,7 +49,7 @@ func run(args []string, w io.Writer) error {
 	list := fs.Bool("list", false, "list benchmarks and exit")
 	dump := fs.String("dump", "", "write the generated workload to this trace file and exit")
 	traceIn := fs.String("trace", "", "run this trace file instead of a generated benchmark")
-	statusAddr := fs.String("status-addr", "", "serve live sweep status, histograms and pprof on this address (e.g. localhost:6060)")
+	statusAddr := fs.String("status-addr", "", "serve the sweep's /metrics, /healthz and pprof on this address (e.g. localhost:6060)")
 	listModels := fs.Bool("list-models", false, "print the machine-model roster and exit")
 	outs := report.NewOutputs(fs, true)
 	_ = fs.Parse(args) // ExitOnError: a bad command line exits here
@@ -62,6 +63,9 @@ func run(args []string, w io.Writer) error {
 	}
 	if err := trace.CheckInstPerCore(*n); err != nil {
 		return err
+	}
+	if *statusAddr != "" && (*traceIn != "" || *dump != "" || *list) {
+		return errors.New("-status-addr reports a sweep, and -trace, -dump and -list run none")
 	}
 	traceOpts, wantHists := outs.TraceOptions(), outs.WantHists()
 
@@ -138,7 +142,7 @@ func run(args []string, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "status endpoints up at http://%s/status\n", addr)
+			fmt.Fprintf(os.Stderr, "status endpoints up at http://%s/metrics\n", addr)
 		}
 		js := make([]sesa.SweepJob, len(models))
 		for i, model := range models {

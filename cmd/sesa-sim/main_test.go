@@ -85,3 +85,31 @@ func TestRejectsOutOfRangeN(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsStatusAddrWithReplay: a -trace replay, a -dump and a -list run
+// no sweep, so -status-addr would serve nothing; each combination fails
+// before any simulation, with nothing on stdout.
+func TestRejectsStatusAddrWithReplay(t *testing.T) {
+	dir := t.TempDir()
+	traceFile := filepath.Join(dir, "radix.trace")
+	if err := run([]string{"-bench", "radix", "-n", "200", "-dump", traceFile}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-trace", traceFile, "-model", "x86"},
+		{"-bench", "radix", "-n", "200", "-dump", filepath.Join(dir, "again.trace")},
+		{"-list"},
+	} {
+		var out bytes.Buffer
+		err := run(append(args, "-status-addr", "127.0.0.1:0"), &out)
+		if err == nil || !strings.Contains(err.Error(), "-status-addr") {
+			t.Errorf("%v: run = %v, want an error naming -status-addr", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote %q to stdout, want nothing", args, out.String())
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "again.trace")); !os.IsNotExist(err) {
+		t.Errorf("-dump with -status-addr wrote its trace file (stat: %v)", err)
+	}
+}

@@ -157,7 +157,8 @@ type Pool struct {
 	// generates its own trace (the historical behaviour).
 	Cache *trace.Cache
 	// Progress, when non-nil, receives live sweep updates at job boundaries
-	// (for the -status-addr endpoint). It never affects results.
+	// (for /metrics and sesa-serve's status document). It never affects
+	// results.
 	Progress *Progress
 	// OnJobSpan, when non-nil, receives each job's execution window right
 	// after the job finishes — the telemetry hook behind sweep timelines.
@@ -321,22 +322,9 @@ func (p Pool) runOne(ctx context.Context, i int, j Job, m **sim.Machine) Result 
 // the given number of workers in the given wall time. cache, when non-nil,
 // supplies the trace-cache counters.
 func Summarize(results []Result, workers int, wall time.Duration, cache *trace.Cache) report.SweepSummary {
-	s := report.SweepSummary{Jobs: len(results), Workers: workers, WallSeconds: wall.Seconds()}
+	s := report.SweepSummary{Workers: workers, WallSeconds: wall.Seconds()}
 	for i := range results {
-		r := &results[i]
-		if r.Err != nil {
-			s.Failed++
-			if r.TimedOut() {
-				s.TimedOut++
-			}
-			if r.Canceled() {
-				s.Canceled++
-			}
-		}
-		if r.Stats != nil {
-			s.SimCycles += r.Stats.Cycles
-			s.SimInsts += r.Stats.Total().RetiredInsts
-		}
+		tally(&s, &results[i])
 	}
 	if cache != nil {
 		s.TraceCacheHits, s.TraceCacheMisses = cache.Stats()
@@ -344,4 +332,23 @@ func Summarize(results []Result, workers int, wall time.Duration, cache *trace.C
 	s.CyclesPerSec = s.CyclesPerSecond()
 	s.InstsPerSec = s.InstsPerSecond()
 	return s
+}
+
+// tally counts one finished job into s: the job, its failure if any, and
+// the simulated work it did. Summarize and Progress both count through it.
+func tally(s *report.SweepSummary, r *Result) {
+	s.Jobs++
+	if r.Err != nil {
+		s.Failed++
+		if r.TimedOut() {
+			s.TimedOut++
+		}
+		if r.Canceled() {
+			s.Canceled++
+		}
+	}
+	if r.Stats != nil {
+		s.SimCycles += r.Stats.Cycles
+		s.SimInsts += r.Stats.Total().RetiredInsts
+	}
 }

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -10,32 +9,25 @@ import (
 	"sync"
 	"time"
 
-	"sesa/internal/hist"
+	"sesa/internal/report"
 	"sesa/internal/telemetry"
 )
 
-// Progress tracks a live sweep for the -status-addr HTTP endpoint. The pool
-// updates it at job boundaries only — machines are single-threaded and their
-// internal state must not be read mid-run — so a snapshot is always a
-// consistent set of completed-job aggregates plus the names of running jobs.
-// All methods are nil-safe no-ops on a nil receiver and safe for concurrent
-// use.
+// Progress tracks a live sweep for the metrics endpoint and sesa-serve's
+// per-sweep status document. The pool updates it at job boundaries only —
+// machines are single-threaded and their internal state must not be read
+// mid-run — so a snapshot is always a consistent set of completed-job
+// aggregates plus the names of running jobs. All methods are nil-safe no-ops
+// on a nil receiver and safe for concurrent use.
 type Progress struct {
 	mu       sync.Mutex
 	start    time.Time
 	end      time.Time // set when the last job completes; freezes elapsed
 	total    int
-	done     int
-	failed   int
-	timedOut int
-	canceled int
+	done     report.SweepSummary // the completed jobs, counted by tally
 	running  map[int]string
-	insts    uint64
-	cycles   uint64
 	failures []JobFailure
 	rates    []JobThroughput
-	merged   *hist.Collector
-	hists    bool
 }
 
 // JobThroughput is one completed job's host-side simulation throughput.
@@ -62,7 +54,9 @@ type RunningJob struct {
 	Name  string `json:"name"`
 }
 
-// Snapshot is one consistent view of the sweep, as served at /status.
+// Snapshot is one consistent view of the sweep: the progress field of
+// sesa-serve's per-sweep status document, and the source of the sweep
+// metric families.
 type Snapshot struct {
 	TotalJobs int          `json:"total_jobs"`
 	Done      int          `json:"done"`
@@ -89,9 +83,9 @@ type Snapshot struct {
 }
 
 // NewProgress returns an empty progress tracker to hand to Pool.Progress
-// and StatusHandler.
+// and RegisterSweepMetrics.
 func NewProgress() *Progress {
-	return &Progress{running: make(map[int]string), merged: hist.NewCollector()}
+	return &Progress{running: make(map[int]string)}
 }
 
 // begin resets the tracker for a sweep of n jobs. Sequential sweeps may reuse
@@ -103,16 +97,10 @@ func (p *Progress) begin(n int) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.start = time.Now()
-	p.end = time.Time{}
-	p.total = n
-	p.done, p.failed, p.timedOut, p.canceled = 0, 0, 0, 0
-	p.insts, p.cycles = 0, 0
+	p.start, p.end = time.Now(), time.Time{}
+	p.total, p.done = n, report.SweepSummary{}
 	p.running = make(map[int]string)
-	p.failures = nil
-	p.rates = nil
-	p.merged = hist.NewCollector()
-	p.hists = false
+	p.failures, p.rates = nil, nil
 }
 
 // jobStarted records that job i is now running.
@@ -133,26 +121,14 @@ func (p *Progress) jobDone(r *Result) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	delete(p.running, r.Index)
-	p.done++
-	if p.done >= p.total {
+	tally(&p.done, r)
+	if p.done.Jobs >= p.total {
 		// Freeze elapsed time: a daemon keeps the tracker around long after
 		// the sweep finished, and its elapsed must not keep growing.
 		p.end = time.Now()
 	}
 	if r.Err != nil {
-		f := r.Failure()
-		p.failed++
-		if f.TimedOut {
-			p.timedOut++
-		}
-		if f.Canceled {
-			p.canceled++
-		}
-		p.failures = append(p.failures, f)
-	}
-	if r.Stats != nil {
-		p.cycles += r.Stats.Cycles
-		p.insts += r.Stats.Total().RetiredInsts
+		p.failures = append(p.failures, r.Failure())
 	}
 	p.rates = append(p.rates, JobThroughput{
 		Index:           r.Index,
@@ -161,10 +137,6 @@ func (p *Progress) jobDone(r *Result) {
 		CyclesPerSecond: r.CyclesPerSecond(),
 		InstsPerSecond:  r.InstsPerSecond(),
 	})
-	if r.Hists != nil {
-		p.merged.Merge(r.Hists.Merged())
-		p.hists = true
-	}
 }
 
 // Snapshot returns a consistent view of the sweep.
@@ -176,12 +148,12 @@ func (p *Progress) Snapshot() Snapshot {
 	defer p.mu.Unlock()
 	s := Snapshot{
 		TotalJobs: p.total,
-		Done:      p.done,
-		Failed:    p.failed,
-		TimedOut:  p.timedOut,
-		Canceled:  p.canceled,
-		Insts:     p.insts,
-		Cycles:    p.cycles,
+		Done:      p.done.Jobs,
+		Failed:    p.done.Failed,
+		TimedOut:  p.done.TimedOut,
+		Canceled:  p.done.Canceled,
+		Insts:     p.done.SimInsts,
+		Cycles:    p.done.SimCycles,
 		Failures:  append([]JobFailure(nil), p.failures...),
 	}
 	for i, name := range p.running {
@@ -195,61 +167,72 @@ func (p *Progress) Snapshot() Snapshot {
 			s.ElapsedSeconds = time.Since(p.start).Seconds()
 		}
 	}
-	if p.done > 0 && p.done < p.total {
-		s.ETASeconds = s.ElapsedSeconds / float64(p.done) * float64(p.total-p.done)
+	if s.Done > 0 && s.Done < p.total {
+		s.ETASeconds = s.ElapsedSeconds / float64(s.Done) * float64(p.total-s.Done)
 	}
 	if s.ElapsedSeconds > 0 {
-		s.CyclesPerSecond = float64(p.cycles) / s.ElapsedSeconds
-		s.InstsPerSecond = float64(p.insts) / s.ElapsedSeconds
+		s.CyclesPerSecond = float64(s.Cycles) / s.ElapsedSeconds
+		s.InstsPerSecond = float64(s.Insts) / s.ElapsedSeconds
 	}
 	s.Jobs = append([]JobThroughput(nil), p.rates...)
 	sort.Slice(s.Jobs, func(a, b int) bool { return s.Jobs[a].Index < s.Jobs[b].Index })
 	return s
 }
 
-// Histograms returns the merged latency histograms of every completed job
-// that recorded any (nil when no job carried histograms yet).
-func (p *Progress) Histograms() *hist.Collector {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.hists {
-		return nil
-	}
-	c := hist.NewCollector()
-	c.Merge(p.merged)
-	return c
+// LabeledProgress is one sweep the sweep metric families report: its
+// tracker and the labels its series carry.
+type LabeledProgress struct {
+	Labels   [][2]string
+	Progress *Progress
 }
 
-// StatusHandler returns the live-introspection handler every sesa process
+// sweepFamilies are the sweep metric families, each read off a snapshot.
+var sweepFamilies = []struct {
+	name, help string
+	value      func(Snapshot) float64
+}{
+	{"sesa_sweep_jobs", "Jobs the sweep runs on its worker pool (result-cache hits excluded).",
+		func(s Snapshot) float64 { return float64(s.TotalJobs) }},
+	{"sesa_sweep_jobs_done", "Jobs the sweep has completed.",
+		func(s Snapshot) float64 { return float64(s.Done) }},
+	{"sesa_sweep_jobs_failed", "Completed jobs that failed.",
+		func(s Snapshot) float64 { return float64(s.Failed) }},
+	{"sesa_sweep_jobs_per_second", "Sweep throughput: completed jobs per elapsed wall-clock second.",
+		func(s Snapshot) float64 {
+			if s.ElapsedSeconds <= 0 {
+				return 0
+			}
+			return float64(s.Done) / s.ElapsedSeconds
+		}},
+	{"sesa_sweep_cycles_per_second", "Sweep throughput: simulated cycles per elapsed wall-clock second.",
+		func(s Snapshot) float64 { return s.CyclesPerSecond }},
+}
+
+// RegisterSweepMetrics installs the sesa_sweep_* gauge families on reg.
+// sweeps is called at every scrape and returns the sweeps to report: a
+// CLI's one tracker, unlabeled, or the daemon's window of sweeps, each
+// labeled with its id.
+func RegisterSweepMetrics(reg *telemetry.Registry, sweeps func() []LabeledProgress) {
+	for _, f := range sweepFamilies {
+		reg.GaugeFunc(f.name, f.help, func() []telemetry.Sample {
+			var out []telemetry.Sample
+			for _, sw := range sweeps() {
+				out = append(out, telemetry.Sample{Labels: sw.Labels, Value: f.value(sw.Progress.Snapshot())})
+			}
+			return out
+		})
+	}
+}
+
+// StatusHandler returns the introspection handler every sesa process
 // serves: the -status-addr listener of the CLIs, and the sesa-serve daemon,
-// which mounts it beside its API. get is called once per request and
-// returns the Progress to report — for a CLI sweep that is a fixed tracker,
-// for a daemon whichever sweep is currently running; a nil Progress serves
-// empty snapshots. reg backs /metrics; nil serves an empty exposition.
-// Endpoints:
+// which mounts it beside its API. Endpoints:
 //
-//	/status         sweep progress snapshot (JSON)
-//	/histograms     merged latency histograms of completed jobs (JSON)
 //	/metrics        Prometheus text exposition of reg
 //	/healthz        liveness probe
 //	/debug/pprof/   runtime profiling
-func StatusHandler(get func() *Progress, reg *telemetry.Registry) http.Handler {
+func StatusHandler(reg *telemetry.Registry) http.Handler {
 	mux := http.NewServeMux()
-	writeJSON := func(w http.ResponseWriter, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(v)
-	}
-	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, get().Snapshot())
-	})
-	mux.HandleFunc("/histograms", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, get().Histograms().Summaries())
-	})
 	mux.Handle("/metrics", reg.Handler())
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

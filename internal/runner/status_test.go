@@ -1,13 +1,16 @@
 package runner
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"sesa/internal/config"
-	"sesa/internal/hist"
+	"sesa/internal/telemetry"
 	"sesa/internal/trace"
 )
 
@@ -44,13 +47,18 @@ func TestProgressCounts(t *testing.T) {
 		t.Errorf("job 0 unexpectedly failed: %v", results[0].Err)
 	}
 
-	// Completed jobs' histograms merge into the live view.
-	h := pr.Histograms()
-	if h == nil {
-		t.Fatal("no merged histograms")
+	// Each finished job leaves one throughput row, in job order; the jobs
+	// that completed report a simulation rate.
+	if len(s.Jobs) != 3 {
+		t.Fatalf("job_throughput has %d rows, want 3: %+v", len(s.Jobs), s.Jobs)
 	}
-	if h.H(hist.LoadL1).Count() == 0 {
-		t.Error("merged histograms empty")
+	for i, row := range s.Jobs {
+		if row.Index != i || row.WallSeconds <= 0 {
+			t.Errorf("job_throughput[%d] = %+v, want index %d and a positive wall time", i, row, i)
+		}
+		if results[i].Err == nil && row.CyclesPerSecond <= 0 {
+			t.Errorf("job_throughput[%d] = %+v, want a positive cycle rate", i, row)
+		}
 	}
 }
 
@@ -62,25 +70,50 @@ func TestProgressNilSafe(t *testing.T) {
 	if s := pr.Snapshot(); s.TotalJobs != 0 {
 		t.Errorf("nil snapshot = %+v", s)
 	}
-	if pr.Histograms() != nil {
-		t.Error("nil progress returned histograms")
-	}
 }
 
+// TestServeStatus serves a CLI's one tracker the way sesa.ServeStatus does.
+// /metrics is scraped while a one-job sweep runs and then carries the
+// sweep's unlabeled families; /status and /histograms answer 404.
 func TestServeStatus(t *testing.T) {
 	pr := NewProgress()
-	addr, err := ServeStatus("127.0.0.1:0", StatusHandler(func() *Progress { return pr }, nil))
+	reg := telemetry.NewRegistry()
+	RegisterSweepMetrics(reg, func() []LabeledProgress { return []LabeledProgress{{Progress: pr}} })
+	addr, err := ServeStatus("127.0.0.1:0", StatusHandler(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	jobs := []Job{{
 		Profile: trace.ParallelProfiles()[0], Model: config.SLFSoSKey370,
-		InstPerCore: 2_000, Seed: 42, Hists: true,
+		InstPerCore: 2_000, Seed: 42,
 	}}
+	// Scrape while the sweep runs: the pool and the scrapes share pr.
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Get(fmt.Sprintf("http://%s/metrics", addr))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			// Drained, the connection is reused by the next scrape.
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			time.Sleep(time.Millisecond)
+		}
+	}()
 	Pool{Workers: 1, Progress: pr}.Run(jobs)
+	close(stop)
+	<-stopped
 
-	get := func(path string, want int, into any) {
+	get := func(path string, want int) string {
 		t.Helper()
 		resp, err := http.Get(fmt.Sprintf("http://%s%s", addr, path))
 		if err != nil {
@@ -90,35 +123,34 @@ func TestServeStatus(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Fatalf("GET %s: %s, want %d", path, resp.Status, want)
 		}
-		if into != nil {
-			if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-				t.Fatalf("GET %s: %v", path, err)
-			}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		return string(body)
+	}
+
+	metrics := strings.Split(get("/metrics", http.StatusOK), "\n")
+	for _, want := range []string{
+		"sesa_sweep_jobs 1",
+		"sesa_sweep_jobs_done 1",
+		"sesa_sweep_jobs_failed 0",
+	} {
+		if !slices.Contains(metrics, want) {
+			t.Errorf("/metrics lacks the line %q:\n%s", want, strings.Join(metrics, "\n"))
+		}
+	}
+	for _, family := range []string{"sesa_sweep_jobs_per_second ", "sesa_sweep_cycles_per_second "} {
+		if !slices.ContainsFunc(metrics, func(l string) bool { return strings.HasPrefix(l, family) }) {
+			t.Errorf("/metrics lacks an unlabeled %s sample", strings.TrimSpace(family))
 		}
 	}
 
-	var snap Snapshot
-	get("/status", http.StatusOK, &snap)
-	if snap.TotalJobs != 1 || snap.Done != 1 || snap.Failed != 0 {
-		t.Errorf("/status = %+v", snap)
-	}
-	if snap.Insts == 0 {
-		t.Error("/status reports no retired instructions")
-	}
-	if len(snap.Jobs) != 1 || snap.Jobs[0].WallSeconds <= 0 || snap.Jobs[0].CyclesPerSecond <= 0 {
-		t.Errorf("/status job_throughput = %+v, want a positive wall time and rate", snap.Jobs)
-	}
+	// /metrics is the whole sweep surface: no JSON views, no expvars.
+	get("/status", http.StatusNotFound)
+	get("/histograms", http.StatusNotFound)
+	get("/debug/vars", http.StatusNotFound)
 
-	var hists map[string]hist.Summary
-	get("/histograms", http.StatusOK, &hists)
-	if hists["load-l1"].Count == 0 {
-		t.Errorf("/histograms missing load-l1: %v", hists)
-	}
-
-	// /status and /histograms are the whole sweep surface: no expvars.
-	get("/debug/vars", http.StatusNotFound, nil)
-
-	get("/healthz", http.StatusOK, nil)
-	get("/metrics", http.StatusOK, nil)
-	get("/debug/pprof/cmdline", http.StatusOK, nil)
+	get("/healthz", http.StatusOK)
+	get("/debug/pprof/cmdline", http.StatusOK)
 }

@@ -137,9 +137,8 @@ func (e *admissionError) Error() string {
 //	DELETE /v1/sweeps/{id}          cancel (mid-run cancellation frees workers)
 //
 // plus runner.StatusHandler's endpoints, which every sesa process serves:
-// /status and /histograms report the running sweep, /metrics renders the
-// telemetry registry (the result-cache counters among it), and /healthz
-// and /debug/pprof/ complete the set.
+// /metrics renders the registry (queue depth, the result-cache counters and
+// the per-sweep families), and /healthz and /debug/pprof/ complete the set.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
@@ -147,8 +146,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sweeps/{id}/results", s.handleResults)
 	mux.HandleFunc("GET /v1/sweeps/{id}/timeline", s.handleTimeline)
 	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleCancel)
-	sh := runner.StatusHandler(s.currentProgress, s.reg)
-	for _, path := range []string{"/status", "/histograms", "/metrics", "/healthz", "/debug/pprof/"} {
+	sh := runner.StatusHandler(s.reg)
+	for _, path := range []string{"/metrics", "/healthz", "/debug/pprof/"} {
 		mux.Handle(path, sh)
 	}
 	return mux

@@ -5,6 +5,8 @@
 // status, fetch its Table IV rows and summary, and DELETE it to cancel —
 // including mid-run, which frees the runner's workers within a cancellation
 // poll via the context plumbed through runner.Pool and sim.Machine.
+// Operators watch the daemon through one metrics surface, /metrics, and one
+// document per sweep, /v1/sweeps/{id}.
 //
 // The daemon sits on three load-shedding mechanisms a batch simulation
 // service needs:
@@ -27,6 +29,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -64,12 +67,8 @@ type Options struct {
 	// ResultsDir, when non-empty, receives one <id>.json results document
 	// per finished sweep — the flush half of graceful drain.
 	ResultsDir string
-	// Telemetry supplies the structured logger and metrics registry; nil is
-	// fully functional (logs are discarded, metric registrations are no-ops,
-	// and /metrics serves an empty document). Sweep timelines are recorded
-	// either way — they are per-job, not per-cycle, and never touch the
-	// simulation hot path.
-	Telemetry *telemetry.T
+	// Log receives the daemon's structured records; nil discards them.
+	Log *slog.Logger
 }
 
 // sweepState is the lifecycle of one submitted sweep.
@@ -113,8 +112,8 @@ type sweep struct {
 type Server struct {
 	opts  Options
 	cache *resultCache
-	log   *slog.Logger        // never nil (discards when telemetry is off)
-	reg   *telemetry.Registry // nil-safe; backs GET /metrics
+	log   *slog.Logger        // never nil: discards when Options.Log is nil
+	reg   *telemetry.Registry // backs GET /metrics
 
 	// lifeCtx parents every sweep's run context; Close cancels it.
 	lifeCtx  context.Context
@@ -125,7 +124,7 @@ type Server struct {
 	sweeps   map[string]*sweep
 	queue    []*sweep
 	running  *sweep
-	last     *sweep // most recently finished (for /status after the sweep)
+	last     *sweep // most recently finished (stays in the metric window)
 	draining bool
 	stopped  bool
 
@@ -147,8 +146,8 @@ func New(o Options) *Server {
 	s := &Server{
 		opts:     o,
 		cache:    newResultCache(o.MaxCached),
-		log:      o.Telemetry.Component("serve"),
-		reg:      o.Telemetry.Registry(),
+		log:      cmp.Or(o.Log, telemetry.Discard()).With(telemetry.KeyComponent, "serve"),
+		reg:      telemetry.NewRegistry(),
 		lifeCtx:  ctx,
 		lifeStop: stop,
 		sweeps:   make(map[string]*sweep),
@@ -164,10 +163,6 @@ func New(o Options) *Server {
 // sample live state only when /metrics is actually read, so an unscraped
 // registry costs nothing; all callbacks take the server mutex, which Render
 // guarantees is not nested inside the registry lock.
-//
-// Per-sweep families are labeled sweep="sw-NNNNNN" and cover the queued,
-// running and most recently finished sweeps — a bounded window, unlike
-// /status and /histograms, which follow the running sweep only.
 func (s *Server) registerMetrics() {
 	s.reg.GaugeFunc("sesa_serve_queue_depth",
 		"Sweeps waiting in the admission queue.", func() []telemetry.Sample {
@@ -190,59 +185,31 @@ func (s *Server) registerMetrics() {
 			_, misses, _ := s.cache.stats()
 			return []telemetry.Sample{{Value: float64(misses)}}
 		})
-
-	// One sample per observed sweep, labeled by sweep id.
-	perSweep := func(v func(sw *sweep, snap runner.Snapshot) float64) func() []telemetry.Sample {
-		return func() []telemetry.Sample {
-			var out []telemetry.Sample
-			for _, sw := range s.metricSweeps() {
-				out = append(out, telemetry.Sample{
-					Labels: [][2]string{{"sweep", sw.id}},
-					Value:  v(sw, sw.progress.Snapshot()),
-				})
-			}
-			return out
-		}
-	}
-	s.reg.GaugeFunc("sesa_sweep_jobs",
-		"Jobs in the sweep (cached jobs excluded while running).",
-		perSweep(func(_ *sweep, sn runner.Snapshot) float64 { return float64(sn.TotalJobs) }))
-	s.reg.GaugeFunc("sesa_sweep_jobs_done",
-		"Jobs the sweep has completed.",
-		perSweep(func(_ *sweep, sn runner.Snapshot) float64 { return float64(sn.Done) }))
-	s.reg.GaugeFunc("sesa_sweep_jobs_failed",
-		"Completed jobs that failed.",
-		perSweep(func(_ *sweep, sn runner.Snapshot) float64 { return float64(sn.Failed) }))
-	s.reg.GaugeFunc("sesa_sweep_jobs_per_second",
-		"Sweep throughput: completed jobs per elapsed wall-clock second.",
-		perSweep(func(_ *sweep, sn runner.Snapshot) float64 {
-			if sn.ElapsedSeconds <= 0 {
-				return 0
-			}
-			return float64(sn.Done) / sn.ElapsedSeconds
-		}))
-	s.reg.GaugeFunc("sesa_sweep_cycles_per_second",
-		"Sweep throughput: simulated cycles per elapsed wall-clock second.",
-		perSweep(func(_ *sweep, sn runner.Snapshot) float64 { return sn.CyclesPerSecond }))
+	runner.RegisterSweepMetrics(s.reg, s.metricSweeps)
 }
 
-// metricSweeps is the bounded window the per-sweep families report: queued
-// and running sweeps plus the most recently finished one. Terminal sweeps
-// age out of the export (their last state remains queryable via the API), so
-// series cardinality never grows with daemon uptime.
-func (s *Server) metricSweeps() []*sweep {
+// metricSweeps is the bounded window the per-sweep families report, each
+// sweep labeled sweep="sw-NNNNNN": queued and running sweeps plus the most
+// recently finished one. Terminal sweeps age out of the export (their last
+// state remains queryable via the API), so series cardinality never grows
+// with daemon uptime.
+func (s *Server) metricSweeps() []runner.LabeledProgress {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []*sweep
+	var out []runner.LabeledProgress
+	add := func(sw *sweep) {
+		out = append(out, runner.LabeledProgress{
+			Labels: [][2]string{{telemetry.KeySweep, sw.id}}, Progress: sw.progress})
+	}
 	if s.last != nil && s.last.progress != nil {
-		out = append(out, s.last)
+		add(s.last)
 	}
 	if s.running != nil && s.running != s.last {
-		out = append(out, s.running)
+		add(s.running)
 	}
 	for _, sw := range s.queue {
 		if sw.state == stateQueued {
-			out = append(out, sw)
+			add(sw)
 		}
 	}
 	return out
@@ -563,20 +530,6 @@ func (s *Server) lookup(id string) (*sweep, bool) {
 	defer s.mu.Unlock()
 	sw, ok := s.sweeps[id]
 	return sw, ok
-}
-
-// currentProgress is the getter behind the mounted /status endpoints: the
-// running sweep's tracker, else the most recently finished one's.
-func (s *Server) currentProgress() *runner.Progress {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.running != nil {
-		return s.running.progress
-	}
-	if s.last != nil {
-		return s.last.progress
-	}
-	return nil
 }
 
 // idle reports whether no sweep is queued or running.

@@ -479,15 +479,16 @@ func TestValidation(t *testing.T) {
 
 // TestRoutes pins the route table: the introspection endpoints every sesa
 // process serves sit beside the API without shadowing its method checks,
-// and the result-cache counters live on /metrics only.
+// the result-cache counters live on /metrics only, and /metrics and
+// /v1/sweeps/{id} are the only views of a sweep.
 func TestRoutes(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxWorkers: 1})
 	for _, c := range []struct {
 		method, path string
 		want         int
 	}{
-		{"GET", "/status", http.StatusOK},
-		{"GET", "/histograms", http.StatusOK},
+		{"GET", "/status", http.StatusNotFound},
+		{"GET", "/histograms", http.StatusNotFound},
 		{"GET", "/metrics", http.StatusOK},
 		{"GET", "/healthz", http.StatusOK},
 		{"GET", "/debug/pprof/cmdline", http.StatusOK},

@@ -13,13 +13,6 @@ import (
 	"sesa/internal/telemetry"
 )
 
-// telemetryOptions returns Options with a live metrics registry and a discard
-// logger, the way sesa-serve wires them.
-func telemetryOptions(o Options) Options {
-	o.Telemetry = &telemetry.T{Log: telemetry.Discard(), Metrics: telemetry.NewRegistry()}
-	return o
-}
-
 // scrapeSeries GETs /metrics and returns the set of series identities —
 // "name{labels}" with the sample value stripped, since values (rates, byte
 // counts, wall times) are not reproducible.
@@ -59,7 +52,7 @@ func scrapeSeries(t *testing.T, ts *httptest.Server) map[string]bool {
 // names and label blocks. Values are normalized away — only identities are
 // golden.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, telemetryOptions(Options{MaxWorkers: 2}))
+	_, ts := newTestServer(t, Options{MaxWorkers: 2})
 	req := SweepRequest{
 		Title: "metrics sweep",
 		Jobs: []JobSpec{
@@ -106,19 +99,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsWithoutTelemetry: a server built with no telemetry bundle still
-// serves /metrics — an empty exposition, not a panic or a 404, so probes can
-// stay unconditional.
+// TestMetricsWithoutTelemetry: a server built with zero Options has no
+// logger but still its own registry, so /metrics serves the queue and cache
+// families before any sweep is submitted.
 func TestMetricsWithoutTelemetry(t *testing.T) {
-	_, ts := newTestServer(t, Options{MaxWorkers: 1})
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK || len(raw) != 0 {
-		t.Errorf("/metrics without telemetry: HTTP %d, body %q; want empty 200", resp.StatusCode, raw)
+	_, ts := newTestServer(t, Options{})
+	series := scrapeSeries(t, ts)
+	for _, want := range []string{
+		"sesa_serve_queue_depth",
+		"sesa_cache_entries",
+		"sesa_cache_hits_total",
+		"sesa_cache_misses_total",
+	} {
+		if !series[want] {
+			t.Errorf("/metrics of a zero-Options server lacks %q; have %v", want, series)
+		}
 	}
 }
 
@@ -168,7 +163,7 @@ func fetchTimeline(t *testing.T, ts *httptest.Server, id string) chromeTrace {
 // TestTimelineLocalSweep: a sweep records its lifecycle, and its jobs and
 // execution window on worker "local", the daemon's own pool.
 func TestTimelineLocalSweep(t *testing.T) {
-	_, ts := newTestServer(t, telemetryOptions(Options{MaxWorkers: 2}))
+	_, ts := newTestServer(t, Options{MaxWorkers: 2})
 	req := SweepRequest{
 		Title: "local timeline sweep",
 		Jobs: []JobSpec{
@@ -210,8 +205,8 @@ func TestTimelineLocalSweep(t *testing.T) {
 }
 
 // TestTimelineAlwaysRecorded: span timelines are bounded, job-granular and
-// cheap, so they are recorded even without a telemetry bundle — the endpoint
-// 404s only for unknown sweeps.
+// cheap, so they are recorded even without a logger — the endpoint 404s
+// only for unknown sweeps.
 func TestTimelineAlwaysRecorded(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxWorkers: 1})
 	resp, err := http.Get(ts.URL + "/v1/sweeps/sw-999999/timeline")
@@ -224,12 +219,12 @@ func TestTimelineAlwaysRecorded(t *testing.T) {
 	}
 
 	req := SweepRequest{
-		Title: "no telemetry bundle",
+		Title: "no logger",
 		Jobs:  []JobSpec{{Profile: "radix", Model: "x86", InstPerCore: 2000, Seed: 42}},
 	}
 	_, st := post(t, ts, req)
 	waitTerminal(t, ts, st.ID, 60*time.Second)
 	if doc := fetchTimeline(t, ts, st.ID); len(doc.TraceEvents) == 0 {
-		t.Error("telemetry-less server recorded an empty timeline")
+		t.Error("logger-less server recorded an empty timeline")
 	}
 }

@@ -19,9 +19,6 @@ import (
 // register a callback that reads live component state (queue depth, cache
 // counters, sweep throughput) only when /metrics is actually read, so an
 // unscraped registry costs nothing.
-//
-// Every method is safe on a nil *Registry, so components take a registry
-// unconditionally and instrument without branching.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]family
@@ -92,9 +89,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() []Sample) {
 }
 
 func (r *Registry) funcFamily(name, help, typ string, fn func() []Sample) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
@@ -116,9 +110,6 @@ func formatValue(f float64) string {
 
 // Render returns the full exposition document.
 func (r *Registry) Render() string {
-	if r == nil {
-		return ""
-	}
 	r.mu.Lock()
 	fams := make([]family, 0, len(r.families))
 	for _, f := range r.families {
@@ -152,7 +143,7 @@ func (r *Registry) Render() string {
 }
 
 // Handler serves the registry at GET /metrics in the text exposition
-// format. A nil registry serves an empty (but valid) document.
+// format.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

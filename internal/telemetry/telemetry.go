@@ -32,38 +32,6 @@ const (
 	KeySweep     = "sweep"
 )
 
-// T bundles the two telemetry sinks a component receives: a structured
-// logger and a metrics registry. A nil *T (or nil fields) is fully
-// functional and free: Logger returns a discarding logger and Registry
-// returns a nil registry whose every method is a no-op.
-type T struct {
-	Log     *slog.Logger
-	Metrics *Registry
-}
-
-// Logger returns the bundle's logger, or a discarding one.
-func (t *T) Logger() *slog.Logger {
-	if t == nil || t.Log == nil {
-		return Discard()
-	}
-	return t.Log
-}
-
-// Registry returns the bundle's metrics registry; nil (a no-op registry)
-// when absent.
-func (t *T) Registry() *Registry {
-	if t == nil {
-		return nil
-	}
-	return t.Metrics
-}
-
-// Component returns the bundle's logger scoped with the conventional
-// component attribute.
-func (t *T) Component(name string) *slog.Logger {
-	return t.Logger().With(slog.String(KeyComponent, name))
-}
-
 // NewLogger builds a slog.Logger writing to w. level is one of debug, info,
 // warn, error; format is text or json (the values of sesa-serve's
 // -log-level and -log-format flags).

@@ -6,6 +6,7 @@ import (
 
 	"sesa/internal/report"
 	"sesa/internal/runner"
+	"sesa/internal/telemetry"
 	"sesa/internal/trace"
 )
 
@@ -53,7 +54,7 @@ func RunSweepContext(ctx context.Context, jobs []SweepJob, workers int) ([]Sweep
 }
 
 // SweepProgress tracks a live sweep for the -status-addr endpoint: jobs
-// done/running/failed, retired instructions, ETA, and merged histograms.
+// done/running/failed, retired instructions, simulated cycles and ETA.
 type SweepProgress = runner.Progress
 
 // NewSweepProgress returns an empty tracker to pass to RunSweepMonitored and
@@ -61,10 +62,14 @@ type SweepProgress = runner.Progress
 func NewSweepProgress() *SweepProgress { return runner.NewProgress() }
 
 // ServeStatus starts the live-introspection HTTP server on addr and returns
-// the bound address. It serves p at /status and /histograms as JSON, plus
-// /healthz, /debug/pprof and /metrics (empty: a sweep registers no metrics).
+// the bound address. /metrics serves p as the unlabeled sesa_sweep_*
+// families in Prometheus text format, beside /healthz and /debug/pprof/.
 func ServeStatus(addr string, p *SweepProgress) (string, error) {
-	return runner.ServeStatus(addr, runner.StatusHandler(func() *runner.Progress { return p }, nil))
+	reg := telemetry.NewRegistry()
+	runner.RegisterSweepMetrics(reg, func() []runner.LabeledProgress {
+		return []runner.LabeledProgress{{Progress: p}}
+	})
+	return runner.ServeStatus(addr, runner.StatusHandler(reg))
 }
 
 // RunSweepMonitored is RunSweep with live progress reporting: the tracker is
