@@ -50,15 +50,16 @@ var progress *sesa.SweepProgress
 // wall-clock summary goes to stderr. Every job's histograms, when enabled,
 // are collected in job order across every sweep the invocation performs.
 func sweep(js []sesa.SweepJob) []sesa.SweepResult {
+	opts := outs.TraceOptions()
 	for i := range js {
-		js[i].Hists = outs.WantHists()
+		js[i].Trace = opts
 	}
 	results, summary := sesa.RunSweepMonitored(js, *jobs, progress)
 	if !*quiet {
 		fmt.Fprintln(os.Stderr, summary)
 	}
 	for _, res := range results {
-		outs.Add(res.Job.Name(), nil, res.Hists)
+		outs.Add(res.Job.Name(), nil, res.Trace.Hists())
 	}
 	return results
 }

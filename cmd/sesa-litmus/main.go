@@ -50,7 +50,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	traceOpts, wantHists := outs.TraceOptions(), outs.WantHists()
+	traceOpts := outs.TraceOptions()
 
 	tests, err := litmus.Select(*testName)
 	if err != nil {
@@ -79,22 +79,21 @@ func main() {
 			variant = sesa.WithSBPressure(test, *pressure)
 		}
 		for _, model := range models {
-			// Each iteration's machine records into its own tracer and
-			// histogram set. The iteration sets merge into one distribution
-			// per (test, model), exactly equivalent to one histogram fed
-			// every iteration's samples.
+			// Each iteration's machine records into its own tracer. The
+			// iterations' histogram sets merge into one distribution per
+			// (test, model), exactly equivalent to one histogram fed every
+			// iteration's samples.
 			prefix := variant.Name + "/" + model.String()
 			var iterSets []*sesa.HistSet
 			res, err := sesa.RunLitmusTraced(variant, model, *iters, *seed,
 				func(iter int, m *sesa.SimMachine) {
-					if traceOpts != nil {
-						tr := sesa.NewTracer(m.Config().Cores, *traceOpts)
-						m.AttachTracer(tr)
-						outs.Add(fmt.Sprintf("%s#%d", prefix, iter), tr, nil)
+					if traceOpts == nil {
+						return
 					}
-					if wantHists {
-						hs := sesa.NewHistSet(m.Config().Cores)
-						m.AttachHists(hs)
+					tr := sesa.NewTracer(m.Config().Cores, *traceOpts)
+					m.AttachTracer(tr)
+					outs.Add(fmt.Sprintf("%s#%d", prefix, iter), tr, nil)
+					if hs := tr.Hists(); hs != nil {
 						iterSets = append(iterSets, hs)
 					}
 				})

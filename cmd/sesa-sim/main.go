@@ -67,7 +67,7 @@ func run(args []string, w io.Writer) error {
 	if *statusAddr != "" && (*traceIn != "" || *dump != "" || *list) {
 		return errors.New("-status-addr reports a sweep, and -trace, -dump and -list run none")
 	}
-	traceOpts, wantHists := outs.TraceOptions(), outs.WantHists()
+	traceOpts := outs.TraceOptions()
 
 	if *list {
 		fmt.Fprintln(w, "parallel (SPLASH-3 + PARSEC, 8 cores):")
@@ -151,7 +151,6 @@ func run(args []string, w io.Writer) error {
 				return err
 			}
 			j.Trace = traceOpts
-			j.Hists = wantHists
 			js[i] = j
 		}
 		var summary sesa.SweepSummary
@@ -166,7 +165,6 @@ func run(args []string, w io.Writer) error {
 		var ch sesa.Characterization
 		var st *sesa.Stats
 		var tr *sesa.Tracer
-		var hs *sesa.HistSet
 		var err error
 		if replay != nil {
 			cfg := sesa.DefaultConfig(model)
@@ -174,17 +172,15 @@ func run(args []string, w io.Writer) error {
 				cfg.Cores = len(replay)
 			}
 			wl := sesa.Workload{Name: *traceIn, Programs: replay}
-			st, tr, hs, err = runReplay(model, cfg, wl, traceOpts, wantHists)
+			st, tr, err = runReplay(model, cfg, wl, traceOpts)
 			if err == nil {
 				ch = st.Characterize()
 			}
 		} else {
 			res := results[mi]
-			ch, st, err = res.Char, res.Stats, res.Err
-			tr = res.Trace
-			hs = res.Hists
+			ch, st, err, tr = res.Char, res.Stats, res.Err, res.Trace
 		}
-		outs.Add(label+"/"+model.String(), tr, hs)
+		outs.Add(label+"/"+model.String(), tr, tr.Hists())
 		if err != nil {
 			return err
 		}
@@ -209,17 +205,16 @@ func run(args []string, w io.Writer) error {
 }
 
 // runReplay runs a trace-file workload on one machine, optionally attaching
-// an observability tracer and latency histograms (the sweep path does this
-// via SweepJob.Trace / SweepJob.Hists).
-func runReplay(model sesa.Model, cfg sesa.Config, w sesa.Workload, opts *sesa.TraceOptions, wantHists bool) (*sesa.Stats, *sesa.Tracer, *sesa.HistSet, error) {
+// an observability tracer (the sweep path does this via SweepJob.Trace).
+func runReplay(model sesa.Model, cfg sesa.Config, w sesa.Workload, opts *sesa.TraceOptions) (*sesa.Stats, *sesa.Tracer, error) {
 	cfg.Model = model
 	sys, err := sesa.NewSystem(cfg, w.Name)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	for i, p := range w.Programs {
 		if err := sys.LoadProgram(i, p); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
 	var tr *sesa.Tracer
@@ -227,13 +222,8 @@ func runReplay(model sesa.Model, cfg sesa.Config, w sesa.Workload, opts *sesa.Tr
 		tr = sesa.NewTracer(cfg.Cores, *opts)
 		sys.AttachTracer(tr)
 	}
-	var hs *sesa.HistSet
-	if wantHists {
-		hs = sesa.NewHistSet(cfg.Cores)
-		sys.AttachHists(hs)
-	}
 	if err := sys.Run(1_000_000_000); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return sys.Stats(), tr, hs, nil
+	return sys.Stats(), tr, nil
 }

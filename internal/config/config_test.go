@@ -2,6 +2,7 @@ package config
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -263,4 +264,27 @@ func TestUnknownModelString(t *testing.T) {
 	if !strings.Contains(Model(42).String(), "42") {
 		t.Error("unknown model should render its number")
 	}
+}
+
+// FuzzParseModels drives the -model list parser with arbitrary values,
+// seeded with the flag values CI passes: it must never panic, and a list it
+// accepts, its names joined with commas, parses back to the same models.
+func FuzzParseModels(f *testing.F) {
+	for _, s := range []string{"threads=4,ops=6,addrs=3,fences=1,rmws=2", "mp,n6,iriw", "370-SLFSoS-key", "all", "none"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		models, err := ParseModels(spec)
+		if err != nil {
+			return
+		}
+		names := make([]string, len(models))
+		for i, m := range models {
+			names[i] = m.String()
+		}
+		again, err := ParseModels(strings.Join(names, ","))
+		if err != nil || !slices.Equal(again, models) {
+			t.Fatalf("ParseModels(%q) = %v, whose rendering parses to %v (err %v)", spec, models, again, err)
+		}
+	})
 }

@@ -83,12 +83,10 @@ type Core struct {
 	// the scan off and Tick reports sched.Never instead.
 	wakeHints bool
 
-	// tr is the observability sink; nil when tracing is disabled, so every
-	// hook is one never-taken branch on the disabled path.
+	// tr is the observability sink, events and histograms both; nil when
+	// no tracer is attached, so every hook is one never-taken branch on the
+	// disabled path.
 	tr *obs.CoreTracer
-
-	// hc is the latency-histogram sink, nil-checked like tr.
-	hc *hist.Collector
 	// gateClosedAt is the cycle the retire gate last closed, the start of
 	// the episode the GateClosed histogram measures.
 	gateClosedAt uint64
@@ -246,10 +244,6 @@ func (c *Core) RegValue(r isa.Reg) uint64 { return c.regVal[r] }
 // AttachTracer sets the core's observability sink (nil disables it). Call
 // before the first Tick; events recorded mid-run would miss prior history.
 func (c *Core) AttachTracer(t *obs.CoreTracer) { c.tr = t }
-
-// AttachHists sets the core's latency-histogram sink (nil disables it).
-// Call before the first Tick.
-func (c *Core) AttachHists(h *hist.Collector) { c.hc = h }
 
 // Occupancy returns the instantaneous ROB, LQ and SQ/SB occupancies, for
 // the interval-metrics sampler and for tests.
@@ -574,19 +568,15 @@ func (c *Core) storeWrote(r entryRef, when uint64) {
 	e.writtenL1 = true
 	c.drainInflight--
 	c.sq.free(r)
-	if c.hc != nil {
-		c.hc.Observe(hist.SBResidency, when-e.retiredAt)
-	}
 	if c.tr != nil {
+		c.tr.Observe(hist.SBResidency, when-e.retiredAt)
 		c.tr.Record(obs.Event{Cycle: when, Kind: obs.KSBInsert, Op: e.inst.Op,
 			Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obsKey(e.sqKey), Addr: e.inst.Addr})
 	}
 	if c.gate.StoreWrote(e.sqKey) {
 		c.st.GateReopens++
-		if c.hc != nil {
-			c.hc.Observe(hist.GateClosed, when-c.gateClosedAt)
-		}
 		if c.tr != nil {
+			c.tr.Observe(hist.GateClosed, when-c.gateClosedAt)
 			c.tr.Record(obs.Event{Cycle: when, Kind: obs.KGateReopen, Op: e.inst.Op,
 				Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obsKey(e.sqKey), Addr: e.inst.Addr})
 		}
@@ -595,10 +585,8 @@ func (c *Core) storeWrote(r entryRef, when uint64) {
 	if c.policy.ReopensGateOnSBDrain() && !c.sq.anyRetiredUnwritten(&c.ar) {
 		if c.gate.SBDrained() {
 			c.st.GateReopens++
-			if c.hc != nil {
-				c.hc.Observe(hist.GateClosed, when-c.gateClosedAt)
-			}
 			if c.tr != nil {
+				c.tr.Observe(hist.GateClosed, when-c.gateClosedAt)
 				c.tr.Record(obs.Event{Cycle: when, Kind: obs.KGateReopen, Op: e.inst.Op,
 					Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obs.KeyNone, Addr: e.inst.Addr})
 			}
@@ -904,10 +892,8 @@ func (c *Core) tryIssueLoad(i int32, e *entry, now uint64) bool {
 		e.val = c.forwardValue(match, e)
 		c.ar.stat[i] = stIssued
 		c.ar.execDone[i] = now + uint64(c.l1Lat)
-		if c.hc != nil {
-			c.hc.Observe(hist.LoadSLF, c.ar.execDone[i]-now)
-		}
 		if c.tr != nil {
+			c.tr.Observe(hist.LoadSLF, c.ar.execDone[i]-now)
 			c.tr.Record(obs.Event{Cycle: now, Kind: obs.KSLFHit, Op: e.inst.Op,
 				Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obsKey(e.slfKey), Addr: e.inst.Addr})
 		}

@@ -198,10 +198,10 @@ func (c *Core) squashFrom(fromIdx int32, now uint64, countReexec, saOnly bool, c
 
 	c.fetchIdx = fromTraceIdx
 	c.redirectUntil = maxU64(c.redirectUntil, now+uint64(c.cfg.SquashRefillPenalty))
-	if c.hc != nil {
+	if c.tr != nil {
 		// The squash-to-refill cost: cycles dispatch stays blocked from
 		// this squash until its refill window ends (overlapping windows
 		// extend it past the fixed penalty).
-		c.hc.Observe(hist.SquashRefill, c.redirectUntil-now)
+		c.tr.Observe(hist.SquashRefill, c.redirectUntil-now)
 	}
 }

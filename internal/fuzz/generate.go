@@ -16,6 +16,7 @@ package fuzz
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"sesa/internal/axiomatic"
@@ -91,8 +92,8 @@ func ParseBudget(s string) (Budget, error) {
 		if !ok {
 			return b, fmt.Errorf("fuzz: budget term %q is not key=value", kv)
 		}
-		var val int
-		if _, err := fmt.Sscanf(valStr, "%d", &val); err != nil {
+		val, err := strconv.Atoi(valStr)
+		if err != nil {
 			return b, fmt.Errorf("fuzz: budget term %q: %v", kv, err)
 		}
 		switch key {

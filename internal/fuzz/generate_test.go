@@ -98,6 +98,8 @@ func TestParseBudget(t *testing.T) {
 		{"bogus=3", Budget{}, true},
 		{"threads", Budget{}, true},
 		{"threads=6,ops=12", Budget{}, true}, // up to 78 memory events
+		{"threads=3junk", Budget{}, true},
+		{"ops=4.5", Budget{}, true},
 	}
 	for _, c := range cases {
 		got, err := ParseBudget(c.in)
@@ -114,4 +116,23 @@ func TestParseBudget(t *testing.T) {
 	if err != nil || got != b {
 		t.Fatalf("round trip %v -> %v (%v)", b, got, err)
 	}
+}
+
+// FuzzParseBudget drives the -budget parser with arbitrary values, seeded
+// with the flag values CI passes: it must never panic, and a budget it
+// accepts, rendered with String, parses back to itself.
+func FuzzParseBudget(f *testing.F) {
+	for _, s := range []string{"threads=4,ops=6,addrs=3,fences=1,rmws=2", "mp,n6,iriw", "370-SLFSoS-key", "all", "none"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		b, err := ParseBudget(s)
+		if err != nil {
+			return
+		}
+		again, err := ParseBudget(b.String())
+		if err != nil || again != b {
+			t.Fatalf("ParseBudget(%q) = %v, whose rendering %q parses to %v (err %v)", s, b, b.String(), again, err)
+		}
+	})
 }

@@ -60,10 +60,10 @@ func (m Metric) String() string {
 	return fmt.Sprintf("metric(%d)", uint8(m))
 }
 
-// Collector holds one histogram per metric. Like obs.CoreTracer it is the
-// nil-checked sink a core (or the hierarchy, or the NoC) stores: a nil
-// Collector means histograms are disabled and every hook is one never-taken
-// branch. A Collector is single-owner and not safe for concurrent use.
+// Collector holds one histogram per metric. A core's obs.CoreTracer and the
+// NoC hold one each, nil when histograms are disabled, so every hook is one
+// never-taken branch. A Collector is single-owner and not safe for
+// concurrent use.
 type Collector struct {
 	h [NumMetrics]Hist
 }
@@ -72,8 +72,7 @@ type Collector struct {
 func NewCollector() *Collector { return &Collector{} }
 
 // Observe records one sample of metric m. The receiver must be non-nil —
-// call sites nil-check the collector pointer, keeping the disabled path
-// free.
+// callers nil-check the collector pointer, keeping the disabled path free.
 func (c *Collector) Observe(m Metric, v uint64) { c.h[m].Record(v) }
 
 // H returns metric m's histogram (nil-safe, for reporting).
@@ -126,7 +125,7 @@ func NewSet(cores int) *Set {
 }
 
 // Core returns core i's collector, or nil when the set is nil — the pointer
-// a core stores and nil-checks in its hooks.
+// the core's obs.CoreTracer stores and nil-checks.
 func (s *Set) Core(i int) *Collector {
 	if s == nil {
 		return nil

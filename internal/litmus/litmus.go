@@ -505,11 +505,10 @@ func Run(t Test, model config.Model, iters int, seedBase uint64) (*Result, error
 // RunTraced is Run with an observability hook: when attach is non-nil it is
 // called on every iteration before the machine runs (e.g. to attach a
 // tracer). Every iteration runs on one machine, reset before the hook sees
-// it, so the hook receives the same machine each time, with no tracer or
-// histogram set attached: a hook that keeps per-iteration data must keep
-// the tracer, the histogram set or m.Stats, not the machine. The hook must
-// not keep the machine running concurrently — iterations stay sequential and
-// deterministic.
+// it, so the hook receives the same machine each time, with no tracer
+// attached: a hook that keeps per-iteration data must keep the tracer or
+// m.Stats, not the machine. The hook must not keep the machine running
+// concurrently — iterations stay sequential and deterministic.
 func RunTraced(t Test, model config.Model, iters int, seedBase uint64, attach func(iter int, m *sim.Machine)) (*Result, error) {
 	cfg := config.Skylake(len(t.Prog.Threads), model)
 	m, err := sim.New(cfg, t.Name)

@@ -1,6 +1,8 @@
 package litmus
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"sesa/internal/checker"
@@ -153,4 +155,30 @@ func TestSelect(t *testing.T) {
 			t.Errorf("Select(%q) accepted", spec)
 		}
 	}
+}
+
+// FuzzSelect drives the -test list parser with arbitrary values, seeded with
+// the flag values CI passes: it must never panic, and a list it accepts, its
+// names joined with commas, selects the same tests again.
+func FuzzSelect(f *testing.F) {
+	for _, s := range []string{"threads=4,ops=6,addrs=3,fences=1,rmws=2", "mp,n6,iriw", "370-SLFSoS-key", "all", "none"} {
+		f.Add(s)
+	}
+	names := func(tests []Test) []string {
+		out := make([]string, len(tests))
+		for i, t := range tests {
+			out[i] = t.Name
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		tests, err := Select(spec)
+		if err != nil {
+			return
+		}
+		again, err := Select(strings.Join(names(tests), ","))
+		if err != nil || !slices.Equal(names(again), names(tests)) {
+			t.Fatalf("Select(%q) = %v, whose rendering selects %v (err %v)", spec, names(tests), names(again), err)
+		}
+	})
 }

@@ -81,14 +81,13 @@ func traceSmoke(t *testing.T, mode config.StepMode, args []string) {
 	opts := outs.TraceOptions()
 	var sets []*hist.Set
 	runStepped(t, test, model, mode, iters, seed, func(iter int, m *sim.Machine) {
-		if opts != nil {
-			tr := obs.New(m.Config().Cores, *opts)
-			m.AttachTracer(tr)
-			outs.Add(fmt.Sprintf("%s#%d", prefix, iter), tr, nil)
+		if opts == nil {
+			return
 		}
-		if outs.WantHists() {
-			hs := hist.NewSet(m.Config().Cores)
-			m.AttachHists(hs)
+		tr := obs.New(m.Config().Cores, *opts)
+		m.AttachTracer(tr)
+		outs.Add(fmt.Sprintf("%s#%d", prefix, iter), tr, nil)
+		if hs := tr.Hists(); hs != nil {
 			sets = append(sets, hs)
 		}
 	})
@@ -135,31 +134,44 @@ func TestStepModesAgreeOnLitmusSuite(t *testing.T) {
 	}
 
 	// The pipeline-trace and histogram smoke: under both steppers, CI's
-	// three commands must write the goldens CI diffs their files against.
+	// four commands must write the goldens CI diffs their files against.
+	// The last records events and histograms through one tracer at once.
 	t.Run("smoke/trace+hist", func(t *testing.T) {
+		const (
+			chrome = "trace_n6_slfsoskey_iters2.golden.json"
+			kanata = "trace_n6_slfsoskey_iters2.golden.kanata"
+			text   = "hist_n6_slfsoskey_iters2.golden"
+		)
 		for _, c := range []struct {
-			args   []string // args[1] is the output file
-			golden string
+			args    []string // args[2k+1] is the output file goldens[k] pins
+			goldens []string
 		}{
-			{[]string{"-trace-out", "trace.json"}, "trace_n6_slfsoskey_iters2.golden.json"},
-			{[]string{"-trace-out", "trace.kanata"}, "trace_n6_slfsoskey_iters2.golden.kanata"},
-			{[]string{"-hist-out", "hist.out", "-hist-format", "text"}, "hist_n6_slfsoskey_iters2.golden"},
+			{[]string{"-trace-out", "trace.json"}, []string{chrome}},
+			{[]string{"-trace-out", "trace.kanata"}, []string{kanata}},
+			{[]string{"-hist-out", "hist.out", "-hist-format", "text"}, []string{text}},
+			{[]string{"-trace-out", "both.json", "-hist-out", "both.hist", "-hist-format", "text"},
+				[]string{chrome, text}},
 		} {
-			want, err := os.ReadFile(filepath.Join("..", "..", "testdata", c.golden))
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, mode := range []config.StepMode{config.StepNaive, config.StepSkip} {
 				args := append([]string(nil), c.args...)
-				args[1] = filepath.Join(t.TempDir(), args[1])
-				traceSmoke(t, mode, args)
-				got, err := os.ReadFile(args[1])
-				if err != nil {
-					t.Fatal(err)
+				dir := t.TempDir()
+				for k := range c.goldens {
+					args[2*k+1] = filepath.Join(dir, args[2*k+1])
 				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("stepper %v, %v: output differs from testdata/%s (%d vs %d bytes)",
-						mode, c.args, c.golden, len(got), len(want))
+				traceSmoke(t, mode, args)
+				for k, golden := range c.goldens {
+					want, err := os.ReadFile(filepath.Join("..", "..", "testdata", golden))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := os.ReadFile(args[2*k+1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("stepper %v, %v: output differs from testdata/%s (%d vs %d bytes)",
+							mode, c.args, golden, len(got), len(want))
+					}
 				}
 			}
 		}

@@ -86,13 +86,9 @@ type Hierarchy struct {
 
 	clients []Client
 
-	// tracers holds the per-core observability sinks; entries are nil when
-	// tracing is disabled.
+	// tracers holds the per-core observability sinks, events and load
+	// histograms both; entries are nil when no tracer is attached.
 	tracers []*obs.CoreTracer
-
-	// hists holds the per-core latency-histogram sinks; entries are nil
-	// when histograms are disabled.
-	hists []*hist.Collector
 
 	// busyUntil serializes coherence transactions per line, like a
 	// blocking directory entry: line address -> busy horizon, in the same
@@ -125,7 +121,6 @@ func NewHierarchy(cores int, cfg config.Memory, net *noc.Network, evq *sched.Eve
 		image:     newAddrTable(0),
 		clients:   make([]Client, cores),
 		tracers:   make([]*obs.CoreTracer, cores),
-		hists:     make([]*hist.Collector, cores),
 		busyUntil: newAddrTable(0),
 		pref:      make([]strideState, cores),
 	}
@@ -141,16 +136,16 @@ func NewHierarchy(cores int, cfg config.Memory, net *noc.Network, evq *sched.Eve
 
 // Reset returns the hierarchy to the state NewHierarchy builds, on the same
 // network and event queue: every cache array and the directory empty, the
-// memory image and busy horizons empty, zero counters, and no client,
-// tracer or histogram sink. It keeps its storage: the allocated pages are
-// zeroed, which reads exactly as unallocated (DESIGN.md §6 item 6), and the
-// address tables keep their capacity, which no result can see (item 4).
+// memory image and busy horizons empty, zero counters, and no client or
+// tracer. It keeps its storage: the allocated pages are zeroed, which reads
+// exactly as unallocated (DESIGN.md §6 item 6), and the address tables keep
+// their capacity, which no result can see (item 4).
 func (h *Hierarchy) Reset() {
 	*h = Hierarchy{
 		cfg: h.cfg, cores: h.cores, net: h.net, evq: h.evq,
 		l1: h.l1, l2: h.l2, l3: h.l3, dir: h.dir,
 		image: h.image, busyUntil: h.busyUntil,
-		clients: h.clients, tracers: h.tracers, hists: h.hists, pref: h.pref,
+		clients: h.clients, tracers: h.tracers, pref: h.pref,
 	}
 	for i := range h.l1 {
 		h.l1[i].reset()
@@ -162,7 +157,6 @@ func (h *Hierarchy) Reset() {
 	h.busyUntil.clear()
 	clear(h.clients)
 	clear(h.tracers)
-	clear(h.hists)
 	clear(h.pref)
 }
 
@@ -212,13 +206,9 @@ func (h *Hierarchy) HandleBatch(evs []sched.Event) {
 	}
 }
 
-// AttachTracer sets the observability sink for one core's snoop events
-// (nil disables it).
+// AttachTracer sets the observability sink for one core's snoop events and
+// load latencies (nil disables it).
 func (h *Hierarchy) AttachTracer(core int, t *obs.CoreTracer) { h.tracers[core] = t }
-
-// AttachHists sets the latency-histogram sink for one core's loads (nil
-// disables it).
-func (h *Hierarchy) AttachHists(core int, c *hist.Collector) { h.hists[core] = c }
 
 // recordSnoop logs the delivery of an invalidation or eviction to a core.
 func (h *Hierarchy) recordSnoop(core int, lineAddr, when uint64, eviction bool) {
@@ -419,8 +409,8 @@ func (h *Hierarchy) Load(core int, addr uint64, size uint8, t uint64, ref uint64
 	h.advance(t)
 	when, lvl := h.loadLine(core, addr, t, false)
 	h.Stats.LoadsCompleted++
-	if hc := h.hists[core]; hc != nil {
-		hc.Observe(lvl, when-t)
+	if tr := h.tracers[core]; tr != nil {
+		tr.Observe(lvl, when-t)
 	}
 	h.evq.Schedule(sched.Event{Cycle: when, Kind: evLoadDone, Size: size,
 		Core: int32(core), Addr: addr, Ref: ref})
@@ -468,8 +458,8 @@ func (h *Hierarchy) LoadInvisible(core int, addr uint64, size uint8, t uint64, r
 		}
 	}
 	h.Stats.LoadsCompleted++
-	if hc := h.hists[core]; hc != nil {
-		hc.Observe(lvl, when-t)
+	if tr := h.tracers[core]; tr != nil {
+		tr.Observe(lvl, when-t)
 	}
 	h.evq.Schedule(sched.Event{Cycle: when, Kind: evLoadDone, Size: size,
 		Core: int32(core), Addr: addr, Ref: ref})

@@ -47,7 +47,8 @@ type Network struct {
 }
 
 // AttachHists sets the network's histogram collector (nil disables it);
-// every delivered message records its per-class latency.
+// every delivered message records its per-class latency. The machine's
+// AttachTracer calls it with its tracer's interconnect collector.
 func (n *Network) AttachHists(c *hist.Collector) { n.hc = c }
 
 // New returns a network with the given parameters. jitter adds a

@@ -10,8 +10,12 @@
 // ring buffer, and the exporters render the record as a Chrome trace-event
 // JSON file (loadable in Perfetto) or as a Kanata pipeline-viewer log.
 //
+// The tracer is also the machine's one latency-histogram sink: with
+// Options.Hists it owns a hist.Set, and each core's tracer carries that
+// core's collector beside its event ring.
+//
 // The subsystem is designed around a nil-checked sink: a core or hierarchy
-// holds a *CoreTracer pointer that is nil when tracing is disabled, so the
+// holds a *CoreTracer pointer that is nil when no tracer is attached, so the
 // disabled path costs one never-taken branch per hook and allocates
 // nothing. Everything recorded is derived from deterministic simulator
 // state, so trace output is byte-identical for a fixed seed regardless of
@@ -21,6 +25,7 @@ package obs
 import (
 	"fmt"
 
+	"sesa/internal/hist"
 	"sesa/internal/isa"
 )
 
@@ -168,12 +173,13 @@ type Event struct {
 	N uint64
 }
 
-// CoreTracer records one core's events into a bounded ring buffer. It is
+// CoreTracer records one core's events into a bounded ring buffer and its
+// latency samples into its histogram collector; either may be absent. It is
 // owned by a single machine and is not safe for concurrent use — machines
 // are single-threaded and a parallel sweep gives each machine its own
 // tracer.
 type CoreTracer struct {
-	capacity int
+	capacity int // at most 0: no ring, and Record does nothing
 	buf      []Event
 	start    int // index of the oldest event once the ring wrapped
 	dropped  uint64
@@ -181,19 +187,19 @@ type CoreTracer struct {
 	// counts tallies recorded events per kind, including any that were
 	// later overwritten by ring wrap-around.
 	counts [numKinds]uint64
-}
 
-// NewCoreTracer returns a tracer with the given ring capacity.
-func NewCoreTracer(capacity int) *CoreTracer {
-	if capacity <= 0 {
-		return nil
-	}
-	return &CoreTracer{capacity: capacity}
+	// hc is the core's histogram collector; nil when the tracer collects
+	// no histograms.
+	hc *hist.Collector
 }
 
 // Record appends the event, overwriting the oldest once the ring is full.
-// The buffer grows lazily up to its capacity, so small runs stay small.
+// The buffer grows lazily up to its capacity, so small runs stay small. A
+// tracer with no ring records nothing.
 func (t *CoreTracer) Record(ev Event) {
+	if t.capacity <= 0 {
+		return
+	}
 	t.counts[ev.Kind]++
 	if len(t.buf) < t.capacity {
 		t.buf = append(t.buf, ev)
@@ -202,6 +208,14 @@ func (t *CoreTracer) Record(ev Event) {
 	t.buf[t.start] = ev
 	t.start = (t.start + 1) % t.capacity
 	t.dropped++
+}
+
+// Observe records one latency sample of metric m, when the tracer collects
+// histograms.
+func (t *CoreTracer) Observe(m hist.Metric, v uint64) {
+	if t.hc != nil {
+		t.hc.Observe(m, v)
+	}
 }
 
 // Events returns the retained events in recording order. The returned slice
@@ -248,22 +262,29 @@ type Options struct {
 	// MetricsInterval samples interval metrics every N cycles; 0 disables
 	// sampling.
 	MetricsInterval uint64
+	// Hists collects the latency histograms: one collector per core plus
+	// one for the interconnect.
+	Hists bool
 }
 
-// Tracer is the machine-level observability sink: per-core event rings plus
-// the interval-metrics series.
+// Tracer is the machine-level observability sink: per-core event rings, the
+// interval-metrics series and the latency histograms.
 type Tracer struct {
 	opts    Options
 	cores   []*CoreTracer
 	metrics *Metrics
+	hists   *hist.Set
 }
 
 // New builds a tracer for a machine with the given core count.
 func New(cores int, o Options) *Tracer {
 	t := &Tracer{opts: o, cores: make([]*CoreTracer, cores)}
-	if o.BufCap > 0 {
+	if o.Hists {
+		t.hists = hist.NewSet(cores)
+	}
+	if o.BufCap > 0 || o.Hists {
 		for i := range t.cores {
-			t.cores[i] = NewCoreTracer(o.BufCap)
+			t.cores[i] = &CoreTracer{capacity: o.BufCap, hc: t.hists.Core(i)}
 		}
 	}
 	if o.MetricsInterval > 0 {
@@ -272,13 +293,21 @@ func New(cores int, o Options) *Tracer {
 	return t
 }
 
-// Core returns core i's event ring, or nil when event recording is
-// disabled — the nil a core stores and checks in its hooks.
+// Core returns core i's tracer, or nil when it would record neither events
+// nor histograms — the nil a core stores and checks in its hooks.
 func (t *Tracer) Core(i int) *CoreTracer {
-	if t == nil || t.cores[i] == nil {
+	if t == nil {
 		return nil
 	}
 	return t.cores[i]
+}
+
+// Hists returns the latency histograms, or nil when collection is off.
+func (t *Tracer) Hists() *hist.Set {
+	if t == nil {
+		return nil
+	}
+	return t.hists
 }
 
 // Cores reports the machine's core count.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"sesa/internal/hist"
 	"sesa/internal/isa"
 )
 
@@ -41,7 +42,7 @@ func TestKindAndCauseNames(t *testing.T) {
 }
 
 func TestRingWrap(t *testing.T) {
-	tr := NewCoreTracer(4)
+	tr := New(1, Options{BufCap: 4}).Core(0)
 	for i := 0; i < 6; i++ {
 		tr.Record(Event{Cycle: uint64(i), Kind: KRetire, Seq: uint64(i)})
 	}
@@ -65,9 +66,6 @@ func TestRingWrap(t *testing.T) {
 }
 
 func TestNilCoreTracer(t *testing.T) {
-	if NewCoreTracer(0) != nil {
-		t.Error("NewCoreTracer(0) should be nil")
-	}
 	var tr *CoreTracer
 	if tr.Events() != nil || tr.Dropped() != 0 || tr.Count(KRetire) != 0 {
 		t.Error("nil tracer accessors should return zero values")
@@ -88,6 +86,31 @@ func TestDisabledTracer(t *testing.T) {
 	}
 	if tr.Metrics() != nil {
 		t.Error("Metrics should be nil when the interval is 0")
+	}
+	if tr.Hists() != nil {
+		t.Error("Hists should be nil when histograms are off")
+	}
+}
+
+// TestHistsOnlyTracer: a tracer that collects histograms but no events
+// gives each core a tracer whose Record keeps nothing and whose Observe
+// lands in that core's collector.
+func TestHistsOnlyTracer(t *testing.T) {
+	tr := New(2, Options{Hists: true})
+	ct := tr.Core(1)
+	if ct == nil || tr.Hists() == nil {
+		t.Fatal("a histogram tracer must give each core a tracer and own a histogram set")
+	}
+	ct.Record(Event{Cycle: 3, Kind: KRetire})
+	ct.Observe(hist.GateClosed, 7)
+	if len(ct.Events()) != 0 || ct.Count(KRetire) != 0 {
+		t.Errorf("a tracer without a ring recorded %d events, counted %d", len(ct.Events()), ct.Count(KRetire))
+	}
+	if got := tr.Hists().Core(1).H(hist.GateClosed).Count(); got != 1 {
+		t.Errorf("core 1 gate-closed samples = %d, want 1", got)
+	}
+	if got := tr.Hists().Core(0).H(hist.GateClosed).Count(); got != 0 {
+		t.Errorf("core 0 gate-closed samples = %d, want 0", got)
 	}
 }
 

@@ -58,21 +58,21 @@ func (o *Outputs) Check() error {
 	return fmt.Errorf("unknown -hist-format %q (want text or json)", o.histFormat)
 }
 
-// TraceOptions returns the tracer options every run needs, or nil when
-// neither a trace nor interval metrics was requested.
+// TraceOptions returns the tracer options every run needs, or nil when no
+// trace, interval metrics or histograms were requested.
 func (o *Outputs) TraceOptions() *obs.Options {
-	if o.traceOut == "" && o.metricsInterval == 0 {
+	if o.traceOut == "" && o.metricsInterval == 0 && !o.wantHists() {
 		return nil
 	}
-	opts := obs.Options{MetricsInterval: o.metricsInterval}
+	opts := obs.Options{MetricsInterval: o.metricsInterval, Hists: o.wantHists()}
 	if o.traceOut != "" {
 		opts.BufCap = o.traceBuf
 	}
 	return &opts
 }
 
-// WantHists reports whether runs should collect latency histograms.
-func (o *Outputs) WantHists() bool { return o.histOut != "" || o.histFormat != "" }
+// wantHists reports whether runs should collect latency histograms.
+func (o *Outputs) wantHists() bool { return o.histOut != "" || o.histFormat != "" }
 
 // Add collects a run for export under name. A nil tracer or histogram set
 // contributes nothing.
@@ -111,7 +111,7 @@ func (o *Outputs) Write(stdout, log io.Writer, histTitle string) error {
 		}
 		fmt.Fprintf(log, "wrote interval metrics to %s\n", o.metricsOut)
 	}
-	if !o.WantHists() {
+	if !o.wantHists() {
 		return nil
 	}
 	format := Format(o.histFormat)

@@ -124,12 +124,13 @@ func TestOutputsMetricsFormatFollowsFileName(t *testing.T) {
 
 func TestOutputsHistTextToStdout(t *testing.T) {
 	o := parseOutputs(t, "-hist-out", "-", "-hist-format", "text")
-	if !o.WantHists() || o.TraceOptions() != nil {
-		t.Fatal("histogram-only flags must enable histograms and nothing else")
+	opts := o.TraceOptions()
+	if opts == nil || *opts != (obs.Options{Hists: true}) {
+		t.Fatalf("histogram-only flags gave tracer options %+v; want histograms and nothing else", opts)
 	}
-	s := hist.NewSet(1)
-	s.Core(0).Observe(hist.LoadL1, 4)
-	o.Add("unit/x86", nil, s)
+	tr := obs.New(1, *opts)
+	tr.Core(0).Observe(hist.LoadL1, 4)
+	o.Add("unit/x86", tr, tr.Hists())
 	var stdout, log bytes.Buffer
 	if err := o.Write(&stdout, &log, "unit"); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 
 	"sesa/internal/config"
 	"sesa/internal/hist"
+	"sesa/internal/obs"
 	"sesa/internal/report"
 	"sesa/internal/trace"
 )
@@ -23,7 +24,7 @@ func histJobs(t *testing.T, n int) []Job {
 			Model:       config.SLFSoSKey370,
 			InstPerCore: 2_000,
 			Seed:        42,
-			Hists:       true,
+			Trace:       &obs.Options{Hists: true},
 		}
 	}
 	return jobs
@@ -34,10 +35,11 @@ func renderHists(t *testing.T, results []Result) []byte {
 	t.Helper()
 	var rep report.HistReport
 	for _, r := range results {
-		if r.Hists == nil {
+		hs := r.Trace.Hists()
+		if hs == nil {
 			t.Fatalf("job %d: no histograms", r.Index)
 		}
-		rep.Runs = append(rep.Runs, report.NewHistRun(r.Job.Name(), r.Hists))
+		rep.Runs = append(rep.Runs, report.NewHistRun(r.Job.Name(), hs))
 	}
 	var buf bytes.Buffer
 	if err := rep.WriteText(&buf); err != nil {
@@ -61,13 +63,14 @@ func TestHistsIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestHistsOffByDefault: a job without Hists must not allocate a set.
+// TestHistsOffByDefault: a job whose tracer options leave Hists unset must
+// not allocate a set.
 func TestHistsOffByDefault(t *testing.T) {
 	jobs := histJobs(t, 1)
-	jobs[0].Hists = false
+	jobs[0].Trace = &obs.Options{MetricsInterval: 500}
 	results, _ := Pool{Workers: 1}.Run(jobs)
-	if results[0].Hists != nil {
-		t.Error("Hists set on a job that did not ask for histograms")
+	if results[0].Trace.Hists() != nil {
+		t.Error("histograms collected for a job that did not ask for them")
 	}
 }
 
@@ -78,7 +81,7 @@ func TestHistMergeAcrossJobs(t *testing.T) {
 	all := hist.NewCollector()
 	var want uint64
 	for _, r := range results {
-		m := r.Hists.Merged()
+		m := r.Trace.Hists().Merged()
 		want += m.H(hist.GateClosed).Count()
 		all.Merge(m)
 	}

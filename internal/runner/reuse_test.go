@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"sesa/internal/config"
-	"sesa/internal/hist"
 	"sesa/internal/obs"
 	"sesa/internal/report"
 	"sesa/internal/sim"
@@ -63,10 +62,6 @@ func freshRunOne(ctx context.Context, cache *trace.Cache, i int, j Job) Result {
 		res.Trace = obs.New(cfg.Cores, *j.Trace)
 		m.AttachTracer(res.Trace)
 	}
-	if j.Hists {
-		res.Hists = hist.NewSet(cfg.Cores)
-		m.AttachHists(res.Hists)
-	}
 	if err := m.RunContext(ctx, j.DefaultMaxCycles()); err != nil {
 		res.Err = err
 	}
@@ -91,6 +86,7 @@ func reuseJobs(t *testing.T) []Job {
 	barnes, mcf, x264 := lookup("barnes"), lookup("505.mcf"), lookup("x264")
 	small := config.Small(2, config.X86)
 	opts := &obs.Options{BufCap: obs.DefaultBufCap, MetricsInterval: 500}
+	hists := &obs.Options{Hists: true}
 	var jobs []Job
 	for _, p := range []trace.Profile{barnes, mcf} {
 		for _, m := range config.AllModels() {
@@ -104,7 +100,7 @@ func reuseJobs(t *testing.T) []Job {
 		Job{Profile: barnes, Model: config.RCP370, InstPerCore: 800, Seed: 5},
 		Job{Profile: x264, Model: config.SLFSpec370, InstPerCore: 800, Seed: 7, Trace: opts},
 		Job{Profile: x264, Model: config.SLFSpec370, InstPerCore: 800, Seed: 7},
-		Job{Profile: mcf, Model: config.NoSpec370, InstPerCore: 800, Seed: 9, Hists: true},
+		Job{Profile: mcf, Model: config.NoSpec370, InstPerCore: 800, Seed: 9, Trace: hists},
 		Job{Profile: mcf, Model: config.NoSpec370, InstPerCore: 800, Seed: 9},
 		Job{Profile: barnes, Model: config.Louvre370, InstPerCore: 800, Seed: 11, StepMode: config.StepNaive},
 		Job{Profile: barnes, Model: config.SLFSoS370, InstPerCore: 800, Seed: 11, Config: &small},
@@ -129,12 +125,14 @@ func resultBytes(t *testing.T, r Result) string {
 		if err := obs.WriteKanata(&b, runs); err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range r.Trace.Metrics().Samples {
-			fmt.Fprintf(&b, "%+v\n", s)
+		if m := r.Trace.Metrics(); m != nil {
+			for _, s := range m.Samples {
+				fmt.Fprintf(&b, "%+v\n", s)
+			}
 		}
 	}
-	if r.Hists != nil {
-		rep := report.HistReport{Runs: []report.HistRun{report.NewHistRun(r.Job.Name(), r.Hists)}}
+	if hs := r.Trace.Hists(); hs != nil {
+		rep := report.HistReport{Runs: []report.HistRun{report.NewHistRun(r.Job.Name(), hs)}}
 		if err := rep.WriteText(&b); err != nil {
 			t.Fatal(err)
 		}

@@ -13,8 +13,7 @@
 // job: a sweep's jobs would otherwise allocate a machine's pages, tables and
 // arena each, about 2 MiB per Fig. 10 job, all garbage after it. Isolation
 // between a worker's jobs rests on sim.Machine.Reset leaving a machine
-// indistinguishable from a new one, with its own Stats and no tracer or
-// histogram set.
+// indistinguishable from a new one, with its own Stats and no tracer.
 //
 // A failed job (most commonly a machine exceeding its cycle bound) does not
 // abort the sweep: it becomes a Result with Err set, and its partial
@@ -31,7 +30,6 @@ import (
 	"time"
 
 	"sesa/internal/config"
-	"sesa/internal/hist"
 	"sesa/internal/obs"
 	"sesa/internal/report"
 	"sesa/internal/sim"
@@ -62,14 +60,12 @@ type Job struct {
 	// harnesses have always used.
 	MaxCycles uint64
 	// Trace, when non-nil, attaches an observability tracer to the job's
-	// machine. Each job gets a private tracer (machines are single-threaded,
-	// a parallel sweep must not share one), returned in Result.Trace.
+	// machine: events, interval metrics and latency histograms, as the
+	// options ask. Each job gets a private tracer (machines are
+	// single-threaded, a parallel sweep must not share one), returned in
+	// Result.Trace, so what it records is identical no matter how many
+	// workers ran the sweep.
 	Trace *obs.Options
-	// Hists, when true, attaches a latency-histogram set to the job's
-	// machine. Like Trace, each job gets a private set, returned in
-	// Result.Hists, so histograms are identical no matter how many workers
-	// ran the sweep.
-	Hists bool
 }
 
 // Name identifies the job in progress reports: workload profile plus model.
@@ -99,12 +95,12 @@ type Result struct {
 	// Wall is the job's wall-clock duration (excluded from any
 	// deterministic output — it varies run to run).
 	Wall time.Duration
-	// Trace holds the job's recorded events and metrics when Job.Trace was
-	// set. Export happens after the sweep, in job order, so trace files are
-	// byte-identical no matter how many workers ran.
+	// Trace holds the job's recorded events, metrics and histograms when
+	// Job.Trace was set; it holds only what the options asked for, so its
+	// Metrics or Hists may be nil. Export happens after the sweep, in job
+	// order, so trace files are byte-identical no matter how many workers
+	// ran.
 	Trace *obs.Tracer
-	// Hists holds the job's latency histograms when Job.Hists was set.
-	Hists *hist.Set
 }
 
 // TimedOut reports whether the job failed by exceeding its cycle bound.
@@ -306,10 +302,6 @@ func (p Pool) runOne(ctx context.Context, i int, j Job, m **sim.Machine) Result 
 	if j.Trace != nil {
 		res.Trace = obs.New(cfg.Cores, *j.Trace)
 		mach.AttachTracer(res.Trace)
-	}
-	if j.Hists {
-		res.Hists = hist.NewSet(cfg.Cores)
-		mach.AttachHists(res.Hists)
 	}
 	if err := mach.RunContext(ctx, j.DefaultMaxCycles()); err != nil {
 		res.Err = err

@@ -146,6 +146,31 @@ func (p *Progress) Snapshot() Snapshot {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	s := p.countersLocked()
+	s.Failures = append([]JobFailure(nil), p.failures...)
+	for i, name := range p.running {
+		s.Running = append(s.Running, RunningJob{Index: i, Name: name})
+	}
+	sort.Slice(s.Running, func(a, b int) bool { return s.Running[a].Index < s.Running[b].Index })
+	s.Jobs = append([]JobThroughput(nil), p.rates...)
+	sort.Slice(s.Jobs, func(a, b int) bool { return s.Jobs[a].Index < s.Jobs[b].Index })
+	return s
+}
+
+// Counters is Snapshot without its rows (Running, Failures and Jobs): what
+// the sweep metric families and an ETA read, at a cost that does not grow
+// with the number of finished jobs.
+func (p *Progress) Counters() Snapshot {
+	if p == nil {
+		return Snapshot{}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.countersLocked()
+}
+
+// countersLocked computes the snapshot's counters; p.mu must be held.
+func (p *Progress) countersLocked() Snapshot {
 	s := Snapshot{
 		TotalJobs: p.total,
 		Done:      p.done.Jobs,
@@ -154,12 +179,7 @@ func (p *Progress) Snapshot() Snapshot {
 		Canceled:  p.done.Canceled,
 		Insts:     p.done.SimInsts,
 		Cycles:    p.done.SimCycles,
-		Failures:  append([]JobFailure(nil), p.failures...),
 	}
-	for i, name := range p.running {
-		s.Running = append(s.Running, RunningJob{Index: i, Name: name})
-	}
-	sort.Slice(s.Running, func(a, b int) bool { return s.Running[a].Index < s.Running[b].Index })
 	if !p.start.IsZero() {
 		if !p.end.IsZero() {
 			s.ElapsedSeconds = p.end.Sub(p.start).Seconds()
@@ -174,8 +194,6 @@ func (p *Progress) Snapshot() Snapshot {
 		s.CyclesPerSecond = float64(s.Cycles) / s.ElapsedSeconds
 		s.InstsPerSecond = float64(s.Insts) / s.ElapsedSeconds
 	}
-	s.Jobs = append([]JobThroughput(nil), p.rates...)
-	sort.Slice(s.Jobs, func(a, b int) bool { return s.Jobs[a].Index < s.Jobs[b].Index })
 	return s
 }
 
@@ -186,7 +204,8 @@ type LabeledProgress struct {
 	Progress *Progress
 }
 
-// sweepFamilies are the sweep metric families, each read off a snapshot.
+// sweepFamilies are the sweep metric families, each read off a snapshot's
+// counters.
 var sweepFamilies = []struct {
 	name, help string
 	value      func(Snapshot) float64
@@ -217,7 +236,7 @@ func RegisterSweepMetrics(reg *telemetry.Registry, sweeps func() []LabeledProgre
 		reg.GaugeFunc(f.name, f.help, func() []telemetry.Sample {
 			var out []telemetry.Sample
 			for _, sw := range sweeps() {
-				out = append(out, telemetry.Sample{Labels: sw.Labels, Value: f.value(sw.Progress.Snapshot())})
+				out = append(out, telemetry.Sample{Labels: sw.Labels, Value: f.value(sw.Progress.Counters())})
 			}
 			return out
 		})

@@ -1,9 +1,11 @@
 package runner
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -69,6 +71,38 @@ func TestProgressNilSafe(t *testing.T) {
 	pr.jobDone(&Result{})
 	if s := pr.Snapshot(); s.TotalJobs != 0 {
 		t.Errorf("nil snapshot = %+v", s)
+	}
+}
+
+// TestMetricsScrapeCostFlat: a /metrics scrape reads a sweep's counters,
+// not its per-job rows, so what one render allocates does not grow with
+// the number of finished jobs.
+func TestMetricsScrapeCostFlat(t *testing.T) {
+	perRender := func(jobs int) uint64 {
+		pr := NewProgress()
+		pr.begin(jobs + 1)
+		for i := 0; i < jobs; i++ {
+			r := &Result{Index: i, Wall: time.Millisecond}
+			if i%10 == 0 {
+				r.Err = errors.New("failed")
+			}
+			pr.jobDone(r)
+		}
+		reg := telemetry.NewRegistry()
+		RegisterSweepMetrics(reg, func() []LabeledProgress { return []LabeledProgress{{Progress: pr}} })
+		const renders = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < renders; i++ {
+			reg.Render()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / renders
+	}
+	small, large := perRender(100), perRender(10_000)
+	t.Logf("one render allocates %d B at 100 finished jobs, %d B at 10,000", small, large)
+	if large > 2*small {
+		t.Errorf("one render allocates %d B at 10,000 finished jobs, more than twice the %d B at 100", large, small)
 	}
 }
 

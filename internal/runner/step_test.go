@@ -20,7 +20,7 @@ import (
 // histograms attached.
 func stepJobs(t *testing.T, mode config.StepMode) []Job {
 	t.Helper()
-	opts := &obs.Options{BufCap: obs.DefaultBufCap, MetricsInterval: 500}
+	opts := &obs.Options{BufCap: obs.DefaultBufCap, MetricsInterval: 500, Hists: true}
 	var jobs []Job
 	for _, name := range []string{"505.mcf", "x264"} {
 		p, ok := trace.Lookup(name)
@@ -34,7 +34,6 @@ func stepJobs(t *testing.T, mode config.StepMode) []Job {
 				InstPerCore: 2_000,
 				Seed:        42,
 				Trace:       opts,
-				Hists:       true,
 				StepMode:    mode,
 			})
 		}

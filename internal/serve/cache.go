@@ -13,12 +13,12 @@ import (
 
 // jobKey canonicalizes one job into its content address: a hash over the
 // fully resolved machine configuration (model applied exactly as the runner
-// applies it), the workload profile, the trace scale and seed, the
-// effective cycle bound, and whether histograms were attached. Everything a
-// job's observable result depends on is in the key; everything it does not
-// (submission order, worker count, wall clock, the clock stepper, whose two
-// modes give identical results) is out, so two submissions of the same
-// experiment always collide — which is the point.
+// applies it), the workload profile, the trace scale and seed, and the
+// effective cycle bound. Everything a job's observable result depends on is
+// in the key; everything it does not (submission order, worker count, wall
+// clock, the clock stepper, whose two modes give identical results) is out,
+// so two submissions of the same experiment always collide — which is the
+// point.
 //
 // %#v is a faithful canonical form here: both structs are flat value types
 // (ints, bools, float64s, strings) and Go prints float64s with shortest
@@ -30,13 +30,13 @@ func jobKey(j runner.Job) string {
 	}
 	cfg.Model = j.Model
 	h := sha256.New()
-	fmt.Fprintf(h, "cfg=%#v\nprofile=%#v\nn=%d\nseed=%d\nmax=%d\nhists=%t\n",
-		cfg, j.Profile, j.InstPerCore, j.Seed, j.DefaultMaxCycles(), j.Hists)
+	fmt.Fprintf(h, "cfg=%#v\nprofile=%#v\nn=%d\nseed=%d\nmax=%d\n",
+		cfg, j.Profile, j.InstPerCore, j.Seed, j.DefaultMaxCycles())
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // cachedResult is the deterministic slice of a runner.Result: statistics,
-// characterization, histograms and the (deterministic) error. Job identity,
+// characterization and the (deterministic) error. Job identity,
 // index and wall clock are rebound at lookup time.
 type cachedResult struct {
 	r runner.Result

@@ -36,12 +36,10 @@ type SweepRequest struct {
 	Title string `json:"title,omitempty"`
 	// Jobs lists the experiments, run in order (results are positional).
 	Jobs []JobSpec `json:"jobs"`
-	// Histograms attaches latency-histogram collection to every job.
-	Histograms bool `json:"histograms,omitempty"`
 }
 
 // resolve validates a wire job and translates it into a runner job.
-func (sp JobSpec) resolve(hists bool) (runner.Job, error) {
+func (sp JobSpec) resolve() (runner.Job, error) {
 	p, ok := trace.Lookup(sp.Profile)
 	if !ok {
 		return runner.Job{}, fmt.Errorf("unknown profile %q", sp.Profile)
@@ -54,7 +52,7 @@ func (sp JobSpec) resolve(hists bool) (runner.Job, error) {
 		return runner.Job{}, err
 	}
 	return runner.Job{Profile: p, Model: model, InstPerCore: sp.InstPerCore,
-		Seed: sp.Seed, MaxCycles: sp.MaxCycles, Hists: hists}, nil
+		Seed: sp.Seed, MaxCycles: sp.MaxCycles}, nil
 }
 
 // decodeSweep reads a POST /v1/sweeps body and resolves its jobs. The body
@@ -75,7 +73,7 @@ func decodeSweep(r io.Reader) (SweepRequest, []runner.Job, error) {
 	}
 	jobs := make([]runner.Job, len(req.Jobs))
 	for i, sp := range req.Jobs {
-		j, err := sp.resolve(req.Histograms)
+		j, err := sp.resolve()
 		if err != nil {
 			return req, nil, fmt.Errorf("serve: job %d: %w", i, err)
 		}

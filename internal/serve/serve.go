@@ -15,10 +15,9 @@
 //     running one; submissions past the bound get 429 with Retry-After, so
 //     overload is explicit back-pressure instead of unbounded memory;
 //   - a content-addressed result cache: every completed job is stored under
-//     the canonical hash of (config, profile, n, seed, cycle bound,
-//     histograms), so a resubmitted experiment is served from memory
-//     without re-simulation — byte-identical, because jobs are
-//     deterministic;
+//     the canonical hash of (config, profile, n, seed, cycle bound), so a
+//     resubmitted experiment is served from memory without re-simulation —
+//     byte-identical, because jobs are deterministic;
 //   - graceful drain: Drain stops admission (503), lets the queue finish
 //     within the caller's deadline, then cancels whatever still runs and
 //     flushes results.
@@ -323,7 +322,7 @@ func (s *Server) allCached(keys []string, jobs []runner.Job) ([]runner.Result, b
 // sweep's ETA when known, else one second per queued sweep.
 func (s *Server) retryAfterLocked() int {
 	if s.running != nil && s.running.progress != nil {
-		if eta := s.running.progress.Snapshot().ETASeconds; eta > 0 {
+		if eta := s.running.progress.Counters().ETASeconds; eta > 0 {
 			return int(eta) + 1
 		}
 	}

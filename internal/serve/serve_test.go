@@ -139,7 +139,7 @@ func TestRoundTripByteIdentity(t *testing.T) {
 	// Expected bytes: run the same jobs through the pool directly.
 	jobs := make([]runner.Job, len(req.Jobs))
 	for i, sp := range req.Jobs {
-		j, err := sp.resolve(false)
+		j, err := sp.resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,6 +415,7 @@ var badSweepBodies = map[string]string{
 	"naive step mode": `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":100,"step_mode":"naive"}]}`,
 	"zero insts":      `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":0}]}`,
 	"unknown field":   `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":100,"bogus":1}]}`,
+	"histograms":      `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":100}],"histograms":true}`,
 	"not json":        `not json`,
 	"max int insts":   `{"jobs":[{"profile":"radix","model":"x86","inst_per_core":9223372036854775807}]}`,
 	"insts past bound": fmt.Sprintf(`{"jobs":[{"profile":"radix","model":"x86","inst_per_core":%d}]}`,
@@ -537,7 +538,6 @@ func TestJobKeyCanonical(t *testing.T) {
 		"n":     {Profile: p, Model: config.X86, InstPerCore: 2000, Seed: 1},
 		"seed":  {Profile: p, Model: config.X86, InstPerCore: 1000, Seed: 2},
 		"bound": {Profile: p, Model: config.X86, InstPerCore: 1000, Seed: 1, MaxCycles: 5},
-		"hists": {Profile: p, Model: config.X86, InstPerCore: 1000, Seed: 1, Hists: true},
 		"profile": func() runner.Job {
 			b, _ := trace.Lookup("barnes")
 			return runner.Job{Profile: b, Model: config.X86, InstPerCore: 1000, Seed: 1}

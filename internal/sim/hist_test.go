@@ -5,6 +5,7 @@ import (
 
 	"sesa/internal/config"
 	"sesa/internal/hist"
+	"sesa/internal/obs"
 	"sesa/internal/trace"
 )
 
@@ -24,7 +25,7 @@ func runWithHists(t *testing.T, model config.Model, bench string, n int) *Machin
 			t.Fatal(err)
 		}
 	}
-	m.AttachHists(hist.NewSet(cfg.Cores))
+	m.AttachTracer(obs.New(cfg.Cores, obs.Options{Hists: true}))
 	if err := m.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func runWithHists(t *testing.T, model config.Model, bench string, n int) *Machin
 // per counted event.
 func TestHistCountInvariants(t *testing.T) {
 	m := runWithHists(t, config.SLFSoSKey370, "barnes", 5_000)
-	merged := m.Hists().Merged()
+	merged := m.Tracer().Hists().Merged()
 	st := m.Stats.Total()
 	mem := m.Hierarchy().Stats
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"sesa/internal/config"
-	"sesa/internal/hist"
 	"sesa/internal/isa"
 	"sesa/internal/litmus"
 	"sesa/internal/obs"
@@ -58,33 +57,31 @@ func run(t *testing.T, m *sim.Machine, r resetRun) error {
 	return m.Run(r.maxCycles)
 }
 
-// attach gives m a new tracer and histogram set.
-func attach(m *sim.Machine, cores int) (*obs.Tracer, *hist.Set) {
-	tr := obs.New(cores, obs.Options{BufCap: obs.DefaultBufCap, MetricsInterval: 100})
-	hs := hist.NewSet(cores)
+// attach gives m a new tracer that records events, metrics and histograms.
+func attach(m *sim.Machine, cores int) *obs.Tracer {
+	tr := obs.New(cores, obs.Options{BufCap: obs.DefaultBufCap, MetricsInterval: 100, Hists: true})
 	m.AttachTracer(tr)
-	m.AttachHists(hs)
-	return tr, hs
+	return tr
 }
 
-// recorded summarizes what a tracer and a histogram set hold.
-func recorded(t *testing.T, tr *obs.Tracer, hs *hist.Set) string {
+// recorded summarizes what a tracer holds.
+func recorded(t *testing.T, tr *obs.Tracer) string {
 	t.Helper()
 	var b strings.Builder
 	for i := 0; i < tr.Cores(); i++ {
 		fmt.Fprintf(&b, "core %d: %d events\n", i, len(tr.Core(i).Events()))
 	}
 	fmt.Fprintf(&b, "%d metrics samples\n", len(tr.Metrics().Samples))
-	if err := (report.HistReport{Runs: []report.HistRun{report.NewHistRun("", hs)}}).WriteJSON(&b); err != nil {
+	if err := (report.HistReport{Runs: []report.HistRun{report.NewHistRun("", tr.Hists())}}).WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()
 }
 
-// observe runs r on m with a tracer and a histogram set attached.
+// observe runs r on m with a tracer attached.
 func observe(t *testing.T, m *sim.Machine, r resetRun) observation {
 	t.Helper()
-	tr, hs := attach(m, r.cfg.Cores)
+	tr := attach(m, r.cfg.Cores)
 	var b strings.Builder
 	fmt.Fprintf(&b, "error: %v\n", run(t, m, r))
 	for _, v := range []any{m.Stats, m.Hierarchy().Stats, m.Network().Traffic, tr.Metrics().Samples} {
@@ -118,7 +115,7 @@ func observe(t *testing.T, m *sim.Machine, r resetRun) observation {
 		fmt.Fprintf(&b, " %#x=%d", a, m.ReadMemory(a))
 	}
 	b.WriteString("\n")
-	rep := report.HistReport{Title: r.name, Runs: []report.HistRun{report.NewHistRun(r.name, hs)}}
+	rep := report.HistReport{Title: r.name, Runs: []report.HistRun{report.NewHistRun(r.name, tr.Hists())}}
 	if err := rep.WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
@@ -307,24 +304,24 @@ func TestResetEqualsFresh(t *testing.T) {
 				}
 			}
 
-			// A reset detaches the tracer and the histogram set: a run
-			// after one that recorded leaves its records alone.
+			// A reset detaches the tracer: a run after one that recorded
+			// leaves its records alone.
 			m, r := reused[4], runs[len(runs)-1]
 			if err := m.Reset(r.cfg, r.name); err != nil {
 				t.Fatal(err)
 			}
-			tr, hs := attach(m, r.cfg.Cores)
+			tr := attach(m, r.cfg.Cores)
 			if err := run(t, m, r); err != nil {
 				t.Fatal(err)
 			}
-			before := recorded(t, tr, hs)
+			before := recorded(t, tr)
 			if err := m.Reset(r.cfg, r.name); err != nil {
 				t.Fatal(err)
 			}
 			if err := run(t, m, r); err != nil {
 				t.Fatal(err)
 			}
-			if after := recorded(t, tr, hs); after != before {
+			if after := recorded(t, tr); after != before {
 				t.Errorf("a run after a reset recorded into the previous run's tracer or histograms:\nbefore:\n%s\nafter:\n%s", before, after)
 			}
 		})

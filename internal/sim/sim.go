@@ -8,7 +8,6 @@ import (
 
 	"sesa/internal/config"
 	"sesa/internal/core"
-	"sesa/internal/hist"
 	"sesa/internal/isa"
 	"sesa/internal/mem"
 	"sesa/internal/noc"
@@ -81,10 +80,6 @@ type Machine struct {
 	// tracer is the observability sink; nil when tracing is disabled.
 	tracer *obs.Tracer
 
-	// hists is the latency-histogram sink; nil when histograms are
-	// disabled.
-	hists *hist.Set
-
 	Stats *stats.Machine
 }
 
@@ -112,8 +107,8 @@ func New(cfg config.Config, workload string) (*Machine, error) {
 // its storage, so one machine can serve run after run. cfg may change the
 // model, the jitter and its seed, the step mode and the NoC latencies; its
 // Cores, Core and Mem size the storage and must equal the machine's. Reset
-// detaches any tracer and histogram set and allocates a new Stats, so a
-// Stats pointer taken before stays the previous run's.
+// detaches any tracer and allocates a new Stats, so a Stats pointer taken
+// before stays the previous run's.
 func (m *Machine) Reset(cfg config.Config, workload string) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -155,36 +150,22 @@ func (m *Machine) reset(cfg config.Config, workload string) {
 	}
 }
 
-// AttachTracer wires the observability sink through the cores and the
-// memory hierarchy. Call before the first Step; nil detaches.
+// AttachTracer wires the observability sink through the cores, the memory
+// hierarchy and, for its histograms, the interconnect. Call before the
+// first Step; nil detaches. Hook sites nil-check their sink, so a machine
+// without a tracer pays one never-taken branch per hook.
 func (m *Machine) AttachTracer(t *obs.Tracer) {
 	m.tracer = t
 	for i, c := range m.cores {
-		ct := t.Core(i) // nil-safe: nil when t is nil or events are disabled
+		ct := t.Core(i) // nil-safe: nil when t is nil or records nothing per core
 		c.AttachTracer(ct)
 		m.hier.AttachTracer(i, ct)
 	}
+	m.net.AttachHists(t.Hists().Net())
 }
 
 // Tracer returns the attached observability sink (nil when disabled).
 func (m *Machine) Tracer() *obs.Tracer { return m.tracer }
-
-// AttachHists wires the latency-histogram sinks through the cores, the
-// memory hierarchy and the interconnect. Call before the first Step; nil
-// detaches. Hook sites nil-check their collector, so a machine without
-// histograms pays one never-taken branch per hook.
-func (m *Machine) AttachHists(s *hist.Set) {
-	m.hists = s
-	for i, c := range m.cores {
-		hc := s.Core(i) // nil-safe: nil when s is nil
-		c.AttachHists(hc)
-		m.hier.AttachHists(i, hc)
-	}
-	m.net.AttachHists(s.Net())
-}
-
-// Hists returns the attached histogram set (nil when disabled).
-func (m *Machine) Hists() *hist.Set { return m.hists }
 
 // sampleMetrics records one interval boundary from the live core state.
 func (m *Machine) sampleMetrics(cycle uint64) {

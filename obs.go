@@ -9,10 +9,11 @@ import (
 )
 
 // Tracer is the observability sink of one machine: per-core pipeline event
-// rings plus the interval-metrics series.
+// rings, the interval-metrics series and the latency histograms.
 type Tracer = obs.Tracer
 
-// TraceOptions configures a Tracer (ring capacity, metrics interval).
+// TraceOptions configures a Tracer (ring capacity, metrics interval,
+// histograms).
 type TraceOptions = obs.Options
 
 // TraceRun pairs a tracer with a name for export.
@@ -34,8 +35,8 @@ func WriteChromeTrace(w io.Writer, runs []TraceRun) error { return obs.WriteChro
 // WriteKanataTrace renders the runs as a Kanata pipeline-viewer log.
 func WriteKanataTrace(w io.Writer, runs []TraceRun) error { return obs.WriteKanata(w, runs) }
 
-// AttachTracer wires an observability tracer through the system's cores and
-// memory hierarchy. Call before Run.
+// AttachTracer wires an observability tracer through the system's cores,
+// memory hierarchy and interconnect. Call before Run.
 func (s *System) AttachTracer(t *Tracer) { s.m.AttachTracer(t) }
 
 // Tracer returns the system's attached tracer (nil when tracing is off).
@@ -48,9 +49,9 @@ type SimMachine = sim.Machine
 // RunLitmusTraced is RunLitmus with a per-iteration machine hook, used to
 // attach tracers to litmus iterations. Every iteration runs on one machine,
 // reset before the hook is called, so the hook receives the same machine on
-// every iteration, already reset and with no tracer or histogram set
-// attached. A hook that keeps per-iteration data must keep the tracer, the
-// histogram set or m.Stats, not the machine.
+// every iteration, already reset and with no tracer attached. A hook that
+// keeps per-iteration data must keep the tracer or m.Stats, not the
+// machine.
 func RunLitmusTraced(t LitmusTest, model Model, iters int, seed uint64,
 	attach func(iter int, m *sim.Machine)) (*LitmusResult, error) {
 	return litmus.RunTraced(t, model, iters, seed, attach)

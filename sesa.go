@@ -151,13 +151,15 @@ type System struct {
 	m *sim.Machine
 }
 
-// NewSystem builds a machine; workload names the run in statistics. It is a
-// thin wrapper over New(cfg, WithWorkloadName(workload)), kept so the
-// original two-argument constructor keeps compiling everywhere; new code
-// that also needs tracing or histograms should call New with the
-// corresponding options.
+// NewSystem builds a machine; workload names the run in statistics. Attach
+// a tracer (events, interval metrics, latency histograms) with
+// AttachTracer before Run.
 func NewSystem(cfg Config, workload string) (*System, error) {
-	return New(cfg, WithWorkloadName(workload))
+	m, err := sim.New(cfg, workload)
+	if err != nil {
+		return nil, err
+	}
+	return &System{m: m}, nil
 }
 
 // LoadProgram installs the trace for core i.
