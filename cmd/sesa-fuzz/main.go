@@ -93,14 +93,17 @@ func main() {
 	}
 }
 
-// checkCounts rejects the counts that would silently do nothing: a negative
-// -count, a -sim-iters below 1, which would witness nothing on the machines
+// checkCounts rejects the counts that would silently do nothing or
+// something else: a negative -count, a -jobs below 1, which would run one
+// worker, a -sim-iters below 1, which would witness nothing on the machines
 // -models selects (-models none is how to skip the witness leg), and a
 // negative -pressure, which would act as 0.
 func checkCounts(opt options) error {
 	switch {
 	case opt.count < 0:
 		return fmt.Errorf("-count must be >= 0")
+	case opt.jobs < 1:
+		return fmt.Errorf("-jobs must be >= 1")
 	case opt.simIters < 1:
 		return fmt.Errorf("-sim-iters must be >= 1")
 	case opt.pressure < 0:

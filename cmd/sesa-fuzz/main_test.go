@@ -133,23 +133,27 @@ func TestCorpusRejectsBadProgram(t *testing.T) {
 	}
 }
 
-// TestCheckCounts: the counts that would run nothing visible are rejected
-// before any simulation, the rest accepted.
+// TestCheckCounts: the counts that would run nothing visible, or a -jobs
+// that would quietly run one worker, are rejected before any simulation,
+// the rest accepted.
 func TestCheckCounts(t *testing.T) {
 	for _, tc := range []struct {
-		name                      string
-		count, simIters, pressure int
-		ok                        bool
+		name                            string
+		count, jobs, simIters, pressure int
+		ok                              bool
 	}{
-		{"defaults", 20, 3, 3, true},
-		{"no programs", 0, 3, 3, true},
-		{"one iteration, no pressure", 20, 1, 0, true},
-		{"negative count", -1, 3, 3, false},
-		{"zero sim-iters", 20, 0, 3, false},
-		{"negative sim-iters", 20, -1, 3, false},
-		{"negative pressure", 20, 3, -1, false},
+		{"defaults", 20, 2, 3, 3, true},
+		{"no programs", 0, 2, 3, 3, true},
+		{"one iteration, no pressure", 20, 2, 1, 0, true},
+		{"one worker", 20, 1, 3, 3, true},
+		{"negative count", -1, 2, 3, 3, false},
+		{"zero jobs", 20, 0, 3, 3, false},
+		{"negative jobs", 20, -3, 3, 3, false},
+		{"zero sim-iters", 20, 2, 0, 3, false},
+		{"negative sim-iters", 20, 2, -1, 3, false},
+		{"negative pressure", 20, 2, 3, -1, false},
 	} {
-		err := checkCounts(options{count: tc.count, simIters: tc.simIters, pressure: tc.pressure})
+		err := checkCounts(options{count: tc.count, jobs: tc.jobs, simIters: tc.simIters, pressure: tc.pressure})
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: checkCounts = %v, want ok=%v", tc.name, err, tc.ok)
 		}

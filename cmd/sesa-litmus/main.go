@@ -18,8 +18,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -28,51 +30,64 @@ import (
 	"sesa/internal/report"
 )
 
+// errIllegal reports that a machine witnessed an outcome its bounding
+// operational model forbids; the report marks each one ILLEGAL!.
+var errIllegal = errors.New("illegal outcomes witnessed")
+
 func main() {
-	testName := flag.String("test", "", "litmus test name or comma-separated list (default: all)")
-	modelName := flag.String("model", "all", "machine model, comma list of models, or 'all'")
-	iters := flag.Int("iters", 20, "simulator iterations per test and model")
-	pressure := flag.Int("pressure", 3, "store-buffer pressure stores per forwarding thread (0 disables)")
-	seed := flag.Uint64("seed", 1, "base seed for timing exploration")
-	listModels := flag.Bool("list-models", false, "print the machine-model roster and exit")
-	outs := report.NewOutputs(flag.CommandLine, true)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if !errors.Is(err, errIllegal) {
+			fmt.Fprintln(os.Stderr, err)
+		}
+		os.Exit(1)
+	}
+}
+
+// run parses the command line in args and writes the report to w; notes go
+// to stderr. It returns errIllegal, after the whole report, when an outcome
+// was witnessed that the bounding model forbids.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("sesa-litmus", flag.ExitOnError)
+	testName := fs.String("test", "", "litmus test name or comma-separated list (default: all)")
+	modelName := fs.String("model", "all", "machine model, comma list of models, or 'all'")
+	iters := fs.Int("iters", 20, "simulator iterations per test and model")
+	pressure := fs.Int("pressure", 3, "store-buffer pressure stores per forwarding thread (0 disables)")
+	seed := fs.Uint64("seed", 1, "base seed for timing exploration")
+	listModels := fs.Bool("list-models", false, "print the machine-model roster and exit")
+	outs := report.NewOutputs(fs, true)
+	_ = fs.Parse(args) // ExitOnError: a bad command line exits here
 
 	if *listModels {
-		fmt.Print(sesa.ListModels())
-		return
+		fmt.Fprint(w, sesa.ListModels())
+		return nil
 	}
 	if err := outs.Check(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	if err := checkCounts(*iters, *pressure); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	traceOpts := outs.TraceOptions()
 
 	tests, err := litmus.Select(*testName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 
 	models, err := sesa.ParseModels(*modelName)
-	if err != nil || len(models) == 0 {
-		if err == nil {
-			err = fmt.Errorf("-model %q selects no models", *modelName)
-		}
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err != nil {
+		return err
+	}
+	if len(models) == 0 {
+		return fmt.Errorf("-model %q selects no models", *modelName)
 	}
 
-	exit := 0
+	var illegal error
 	for _, test := range tests {
-		fmt.Printf("=== %s — %s\n", test.Name, test.Doc)
-		fmt.Printf("    allowed (x86-TSO):  %v\n", test.Allowed(sesa.CheckerX86TSO).Sorted())
-		fmt.Printf("    allowed (370-TSO):  %v\n", test.Allowed(sesa.Checker370TSO).Sorted())
-		fmt.Printf("    highlighted:        %q\n", test.Interesting)
+		fmt.Fprintf(w, "=== %s — %s\n", test.Name, test.Doc)
+		fmt.Fprintf(w, "    allowed (x86-TSO):  %v\n", test.Allowed(sesa.CheckerX86TSO).Sorted())
+		fmt.Fprintf(w, "    allowed (370-TSO):  %v\n", test.Allowed(sesa.Checker370TSO).Sorted())
+		fmt.Fprintf(w, "    highlighted:        %q\n", test.Interesting)
 
 		variant := test
 		if *pressure > 0 {
@@ -106,8 +121,7 @@ func main() {
 				outs.Add(prefix, nil, iterSets[0])
 			}
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			allowed := test.Allowed(sesa.SimCheckerModel(model))
 			var keys []string
@@ -115,28 +129,27 @@ func main() {
 				keys = append(keys, string(o))
 			}
 			sort.Strings(keys)
-			fmt.Printf("    %-15s:", model)
+			fmt.Fprintf(w, "    %-15s:", model)
 			for _, k := range keys {
 				marker := ""
 				if !allowed.Contains(sesa.Outcome(k)) {
 					marker = " ILLEGAL!"
-					exit = 1
+					illegal = errIllegal
 				}
 				if sesa.Outcome(k) == test.Interesting {
 					marker += " <- highlighted"
 				}
-				fmt.Printf("  [%s x%d%s]", k, res.Outcomes[sesa.Outcome(k)], marker)
+				fmt.Fprintf(w, "  [%s x%d%s]", k, res.Outcomes[sesa.Outcome(k)], marker)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 
 	title := fmt.Sprintf("latency distributions, %d iterations/model, seed %d", *iters, *seed)
-	if err := outs.Write(os.Stdout, os.Stderr, title); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err := outs.Write(w, os.Stderr, title); err != nil {
+		return err
 	}
-	os.Exit(exit)
+	return illegal
 }
 
 // checkCounts rejects an -iters below 1, which would print every model's

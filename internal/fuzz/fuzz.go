@@ -146,8 +146,10 @@ func CrossValidate(p checker.Program, opt Options) (*Report, error) {
 	}
 
 	// One machine per configuration serves every model, variant and
-	// iteration of the witness search: each run resets it.
+	// iteration of the witness search: each run resets it. The variants are
+	// built once for every model.
 	var machines []*sim.Machine
+	var variants []litmus.Test
 	if opt.SimIters > 0 && len(opt.Models) > 0 {
 		for _, cfg := range witnessConfigs(len(p.Threads), opt.Models[0], opt) {
 			m, err := sim.New(cfg, "fuzz")
@@ -156,11 +158,12 @@ func CrossValidate(p checker.Program, opt Options) (*Report, error) {
 			}
 			machines = append(machines, m)
 		}
+		variants = witnessVariants(p, opt)
 	}
 	witnessed := make(checker.OutcomeSet)
 	for mi, m := range opt.Models {
 		allowed := opSets[litmus.CheckerModelFor(m)]
-		observed, err := witness(p, m, mi, opt, machines)
+		observed, err := witness(variants, m, mi, opt, machines)
 		if err != nil {
 			return nil, err
 		}
@@ -191,21 +194,27 @@ func witnessConfigs(cores int, m config.Model, opt Options) []config.Config {
 	return configs
 }
 
-// witness runs the timing-simulator witness search for one machine model:
-// SimIters timing samples per variant (plain, and under store-buffer
-// pressure) per configuration (Table III, and the tiny-cache machine), each
-// iteration with its own jitter seed and start stagger. machines holds one
-// machine per configuration, in witnessConfigs order.
-func witness(p checker.Program, m config.Model, modelIdx int, opt Options, machines []*sim.Machine) (checker.OutcomeSet, error) {
-	if opt.SimIters <= 0 {
-		return nil, nil
-	}
+// witnessVariants returns the programs the witness search runs for p: p
+// itself and, with Pressure, its store-buffer-pressure variant.
+func witnessVariants(p checker.Program, opt Options) []litmus.Test {
 	base := litmus.Test{Name: "fuzz", Prog: p}
 	variants := []litmus.Test{base}
 	if opt.Pressure > 0 {
 		variants = append(variants, litmus.WithSBPressure(base, opt.Pressure))
 	}
-	configs := witnessConfigs(len(p.Threads), m, opt)
+	return variants
+}
+
+// witness runs the timing-simulator witness search for one machine model:
+// SimIters timing samples per variant (witnessVariants) per configuration
+// (Table III, and the tiny-cache machine), each iteration with its own
+// jitter seed and start stagger. machines holds one machine per
+// configuration, in witnessConfigs order.
+func witness(variants []litmus.Test, m config.Model, modelIdx int, opt Options, machines []*sim.Machine) (checker.OutcomeSet, error) {
+	if opt.SimIters <= 0 {
+		return nil, nil
+	}
+	configs := witnessConfigs(len(variants[0].Prog.Threads), m, opt)
 
 	observed := make(checker.OutcomeSet)
 	for vi, v := range variants {

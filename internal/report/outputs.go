@@ -51,6 +51,10 @@ func (o *Outputs) Check() error {
 	if (o.metricsInterval > 0) != (o.metricsOut != "") {
 		return errors.New("-metrics-interval and -metrics-out must be used together")
 	}
+	if o.traceOut != "" && o.traceBuf < 1 {
+		// A ring that holds no event would write an empty trace.
+		return errors.New("-trace-buf must be >= 1")
+	}
 	switch Format(o.histFormat) {
 	case "", Text, JSON:
 		return nil

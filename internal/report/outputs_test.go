@@ -52,6 +52,8 @@ func TestOutputsCheckRejectsBadFlags(t *testing.T) {
 		{"-hist-format", "csv"},
 		{"-metrics-interval", "100"},
 		{"-metrics-out", "m.csv"},
+		{"-trace-out", "t.json", "-trace-buf", "0"},
+		{"-trace-out", "t.kanata", "-trace-buf", "-1"},
 	} {
 		if err := parseOutputs(t, args...).Check(); err == nil {
 			t.Errorf("%v accepted", args)
@@ -63,6 +65,8 @@ func TestOutputsCheckRejectsBadFlags(t *testing.T) {
 		{"-hist-out", "h.txt"},
 		{"-metrics-interval", "100", "-metrics-out", "m.csv"},
 		{"-trace-out", "t.json"},
+		{"-trace-out", "t.json", "-trace-buf", "1"},
+		{"-trace-buf", "0"}, // no trace to record
 	} {
 		if err := parseOutputs(t, args...).Check(); err != nil {
 			t.Errorf("%v rejected: %v", args, err)
