@@ -409,8 +409,10 @@ func (c Config) Validate() error {
 		name string
 		c    Cache
 	}{{"L1D", c.Mem.L1D}, {"L2", c.Mem.L2}, {"L3", c.Mem.L3}} {
-		if cc.c.LineBytes == 0 || cc.c.Ways == 0 || cc.c.SizeBytes == 0 {
-			return fmt.Errorf("config: %s has zero geometry: %+v", cc.name, cc.c)
+		// Negative sizes and ways can pass the divisibility and
+		// power-of-two checks below together.
+		if cc.c.LineBytes <= 0 || cc.c.Ways <= 0 || cc.c.SizeBytes <= 0 {
+			return fmt.Errorf("config: %s geometry must be positive: %+v", cc.name, cc.c)
 		}
 		if cc.c.HitCycles < 0 {
 			return fmt.Errorf("config: %s hit latency must be non-negative, got %d", cc.name, cc.c.HitCycles)

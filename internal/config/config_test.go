@@ -158,6 +158,12 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero width", func(c *Config) { c.Core.Width = 0 }},
 		{"zero rob", func(c *Config) { c.Core.ROBEntries = 0 }},
 		{"bad L1 geometry", func(c *Config) { c.Mem.L1D.SizeBytes = 1000 }},
+		// Negative sizes and ways pass the divisibility and power-of-two
+		// checks together, and then an array has a negative way count.
+		{"negative L1D size and ways", func(c *Config) { c.Mem.L1D.SizeBytes, c.Mem.L1D.Ways = -32768, -8 }},
+		{"negative L2 size and ways", func(c *Config) { c.Mem.L2.SizeBytes, c.Mem.L2.Ways = -131072, -8 }},
+		{"negative L3 size and ways", func(c *Config) { c.Mem.L3.SizeBytes, c.Mem.L3.Ways = -(1 << 20), -8 }},
+		{"negative L3 line size", func(c *Config) { c.Mem.L3.LineBytes = -64 }},
 		{"line mismatch", func(c *Config) { c.Mem.L2.LineBytes = 32 }},
 		{"bad banks", func(c *Config) { c.Mem.L3Banks = 3 }},
 		{"negative jitter", func(c *Config) { c.Jitter = -1 }},

@@ -33,15 +33,12 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
 
-// line is one cache-array entry, 16 bytes. tag packs the line address with
-// the MESI state in its two low bits and the dirty flag in the next one:
-// lines are at least 8 bytes (config.Validate), so a line address leaves
-// those three bits clear. An Invalid line is the zero value.
+// line is one cache-array entry, 8 bytes: the line address with the MESI
+// state in its two low bits and the dirty flag in the next one. Lines are at
+// least 8 bytes (config.Validate), so a line address leaves those three bits
+// clear. An Invalid line is the zero value, and a valid one is never zero.
 type line struct {
 	tag uint64
-	// lru is a monotonically increasing use stamp; the smallest stamp in
-	// a set is the LRU victim.
-	lru uint64
 }
 
 // The low bits of line.tag.
@@ -70,24 +67,21 @@ func (l *line) setState(s State) {
 	}
 }
 
-// newLine is a line freshly filled with lineAddr in state s.
-func newLine(lineAddr uint64, s State, lru uint64) line {
-	l := line{tag: lineAddr, lru: lru}
-	l.setState(s)
-	return l
-}
-
 // Array is a set-associative cache array with LRU replacement. Tags are full
 // line addresses shifted by the line-offset bits; the array stores no data
 // (values live in the hierarchy's memory image, read at memory-order
 // insertion points).
+//
+// Each set keeps its valid lines first, most recently used first: a hit in
+// Lookup or Insert moves the line to way 0, removing a line closes the gap,
+// and a full set's LRU victim is its last way (DESIGN.md §6 item 9). A walk
+// stops at the first empty way.
 type Array struct {
 	sets      pages[line]
 	setMask   uint64
 	lineShift uint
 	setBits   uint
 	hashed    bool
-	stamp     uint64
 }
 
 // NewArray builds an array from the cache geometry, with straight set
@@ -103,7 +97,7 @@ func NewArray(c config.Cache) *Array {
 }
 
 // reset empties the array, keeping its geometry and its allocated pages:
-// every line Invalid and the LRU stamp back at 0.
+// every line Invalid.
 func (a *Array) reset() {
 	*a = Array{sets: a.sets, setMask: a.setMask, lineShift: a.lineShift, setBits: a.setBits, hashed: a.hashed}
 	a.sets.clear()
@@ -151,15 +145,18 @@ func hashIndex(lineNum uint64, setBits uint) uint64 {
 	return h
 }
 
-// Lookup returns the state of the line containing addr, touching LRU on hit.
-// It returns Invalid on miss.
+// Lookup returns the state of the line containing addr, making it the most
+// recently used on a hit. It returns Invalid on miss.
 func (a *Array) Lookup(lineAddr uint64) State {
 	set := a.sets.set(a.setIndex(lineAddr))
-	for i := range set {
-		if set[i].holds(lineAddr) {
-			a.stamp++
-			set[i].lru = a.stamp
-			return set[i].state()
+	for i, l := range set {
+		if l.holds(lineAddr) {
+			copy(set[1:i+1], set[:i])
+			set[0] = l
+			return l.state()
+		}
+		if l.tag == 0 {
+			break
 		}
 	}
 	return Invalid
@@ -168,25 +165,32 @@ func (a *Array) Lookup(lineAddr uint64) State {
 // Peek returns the state without touching LRU.
 func (a *Array) Peek(lineAddr uint64) State {
 	set := a.sets.set(a.setIndex(lineAddr))
-	for i := range set {
-		if set[i].holds(lineAddr) {
-			return set[i].state()
+	for _, l := range set {
+		if l.holds(lineAddr) {
+			return l.state()
+		}
+		if l.tag == 0 {
+			break
 		}
 	}
 	return Invalid
 }
 
-// SetState updates the state of a resident line; it is a no-op if the line
-// is not resident. Setting Invalid removes the line.
+// SetState updates the state of a resident line in place; it is a no-op if
+// the line is not resident. Setting Invalid removes the line.
 func (a *Array) SetState(lineAddr uint64, s State) {
 	set := a.sets.set(a.setIndex(lineAddr))
 	for i := range set {
 		if set[i].holds(lineAddr) {
 			if s == Invalid {
-				set[i] = line{}
+				copy(set[i:], set[i+1:])
+				set[len(set)-1] = line{}
 				return
 			}
 			set[i].setState(s)
+			return
+		}
+		if set[i].tag == 0 {
 			return
 		}
 	}
@@ -199,38 +203,27 @@ type Victim struct {
 	Dirty    bool
 }
 
-// Insert places lineAddr with state s, evicting the LRU way if the set is
-// full. It reports the victim, if any. Inserting over an already-resident
-// line just updates its state.
+// Insert makes lineAddr the most recently used line of its set, in state s
+// (which must not be Invalid), evicting the LRU line if the set is full. It
+// reports the victim, if any. Inserting over an already-resident line just
+// updates its state. One pass shifts each line it passes down a way.
 func (a *Array) Insert(lineAddr uint64, s State) (Victim, bool) {
 	set := a.sets.alloc(a.setIndex(lineAddr))
-	a.stamp++
-	// Already resident: update in place.
-	for i := range set {
-		if set[i].holds(lineAddr) {
-			set[i].setState(s)
-			set[i].lru = a.stamp
+	prev := line{tag: lineAddr}
+	prev.setState(s)
+	for i, l := range set {
+		set[i] = prev
+		if l.holds(lineAddr) {
+			l.setState(s)
+			set[0] = l
 			return Victim{}, false
 		}
-	}
-	// Free way.
-	for i := range set {
-		if set[i].state() == Invalid {
-			set[i] = newLine(lineAddr, s, a.stamp)
+		if l.tag == 0 {
 			return Victim{}, false
 		}
+		prev = l
 	}
-	// Evict LRU.
-	vi := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].lru < set[vi].lru {
-			vi = i
-		}
-	}
-	old := &set[vi]
-	v := Victim{LineAddr: old.tag &^ flagBits, State: old.state(), Dirty: old.dirty()}
-	*old = newLine(lineAddr, s, a.stamp)
-	return v, true
+	return Victim{LineAddr: prev.tag &^ flagBits, State: prev.state(), Dirty: prev.dirty()}, true
 }
 
 // Resident reports whether the line is present in any valid state.

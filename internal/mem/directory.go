@@ -82,51 +82,47 @@ func (d *Directory) Lookup(lineAddr uint64) *dirEntry {
 // the caller can invalidate its sharers. Entries whose line isBusy (an
 // ongoing coherence transaction) are skipped as victims when possible,
 // mimicking a blocking directory that cannot victimize a transient entry.
+// One pass finds the entry, the first free way and the victim.
 func (d *Directory) Allocate(lineAddr uint64, isBusy func(uint64) bool) (e *dirEntry, evicted dirEntry, wasEvicted bool) {
-	if e := d.Lookup(lineAddr); e != nil {
-		return e, dirEntry{}, false
-	}
 	set := d.sets.alloc(d.setIndex(lineAddr))
 	d.stamp++
-	for i := range set {
-		if !set[i].valid {
-			set[i] = dirEntry{tag: lineAddr, valid: true, owner: -1, lru: d.stamp}
-			return &set[i], dirEntry{}, false
-		}
-	}
 	// Victim preference: entries with no live private copy first (their
 	// eviction sends no back-invalidations), then LRU among the rest; a
 	// line with an in-flight transaction is victimized only as a last
-	// resort.
-	vi := -1
-	bestClass := 3
-	for i := 0; i < len(set); i++ {
-		class := 1
-		if set[i].owner == -1 && set[i].sharers == 0 {
-			class = 0
-		}
-		if isBusy != nil && isBusy(set[i].tag) {
-			class = 2
-		}
-		if class < bestClass || (class == bestClass && vi >= 0 && set[i].lru < set[vi].lru) || vi < 0 {
-			if class <= bestClass {
-				vi = i
-				bestClass = class
+	// resort. isBusy is asked only of an entry that would otherwise win.
+	free, vi, bestClass := -1, -1, 0
+	for i := range set {
+		c := &set[i]
+		switch {
+		case !c.valid:
+			if free < 0 {
+				free = i
 			}
+		case c.tag == lineAddr:
+			c.lru = d.stamp
+			return c, dirEntry{}, false
+		case free < 0:
+			class := 1
+			if c.owner == -1 && c.sharers == 0 {
+				class = 0
+			}
+			if vi >= 0 && (class > bestClass || class == bestClass && c.lru > set[vi].lru) {
+				continue
+			}
+			if isBusy != nil && isBusy(c.tag) {
+				class = 2
+				if vi >= 0 && (class > bestClass || c.lru > set[vi].lru) {
+					continue
+				}
+			}
+			vi, bestClass = i, class
 		}
+	}
+	if free >= 0 {
+		set[free] = dirEntry{tag: lineAddr, valid: true, owner: -1, lru: d.stamp}
+		return &set[free], dirEntry{}, false
 	}
 	ev := set[vi]
 	set[vi] = dirEntry{tag: lineAddr, valid: true, owner: -1, lru: d.stamp}
 	return &set[vi], ev, true
-}
-
-// Remove drops the entry for lineAddr if present.
-func (d *Directory) Remove(lineAddr uint64) {
-	set := d.sets.set(d.setIndex(lineAddr))
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			set[i] = dirEntry{}
-			return
-		}
-	}
 }

@@ -25,8 +25,8 @@ type Stats struct {
 	Prefetches       uint64
 	StoresCompleted  uint64
 	LoadsCompleted   uint64
-	// InvisibleLoads counts LoadInvisible requests: reads served without
-	// any directory, cache array or replacement state change (370-RCP).
+	// InvisibleLoads counts LoadInvisible requests: reads that change no
+	// coherence state (370-RCP).
 	InvisibleLoads uint64
 }
 
@@ -93,7 +93,10 @@ type Hierarchy struct {
 	// busyUntil serializes coherence transactions per line, like a
 	// blocking directory entry: line address -> busy horizon, in the same
 	// flat table layout as image. now tracks the latest request time seen,
-	// so lineBusy can distinguish live transactions from finished ones.
+	// so lineBusy can distinguish live transactions from finished ones. A
+	// transaction that extends a line's window (a directory-path load, any
+	// store) probes the table once and holds the line's slot until it
+	// releases the line: nothing in between inserts another line.
 	busyUntil addrTable
 	now       uint64
 
@@ -275,22 +278,10 @@ func (h *Hierarchy) lineBusy(lineAddr uint64) bool {
 	return h.busyUntil.get(lineAddr) > h.now
 }
 
-// lineBusyAt reports whether a transaction on lineAddr is in flight at t.
-func (h *Hierarchy) lineBusyAt(lineAddr, t uint64) bool {
-	return h.busyUntil.get(lineAddr) > t
-}
-
-// claimLine serializes a transaction on lineAddr starting no earlier than t;
-// it returns the adjusted start time.
+// claimLine returns the cycle at which a read of lineAddr wanted at t can
+// start: no earlier than the end of any transaction in flight on the line.
 func (h *Hierarchy) claimLine(lineAddr, t uint64) uint64 {
-	if b := h.busyUntil.get(lineAddr); b > t {
-		t = b
-	}
-	return t
-}
-
-func (h *Hierarchy) releaseLine(lineAddr, done uint64) {
-	h.busyUntil.put(lineAddr, done)
+	return max(t, h.busyUntil.get(lineAddr))
 }
 
 func (h *Hierarchy) advance(t uint64) {
@@ -361,7 +352,7 @@ func (h *Hierarchy) dropFromDirectory(core int, lineAddr uint64, dirty bool) {
 	}
 	e.sharers &^= 1 << uint(core)
 	if e.owner == -1 && e.sharers == 0 && !e.presentL3 {
-		h.dir.Remove(lineAddr)
+		*e = dirEntry{}
 	}
 }
 
@@ -372,7 +363,7 @@ func (h *Hierarchy) insertL3(lineAddr uint64) {
 		if ve := h.dir.Lookup(v.LineAddr); ve != nil {
 			ve.presentL3 = false
 			if ve.owner == -1 && ve.sharers == 0 {
-				h.dir.Remove(v.LineAddr)
+				*ve = dirEntry{}
 			}
 		}
 		if v.Dirty {
@@ -397,7 +388,9 @@ func (h *Hierarchy) evictDirEntry(ev dirEntry, t uint64) {
 			h.invalidateCore(c, ev.tag, t+h.ctrl(), false)
 		}
 	}
-	h.l3.SetState(ev.tag, Invalid)
+	if ev.presentL3 {
+		h.l3.SetState(ev.tag, Invalid)
+	}
 }
 
 // ---- load path --------------------------------------------------------------
@@ -423,11 +416,15 @@ func (h *Hierarchy) Load(core int, addr uint64, size uint8, t uint64, ref uint64
 // same latency model as Load — L1/L2 residence, owner forward, L3 hit, or
 // memory — but nothing is allocated, filled, downgraded, evicted or
 // prefetched, no directory entry records the reader, and the line's busy
-// window is not extended. Because the core never becomes a sharer, a later
-// conflicting store will not invalidate it; the core is responsible for
-// value-validating the load at retirement instead. The client's OnLoadDone
-// runs at the perform cycle with the value read from the memory image at
-// that cycle, exactly as for Load.
+// window is not extended. Replacement state does change: each hit in the
+// L1, L2, L3 or directory makes that line or entry the most recently used,
+// as Load's lookups do, so an invisible load can keep a line resident that
+// a later fill would otherwise have evicted (DESIGN.md §6b). Because the
+// core never becomes a sharer, a later conflicting store will not
+// invalidate it; the core is responsible for value-validating the load at
+// retirement instead. The client's OnLoadDone runs at the perform cycle
+// with the value read from the memory image at that cycle, exactly as for
+// Load.
 func (h *Hierarchy) LoadInvisible(core int, addr uint64, size uint8, t uint64, ref uint64) {
 	h.advance(t)
 	h.Stats.InvisibleLoads++
@@ -493,9 +490,10 @@ func (h *Hierarchy) loadLine(core int, addr uint64, t uint64, prefetch bool) (ui
 	}
 	h.Stats.L2Misses++
 
-	// Go to the L3/directory bank.
-	req := t2 + h.ctrl()
-	req = h.claimLine(lineAddr, req)
+	// Go to the L3/directory bank, serialized after any transaction in
+	// flight on the line.
+	busy := h.busyUntil.ref(lineAddr)
+	req := max(t2+h.ctrl(), *busy)
 
 	e, ev, evicted := h.dir.Allocate(lineAddr, h.lineBusy)
 	if evicted {
@@ -538,7 +536,7 @@ func (h *Hierarchy) loadLine(core int, addr uint64, t uint64, prefetch bool) (ui
 	} else {
 		e.sharers |= 1 << uint(core)
 	}
-	h.releaseLine(lineAddr, dataAt)
+	*busy = dataAt
 	h.fillPrivate(core, lineAddr, grant, dataAt)
 	return dataAt, lvl
 }
@@ -631,33 +629,36 @@ const storeCommitCycles = 4
 
 func (h *Hierarchy) storeLine(core int, addr uint64, t, notBefore uint64) uint64 {
 	lineAddr := h.LineAddr(addr)
-	l1lat := uint64(h.cfg.L1D.HitCycles)
+	t2 := t + uint64(h.cfg.L1D.HitCycles) + uint64(h.cfg.L2.HitCycles)
+	busy := h.busyUntil.ref(lineAddr)
+	// seal clamps the insertion cycle to notBefore and extends the line's
+	// busy window to it, so that later same-line transactions serialize
+	// after the write.
+	seal := func(done uint64) uint64 {
+		done = max(done, notBefore)
+		*busy = done
+		return done
+	}
 	// The owning-state fast paths are valid only when no transaction is
 	// in flight on the line: a concurrent reader may already be a sharer
 	// in directory state (with our downgrade still travelling), in which
 	// case the write must go through the directory and invalidate it —
 	// otherwise that core would keep a stale copy past our insertion,
 	// silently breaking write atomicity.
-	clamp := func(done uint64) uint64 {
-		if done < notBefore {
-			done = notBefore
-		}
-		return done
-	}
-	if !h.lineBusyAt(lineAddr, t) {
+	var s2 State
+	if *busy <= t {
 		switch h.l1[core].Lookup(lineAddr) {
 		case Modified:
 			h.Stats.L1Hits++
-			return h.sealWrite(lineAddr, clamp(t+storeCommitCycles))
+			return seal(t + storeCommitCycles)
 		case Exclusive:
 			// Silent E->M upgrade.
 			h.Stats.L1Hits++
 			h.l1[core].SetState(lineAddr, Modified)
 			h.l2[core].SetState(lineAddr, Modified)
-			return h.sealWrite(lineAddr, clamp(t+storeCommitCycles))
+			return seal(t + storeCommitCycles)
 		}
-		t2 := t + l1lat + uint64(h.cfg.L2.HitCycles)
-		if s := h.l2[core].Lookup(lineAddr); s == Modified || s == Exclusive {
+		if s2 = h.l2[core].Lookup(lineAddr); s2 == Modified || s2 == Exclusive {
 			h.Stats.L1Misses++
 			h.Stats.L2Hits++
 			h.l2[core].SetState(lineAddr, Modified)
@@ -667,23 +668,21 @@ func (h *Hierarchy) storeLine(core int, addr uint64, t, notBefore uint64) uint64
 				}
 				h.notifyEviction(core, v.LineAddr, t2)
 			}
-			return h.sealWrite(lineAddr, clamp(t2))
+			return seal(t2)
 		}
-	} else if h.l1[core].Peek(lineAddr) == Modified || h.l2[core].Peek(lineAddr) == Modified ||
-		h.l1[core].Peek(lineAddr) == Exclusive || h.l2[core].Peek(lineAddr) == Exclusive {
-		h.Stats.L1Hits++ // owned but a transaction is in flight: resolve at the directory
+	} else if s2 = h.l2[core].Peek(lineAddr); s2 >= Exclusive || h.l1[core].Peek(lineAddr) >= Exclusive {
+		h.Stats.L1Hits++ // owned (E or M) but a transaction is in flight: resolve at the directory
 	} else {
 		h.Stats.L1Misses++
 	}
-	t2 := t + l1lat + uint64(h.cfg.L2.HitCycles)
 	// Upgrade or miss: go to the directory.
-	if h.l2[core].Peek(lineAddr) == Shared {
+	switch s2 {
+	case Shared:
 		h.Stats.Upgrades++
-	} else if h.l2[core].Peek(lineAddr) == Invalid {
+	case Invalid:
 		h.Stats.L2Misses++
 	}
-	req := t2 + h.ctrl()
-	req = h.claimLine(lineAddr, req)
+	req := max(t2+h.ctrl(), *busy)
 
 	e, ev, evicted := h.dir.Allocate(lineAddr, h.lineBusy)
 	if evicted {
@@ -715,9 +714,8 @@ func (h *Hierarchy) storeLine(core int, addr uint64, t, notBefore uint64) uint64
 
 	// Data arrival, overlapped with invalidations.
 	var dataAt uint64
-	hadCopy := h.l2[core].Peek(lineAddr) != Invalid
 	switch {
-	case hadCopy:
+	case s2 != Invalid:
 		dataAt = req // upgrade: no data needed
 	case e.owner >= 0 && int(e.owner) != core:
 		dataAt = req + h.ctrl() + h.data()
@@ -730,25 +728,15 @@ func (h *Hierarchy) storeLine(core int, addr uint64, t, notBefore uint64) uint64
 		dataAt = req + uint64(h.cfg.L3.HitCycles) + uint64(h.cfg.MemCycles) + h.data()
 	}
 
-	done := dataAt
-	if ackAt > done {
-		done = ackAt
-	}
-	done = clamp(done)
+	done := seal(max(dataAt, ackAt))
 	e.owner = int8(core)
 	e.sharers = 0
-	e.presentL3 = false
-	h.l3.SetState(lineAddr, Invalid)
-	h.releaseLine(lineAddr, done)
-	h.fillPrivate(core, lineAddr, Modified, done)
-	return done
-}
-
-// sealWrite extends the line's busy window to the write's insertion cycle
-// so that later same-line transactions serialize after it.
-func (h *Hierarchy) sealWrite(lineAddr, done uint64) uint64 {
-	if h.busyUntil.get(lineAddr) < done {
-		h.busyUntil.put(lineAddr, done)
+	// The L3 holds a line exactly when its entry says so (DESIGN.md §6
+	// item 9), so an absent copy needs no walk.
+	if e.presentL3 {
+		e.presentL3 = false
+		h.l3.SetState(lineAddr, Invalid)
 	}
+	h.fillPrivate(core, lineAddr, Modified, done)
 	return done
 }

@@ -94,9 +94,9 @@ func TestDirectorySharersAndEviction(t *testing.T) {
 	if got := d.Lookup(0x1000); got == nil || got.owner != 2 {
 		t.Fatal("lookup lost the entry")
 	}
-	d.Remove(0x1000)
+	*d.Lookup(0x1000) = dirEntry{}
 	if d.Lookup(0x1000) != nil {
-		t.Fatal("removed entry still present")
+		t.Fatal("cleared entry still present")
 	}
 }
 
@@ -365,6 +365,40 @@ func TestMemoryOpDeliveryZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("load+store+delivery allocates %.2f per op pair, want 0", allocs)
+	}
+}
+
+// BenchmarkHierarchyMissStream streams one Table III core's loads and
+// stores over four times the L3's lines, so that every access misses at
+// every level, every fill evicts from the L1, the L2 and the L3, and every
+// directory allocation victimizes an entry: the memory-bound path 505.mcf
+// runs. One operation issues a load or a store and delivers the events due
+// by then. After a warm-up pass has allocated every page and table slot, it
+// must not allocate.
+func BenchmarkHierarchyMissStream(b *testing.B) {
+	h, evq := newTestHierarchy(1)
+	h.SetClient(0, &testClient{})
+	l3 := h.cfg.L3
+	lines := uint64(4 * l3.SizeBytes * h.cfg.L3Banks / l3.LineBytes)
+	h.Reserve(int(lines), int(lines))
+	var now uint64
+	op := func(i uint64) {
+		addr := i % lines * uint64(l3.LineBytes)
+		if i%2 == 0 {
+			h.Load(0, addr, 8, now, 1)
+		} else {
+			h.Store(0, addr, 8, i, now, 0, 1)
+		}
+		now += 4
+		runUntil(h, evq, now)
+	}
+	for i := uint64(0); i < lines; i++ {
+		op(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(uint64(i))
 	}
 }
 

@@ -1,7 +1,9 @@
 package mem
 
 import (
+	"cmp"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -18,7 +20,8 @@ type refLine struct {
 }
 
 // refArray is Array over refLine, its methods as they were before the
-// packing. geom supplies the set index, which the packing left alone.
+// packing and before sets kept recency order: LRU by stamp, a fill into the
+// first free way. geom supplies the set index, which neither change touched.
 type refArray struct {
 	sets  pages[refLine]
 	geom  *Array
@@ -159,16 +162,6 @@ func (d *refDirectory) Allocate(lineAddr uint64, isBusy func(uint64) bool) (*ref
 	return &set[vi], ev, true
 }
 
-func (d *refDirectory) Remove(lineAddr uint64) {
-	set := d.sets.set(d.geom.setIndex(lineAddr))
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			set[i] = refDirEntry{}
-			return
-		}
-	}
-}
-
 // sameDirEntry reports whether a packed entry holds what the reference one
 // does.
 func sameDirEntry(e dirEntry, r refDirEntry) bool {
@@ -177,8 +170,8 @@ func sameDirEntry(e dirEntry, r refDirEntry) bool {
 }
 
 func TestPackedEntrySizes(t *testing.T) {
-	if s := unsafe.Sizeof(line{}); s != 16 {
-		t.Errorf("line is %d bytes, want 16", s)
+	if s := unsafe.Sizeof(line{}); s != 8 {
+		t.Errorf("line is %d bytes, want 8", s)
 	}
 	if s := unsafe.Sizeof(dirEntry{}); s != 32 {
 		t.Errorf("dirEntry is %d bytes, want 32", s)
@@ -188,8 +181,10 @@ func TestPackedEntrySizes(t *testing.T) {
 // TestPackedArrayMatchesReference drives a packed array and the reference
 // layout, straight and hashed, at 8- and 64-byte lines, with the same random
 // Insert, Lookup, Peek and SetState sequences over a pool of lines that
-// overfills the sets. Both must return the same states and victims, and
-// hold the same lines, states, dirty flags and LRU stamps after every call.
+// overfills the sets. Both must return the same states and victims. After
+// every call each set must hold the reference's valid lines, with their
+// states and dirty flags, first and in descending LRU-stamp order (most
+// recently used first), and every way after them must be empty.
 func TestPackedArrayMatchesReference(t *testing.T) {
 	for _, lineBytes := range []int{config.MinLineBytes, 64} {
 		for _, hashed := range []bool{false, true} {
@@ -206,12 +201,15 @@ func TestPackedArrayMatchesReference(t *testing.T) {
 					pool[i] += uint64(r.IntN(1<<20)) << 20
 				}
 			}
+			var order []refLine
 			for step := 0; step < 20_000; step++ {
 				la := pool[r.IntN(len(pool))]
 				s := State(r.IntN(4))
 				var got, want any
 				switch op := r.IntN(8); {
 				case op < 3:
+					// Insert fills a line; removing one is SetState's.
+					s = State(1 + r.IntN(3))
 					v, ok := a.Insert(la, s)
 					rv, rok := ref.Insert(la, s)
 					got, want = [2]any{v, ok}, [2]any{rv, rok}
@@ -226,17 +224,23 @@ func TestPackedArrayMatchesReference(t *testing.T) {
 				if got != want {
 					t.Fatalf("%d-byte lines, hashed %v, step %d on %#x: got %v, reference %v", lineBytes, hashed, step, la, got, want)
 				}
-				if a.stamp != ref.stamp {
-					t.Fatalf("step %d: stamp %d, reference %d", step, a.stamp, ref.stamp)
-				}
 				set := a.setIndex(la)
+				order = order[:0]
+				for _, rl := range ref.sets.set(set) {
+					if rl.state != Invalid {
+						order = append(order, rl)
+					}
+				}
+				slices.SortFunc(order, func(x, y refLine) int { return cmp.Compare(y.lru, x.lru) })
 				for w, l := range a.sets.set(set) {
-					rl := ref.sets.set(set)[w]
-					valid := l.state() != Invalid
-					if valid != (rl.state != Invalid) || valid &&
-						(l.tag&^flagBits != rl.tag || l.state() != rl.state || l.dirty() != rl.dirty || l.lru != rl.lru) {
-						t.Fatalf("%d-byte lines, hashed %v, step %d: set %d way %d holds %+v, reference %+v",
-							lineBytes, hashed, step, set, w, l, rl)
+					ok := l == line{}
+					if w < len(order) {
+						rl := order[w]
+						ok = l.state() != Invalid && l.tag&^flagBits == rl.tag && l.state() == rl.state && l.dirty() == rl.dirty
+					}
+					if !ok {
+						t.Fatalf("%d-byte lines, hashed %v, step %d: set %d way %d holds %#x, reference in recency order %+v",
+							lineBytes, hashed, step, set, w, l.tag, order)
 					}
 				}
 			}
@@ -245,11 +249,13 @@ func TestPackedArrayMatchesReference(t *testing.T) {
 }
 
 // TestPackedDirectoryMatchesReference drives a packed directory and the
-// reference layout with the same random Lookup, Allocate and Remove
-// sequences, writing the same random owners (up to core 63), sharer sets
-// and L3 presence into the entries they return, with a random set of busy
-// lines. Both must return the same entries and victims, and hold the same
-// entries after every call.
+// reference layout with the same random Lookup, Allocate and drop sequences
+// (a drop clears the entry Lookup returned, as the hierarchy does), writing
+// the same random owners (up to core 63), sharer sets and L3 presence into
+// the entries they return, with a random set of busy lines. The reference
+// asks isBusy of every entry of a full set, Allocate only of the entries
+// that would otherwise be the victim. Both must return the same entries and
+// victims, and hold the same entries after every call.
 func TestPackedDirectoryMatchesReference(t *testing.T) {
 	l2 := config.Cache{SizeBytes: 2048, Ways: 4, LineBytes: 64}
 	d := NewDirectory(1, l2, 4, 1, 64)
@@ -275,8 +281,12 @@ func TestPackedDirectoryMatchesReference(t *testing.T) {
 				t.Fatalf("step %d: Allocate(%#x) evicted %v %+v, reference %v %+v", step, la, evicted, ev, revicted, rev)
 			}
 		default:
-			d.Remove(la)
-			ref.Remove(la)
+			if e := d.Lookup(la); e != nil {
+				*e = dirEntry{}
+			}
+			if re := ref.Lookup(la); re != nil {
+				*re = refDirEntry{}
+			}
 		}
 		if (e == nil) != (re == nil) || e != nil && !sameDirEntry(*e, *re) {
 			t.Fatalf("step %d on %#x: entry %+v, reference %+v", step, la, e, re)

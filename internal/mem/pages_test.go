@@ -40,9 +40,9 @@ func TestFreshSetsReadEmptyWithoutAllocating(t *testing.T) {
 				}
 			}
 		})
-		if wrong != 0 || allocs != 0 || allocatedPages(&a.sets) != 0 || a.stamp != 0 {
-			t.Errorf("%s: %d non-empty answers, %.0f allocs, %d pages, LRU stamp %d; want all 0",
-				name, wrong, allocs, allocatedPages(&a.sets), a.stamp)
+		if wrong != 0 || allocs != 0 || allocatedPages(&a.sets) != 0 {
+			t.Errorf("%s: %d non-empty answers, %.0f allocs, %d pages; want all 0",
+				name, wrong, allocs, allocatedPages(&a.sets))
 		}
 	}
 
@@ -50,7 +50,6 @@ func TestFreshSetsReadEmptyWithoutAllocating(t *testing.T) {
 	wrong := 0
 	allocs := testing.AllocsPerRun(10, func() {
 		for i := uint64(0); i < 4096; i++ {
-			d.Remove(i * 64 * 7)
 			if d.Lookup(i*64*7) != nil {
 				wrong++
 			}
@@ -164,9 +163,9 @@ func TestResetKeepsPagesAndAnswersAsNew(t *testing.T) {
 	if got := pagesOf(h); got != pages {
 		t.Errorf("reset kept %d of %d pages", got, pages)
 	}
-	if h.Stats != (Stats{}) || h.now != 0 || h.l3.stamp != 0 || h.dir.stamp != 0 || h.ReadImage(0x1000, 8) != 0 {
-		t.Errorf("reset left state behind: stats %+v, now %d, L3 stamp %d, directory stamp %d, [0x1000]=%d",
-			h.Stats, h.now, h.l3.stamp, h.dir.stamp, h.ReadImage(0x1000, 8))
+	if h.Stats != (Stats{}) || h.now != 0 || h.dir.stamp != 0 || h.ReadImage(0x1000, 8) != 0 {
+		t.Errorf("reset left state behind: stats %+v, now %d, directory stamp %d, [0x1000]=%d",
+			h.Stats, h.now, h.dir.stamp, h.ReadImage(0x1000, 8))
 	}
 	fresh, freshClock := build()
 	got, want := work(h, clock, 150), work(fresh, freshClock, 150)

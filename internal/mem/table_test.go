@@ -55,12 +55,12 @@ func TestAddrTableZeroKey(t *testing.T) {
 func TestAddrTableReserve(t *testing.T) {
 	tab := newAddrTable(0)
 	tab.reserve(10000)
-	capBefore := len(tab.keys)
+	capBefore := len(tab.slots)
 	for i := uint64(1); i <= 10000; i++ {
 		tab.put(i*8, i)
 	}
-	if len(tab.keys) != capBefore {
-		t.Errorf("reserved table rehashed: %d -> %d slots", capBefore, len(tab.keys))
+	if len(tab.slots) != capBefore {
+		t.Errorf("reserved table rehashed: %d -> %d slots", capBefore, len(tab.slots))
 	}
 	for i := uint64(1); i <= 10000; i++ {
 		if tab.get(i*8) != i {
