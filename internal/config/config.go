@@ -12,15 +12,14 @@ import (
 	"strings"
 )
 
-// Model selects the consistency-model implementation a core runs. The
-// value is an index into the machine registry below; core maps it to the
-// policy implementation that realizes the machine's decisions.
+// Model selects the machine a core runs. The value is an index into the
+// machine registry below, whose row is the machine's whole definition.
 type Model int
 
 // The machine roster: the five machines compared in Section VI of the
-// paper, followed by the machines built on the policy API from related
-// work. Registry order is presentation order everywhere (sweeps, flags,
-// litmus tables), so new machines append.
+// paper, followed by two machines from related work. Registry order is
+// presentation order everywhere (sweeps, flags, litmus tables), so new
+// machines append.
 const (
 	// X86 is the non-store-atomic x86-TSO baseline: store-to-load
 	// forwarding from in-limbo stores is unrestricted and SLF loads retire
@@ -49,45 +48,74 @@ const (
 	Louvre370
 	// RCP370 rides a reversible-coherence idea (Wu et al.) on the keyed
 	// machine: loads that are speculative at issue time read the hierarchy
-	// invisibly — no directory, cache or LRU state changes — and are
-	// value-validated against memory at retirement, squashing on mismatch.
+	// without changing coherence state and are value-validated against
+	// memory at retirement, squashing on mismatch.
 	RCP370
 )
 
-// ModelInfo describes one registered machine. The registry drives every
-// model-facing API surface — String, StoreAtomic, Speculative, AllModels,
-// ModelNames, ParseModel and Config.Validate — so registering a machine
-// here (plus its core policy) is the whole integration.
+// Enforce is how a machine treats a load that forwards from a store still
+// in limbo (in the SQ/SB, not yet written to the L1): the one question on
+// which the paper's five machines differ.
+type Enforce uint8
+
+const (
+	// EnforceNone leaves the load alone (x86-TSO): no store atomicity.
+	EnforceNone Enforce = iota
+	// EnforceBlanket makes the load wait for the store's L1 write instead
+	// of forwarding (IBM 370, Section II-C).
+	EnforceBlanket
+	// EnforceSLFSpec lets the load forward but keeps it speculative,
+	// squashable and unretired, until the store buffer drains.
+	EnforceSLFSpec
+	// EnforceGate lets the load forward and retire, closing the retire
+	// gate behind it; younger loads are SA-speculative while the gate is
+	// closed or an older SLF load's store is unwritten (Section IV).
+	EnforceGate
+)
+
+// ModelInfo is one registered machine: its name, its definition and its
+// summary. The registry drives every model-facing surface (String,
+// StoreAtomic, AllModels, ModelNames, ParseModel and Config.Validate), and
+// the core reads its machine's behaviour from the row, so a machine built
+// from existing mechanisms is one row here.
 type ModelInfo struct {
 	// Name is the canonical spelling, as printed by Model.String and
 	// accepted by ParseModel.
 	Name string
-	// StoreAtomic reports whether the machine guarantees store atomicity.
-	StoreAtomic bool
-	// Speculative reports whether the machine uses speculation to enforce
-	// store atomicity (as opposed to blanket enforcement or none).
-	Speculative bool
+	// Enforce is the machine's store-atomicity enforcement.
+	Enforce Enforce
+	// KeyedGate locks a closed gate with the forwarding store's key, so it
+	// reopens at that store's L1 write; an unkeyed gate reopens when the
+	// store buffer drains. Only EnforceGate reads it.
+	KeyedGate bool
+	// PastFences lets loads issue past an in-flight fence; they stay
+	// squashable until the fence retires (Louvre's versioned ordering).
+	PastFences bool
+	// Invisible sends a load that is speculative at issue down the
+	// hierarchy's invisible read path and value-validates it at
+	// retirement (RCP).
+	Invisible bool
 	// Paper marks the five machines evaluated in the source paper; the
 	// refactor-equivalence goldens pin exactly these.
 	Paper bool
-	// Doc is a one-line policy summary for -list-models and docs.
+	// Doc is a one-line summary for -list-models and docs.
 	Doc string
 }
 
 var registry = [...]ModelInfo{
-	X86: {Name: "x86", StoreAtomic: false, Speculative: false, Paper: true,
+	X86: {Name: "x86", Enforce: EnforceNone, Paper: true,
 		Doc: "non-store-atomic x86-TSO baseline: unrestricted SLF, free retirement"},
-	NoSpec370: {Name: "370-NoSpec", StoreAtomic: true, Speculative: false, Paper: true,
+	NoSpec370: {Name: "370-NoSpec", Enforce: EnforceBlanket, Paper: true,
 		Doc: "blanket enforcement: loads matching an SQ/SB store wait for its L1 write"},
-	SLFSpec370: {Name: "370-SLFSpec", StoreAtomic: true, Speculative: true, Paper: true,
+	SLFSpec370: {Name: "370-SLFSpec", Enforce: EnforceSLFSpec, Paper: true,
 		Doc: "SC-like speculation: SLF loads perform early but retire only after SB drain"},
-	SLFSoS370: {Name: "370-SLFSoS", StoreAtomic: true, Speculative: true, Paper: true,
+	SLFSoS370: {Name: "370-SLFSoS", Enforce: EnforceGate, Paper: true,
 		Doc: "source-of-speculation: retiring SLF load closes the gate until the SB drains"},
-	SLFSoSKey370: {Name: "370-SLFSoS-key", StoreAtomic: true, Speculative: true, Paper: true,
+	SLFSoSKey370: {Name: "370-SLFSoS-key", Enforce: EnforceGate, KeyedGate: true, Paper: true,
 		Doc: "keyed gate: reopens as soon as the forwarding store writes to the L1"},
-	Louvre370: {Name: "370-Louvre", StoreAtomic: true, Speculative: true, Paper: false,
+	Louvre370: {Name: "370-Louvre", Enforce: EnforceGate, KeyedGate: true, PastFences: true,
 		Doc: "versioned ordering: loads issue past in-flight fences, squashable until the fence retires"},
-	RCP370: {Name: "370-RCP", StoreAtomic: true, Speculative: true, Paper: false,
+	RCP370: {Name: "370-RCP", Enforce: EnforceGate, KeyedGate: true, Invisible: true,
 		Doc: "reversible coherence: speculative loads read invisibly, value-validated at retirement"},
 }
 
@@ -107,17 +135,11 @@ func (m Model) String() string {
 	return fmt.Sprintf("model(%d)", int(m))
 }
 
-// StoreAtomic reports whether the model guarantees store atomicity (MCA).
+// StoreAtomic reports whether the model guarantees store atomicity (MCA):
+// whether it enforces it at all.
 func (m Model) StoreAtomic() bool {
 	info, _ := m.Info()
-	return info.StoreAtomic
-}
-
-// Speculative reports whether the model uses speculation to enforce store
-// atomicity (as opposed to blanket enforcement or no enforcement).
-func (m Model) Speculative() bool {
-	info, _ := m.Info()
-	return info.Speculative
+	return info.Enforce != EnforceNone
 }
 
 // AllModels lists every registered machine in registry order.

@@ -69,20 +69,42 @@ func TestModelNamesAndPredicates(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", int(m), m.String(), name)
 		}
 	}
-	if X86.StoreAtomic() {
-		t.Error("x86 is not store-atomic")
+}
+
+// TestMachineProfiles pins each registry row's definition: its enforcement
+// kind and three switches are the machine, so a silent change here is a
+// different machine wearing the same name. Every row must be listed, and
+// StoreAtomic must be false exactly for x86.
+func TestMachineProfiles(t *testing.T) {
+	cases := []struct {
+		model                        Model
+		enforce                      Enforce
+		keyed, pastFences, invisible bool
+	}{
+		{X86, EnforceNone, false, false, false},
+		{NoSpec370, EnforceBlanket, false, false, false},
+		{SLFSpec370, EnforceSLFSpec, false, false, false},
+		{SLFSoS370, EnforceGate, false, false, false},
+		{SLFSoSKey370, EnforceGate, true, false, false},
+		{Louvre370, EnforceGate, true, true, false},
+		{RCP370, EnforceGate, true, false, true},
 	}
-	for _, m := range AllModels() {
-		if m != X86 && !m.StoreAtomic() {
-			t.Errorf("%s should be store-atomic", m)
+	if len(cases) != len(registry) {
+		t.Fatalf("%d profiles pinned, registry has %d rows", len(cases), len(registry))
+	}
+	for _, tc := range cases {
+		info, ok := tc.model.Info()
+		if !ok {
+			t.Fatalf("%v has no registry row", tc.model)
 		}
-	}
-	if NoSpec370.Speculative() || X86.Speculative() {
-		t.Error("speculation misattributed")
-	}
-	for _, m := range []Model{SLFSoSKey370, Louvre370, RCP370} {
-		if !m.Speculative() {
-			t.Errorf("%s is speculative", m)
+		if info.Enforce != tc.enforce || info.KeyedGate != tc.keyed ||
+			info.PastFences != tc.pastFences || info.Invisible != tc.invisible {
+			t.Errorf("%s: Enforce=%d KeyedGate=%v PastFences=%v Invisible=%v, want %d %v %v %v",
+				tc.model, info.Enforce, info.KeyedGate, info.PastFences, info.Invisible,
+				tc.enforce, tc.keyed, tc.pastFences, tc.invisible)
+		}
+		if tc.model.StoreAtomic() != (tc.model != X86) {
+			t.Errorf("%s: StoreAtomic = %v", tc.model, tc.model.StoreAtomic())
 		}
 	}
 }

@@ -23,11 +23,11 @@ const issueWidth = 8
 type Core struct {
 	id  int
 	cfg config.Core
-	// policy is the machine's consistency policy — every decision the
-	// paper varies per machine is a method on it (see policy.go).
-	policy Policy
-	hier   *mem.Hierarchy
-	st     *stats.Core
+	// model is the machine's registry row: every decision the paper varies
+	// per machine branches on its fields (see policy.go).
+	model config.ModelInfo
+	hier  *mem.Hierarchy
+	st    *stats.Core
 
 	bp *predictor.TAGE
 	ss *predictor.StoreSet
@@ -155,17 +155,21 @@ func New(id int, cfg config.Config, hier *mem.Hierarchy, st *stats.Core) *Core {
 	return c
 }
 
-// Reset returns the core to the state New builds, with the policy of model
-// and its counters in st, and registers it again as its hierarchy's client,
-// which a hierarchy reset drops. The core keeps its id, geometry and
+// Reset returns the core to the state New builds, running the machine of
+// model with its counters in st, and registers it again as its hierarchy's
+// client, which a hierarchy reset drops. The core keeps its id, geometry and
 // hierarchy, and its storage, emptied: the predictor tables, the ROB and LQ
 // rings, the ready set, the RMW list, and the arena, waiter sets and SQ
 // slots that SetProgram sizes for the next program.
 func (c *Core) Reset(model config.Model, st *stats.Core) {
+	info, ok := model.Info()
+	if !ok {
+		panic(fmt.Sprintf("core: unregistered model %v", model))
+	}
 	*c = Core{
 		id:        c.id,
 		cfg:       c.cfg,
-		policy:    policyFor(model),
+		model:     info,
 		hier:      c.hier,
 		st:        st,
 		bp:        c.bp,
@@ -251,6 +255,14 @@ func (c *Core) Occupancy() (rob, lq, sb int) { return c.rob.len(), c.lq.len(), c
 
 // obsKey encodes a store key for an event payload.
 func obsKey(k key) int32 { return obs.EncodeKey(k.slot, k.sort) }
+
+// event returns e's instruction event of the given kind at cycle: e's op,
+// sequence number, trace index and address, with the encoded store key (or
+// obs.KeyNone) and the payload n.
+func (e *entry) event(cycle uint64, kind obs.Kind, key int32, n uint64) obs.Event {
+	return obs.Event{Cycle: cycle, Kind: kind, Op: e.inst.Op, Seq: e.dynSeq,
+		TraceIdx: int32(e.traceIdx), Key: key, Addr: e.inst.Addr, N: n}
+}
 
 // operandVal returns the current value of source operand n (1 or 2). A
 // live producer is read in place; a stale producer has retired, and because
@@ -427,7 +439,7 @@ func (c *Core) retire(now uint64) {
 		if e.inst.Op == isa.OpFence && c.sq.anyOlderUnwritten(&c.ar, e.dynSeq) {
 			return
 		}
-		if e.isLoad() && c.policy.LoadRetireBlocked(c, i, e, now) {
+		if e.isLoad() && c.loadRetireBlocked(i, e, now) {
 			return
 		}
 		c.doRetire(i, e, now)
@@ -440,8 +452,7 @@ func (c *Core) doRetire(i int32, e *entry, now uint64) {
 	c.rob.popFront()
 	c.st.RetiredInsts++
 	if c.tr != nil {
-		c.tr.Record(obs.Event{Cycle: now, Kind: obs.KRetire, Op: e.inst.Op,
-			Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obs.KeyNone, Addr: e.inst.Addr})
+		c.tr.Record(e.event(now, obs.KRetire, obs.KeyNone, 0))
 	}
 
 	// A retiring store keeps its arena slot until the SB drain writes it
@@ -463,10 +474,10 @@ func (c *Core) doRetire(i int32, e *entry, now uint64) {
 		// it (Fig. 8 step b). The presence check is the direct
 		// slot+sorting-bit compare; a live forwarding store is by
 		// construction not yet written to the L1.
-		if c.policy.ClosesGate() &&
+		if c.model.Enforce == config.EnforceGate &&
 			e.slf && c.sq.present(&c.ar, e.slfKey) && c.ar.live(e.slfStore) {
 			gk := obs.KeyNone
-			if c.policy.KeyedGate() {
+			if c.model.KeyedGate {
 				c.gate.CloseKeyed(e.slfKey)
 				gk = obsKey(e.slfKey)
 			} else {
@@ -475,8 +486,7 @@ func (c *Core) doRetire(i int32, e *entry, now uint64) {
 			c.st.GateCloses++
 			c.gateClosedAt = now
 			if c.tr != nil {
-				c.tr.Record(obs.Event{Cycle: now, Kind: obs.KGateClose, Op: e.inst.Op,
-					Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: gk, Addr: e.inst.Addr})
+				c.tr.Record(e.event(now, obs.KGateClose, gk, 0))
 			}
 		}
 	case e.isStore():
@@ -570,25 +580,22 @@ func (c *Core) storeWrote(r entryRef, when uint64) {
 	c.sq.free(r)
 	if c.tr != nil {
 		c.tr.Observe(hist.SBResidency, when-e.retiredAt)
-		c.tr.Record(obs.Event{Cycle: when, Kind: obs.KSBInsert, Op: e.inst.Op,
-			Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obsKey(e.sqKey), Addr: e.inst.Addr})
+		c.tr.Record(e.event(when, obs.KSBInsert, obsKey(e.sqKey), 0))
 	}
 	if c.gate.StoreWrote(e.sqKey) {
 		c.st.GateReopens++
 		if c.tr != nil {
 			c.tr.Observe(hist.GateClosed, when-c.gateClosedAt)
-			c.tr.Record(obs.Event{Cycle: when, Kind: obs.KGateReopen, Op: e.inst.Op,
-				Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obsKey(e.sqKey), Addr: e.inst.Addr})
+			c.tr.Record(e.event(when, obs.KGateReopen, obsKey(e.sqKey), 0))
 		}
 	}
 	// The keyless SLFSoS variant reopens only when the SB drains.
-	if c.policy.ReopensGateOnSBDrain() && !c.sq.anyRetiredUnwritten(&c.ar) {
+	if c.model.Enforce == config.EnforceGate && !c.model.KeyedGate && !c.sq.anyRetiredUnwritten(&c.ar) {
 		if c.gate.SBDrained() {
 			c.st.GateReopens++
 			if c.tr != nil {
 				c.tr.Observe(hist.GateClosed, when-c.gateClosedAt)
-				c.tr.Record(obs.Event{Cycle: when, Kind: obs.KGateReopen, Op: e.inst.Op,
-					Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obs.KeyNone, Addr: e.inst.Addr})
+				c.tr.Record(e.event(when, obs.KGateReopen, obs.KeyNone, 0))
 			}
 		}
 	}
@@ -633,12 +640,10 @@ func (c *Core) issue(now uint64) {
 					}
 					budget--
 					if c.tr != nil {
-						c.tr.Record(obs.Event{Cycle: now, Kind: obs.KIssue, Op: e.inst.Op,
-							Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obs.KeyNone, Addr: e.inst.Addr})
+						c.tr.Record(e.event(now, obs.KIssue, obs.KeyNone, 0))
 						if c.ar.stat[i] >= stDone {
 							// Stores, fences and nops complete in place.
-							c.tr.Record(obs.Event{Cycle: now, Kind: obs.KPerform, Op: e.inst.Op,
-								Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obs.KeyNone, Addr: e.inst.Addr})
+							c.tr.Record(e.event(now, obs.KPerform, obs.KeyNone, 0))
 						}
 					}
 				} else if e.isLoad() {
@@ -672,8 +677,7 @@ func (c *Core) complete(i int32, now uint64) {
 	}
 	c.markDone(i, e, now)
 	if c.tr != nil {
-		c.tr.Record(obs.Event{Cycle: now, Kind: obs.KPerform, Op: e.inst.Op,
-			Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obs.KeyNone, Addr: e.inst.Addr, N: e.val})
+		c.tr.Record(e.event(now, obs.KPerform, obs.KeyNone, e.val))
 	}
 }
 
@@ -791,8 +795,7 @@ func (c *Core) OnRMWDone(ref, old, when uint64) {
 	c.ar.inflight[ri] = false
 	c.markDone(ri, re, when)
 	if c.tr != nil {
-		c.tr.Record(obs.Event{Cycle: when, Kind: obs.KPerform, Op: re.inst.Op,
-			Seq: re.dynSeq, TraceIdx: int32(re.traceIdx), Key: obs.KeyNone, Addr: re.inst.Addr, N: old})
+		c.tr.Record(re.event(when, obs.KPerform, obs.KeyNone, old))
 	}
 }
 
@@ -800,7 +803,7 @@ func (c *Core) tryIssueLoad(i int32, e *entry, now uint64) bool {
 	if !c.ar.addrKnown(e) {
 		return false
 	}
-	if e.fenceBarrier != nilRef && c.ar.live(e.fenceBarrier) && !c.policy.SpeculatesPastFences() {
+	if e.fenceBarrier != nilRef && c.ar.live(e.fenceBarrier) && !c.model.PastFences {
 		return false // serialize loads behind an in-flight fence
 	}
 	if len(c.rmws) > 0 && c.rmwBlocked(e) {
@@ -837,7 +840,7 @@ func (c *Core) tryIssueLoad(i int32, e *entry, now uint64) bool {
 	c.delta.sqSearches++
 	matchIdx, unknownIdx := c.sq.youngestOlderMatch(&c.ar, e)
 
-	if c.policy.BlanketLoadOrdering() {
+	if c.model.Enforce == config.EnforceBlanket {
 		// Blanket enforcement: wait for all older store addresses; on a
 		// match, wait for that store's L1 write (IBM 370, Section II-C).
 		if unknownIdx >= 0 {
@@ -894,8 +897,7 @@ func (c *Core) tryIssueLoad(i int32, e *entry, now uint64) bool {
 		c.ar.execDone[i] = now + uint64(c.l1Lat)
 		if c.tr != nil {
 			c.tr.Observe(hist.LoadSLF, c.ar.execDone[i]-now)
-			c.tr.Record(obs.Event{Cycle: now, Kind: obs.KSLFHit, Op: e.inst.Op,
-				Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obsKey(e.slfKey), Addr: e.inst.Addr})
+			c.tr.Record(e.event(now, obs.KSLFHit, obsKey(e.slfKey), 0))
 		}
 		return true
 	}
@@ -939,11 +941,16 @@ func (c *Core) issueToMemory(i int32, e *entry, now uint64) {
 		// blocked at the top of tryIssueLoad.
 		c.st.VersionSpecLoads++
 	}
-	if c.policy.InvisibleSpeculation() && c.speculativeAtIssue(e) {
-		e.invisible = true
-		c.st.InvisibleLoads++
-		c.hier.LoadInvisible(c.id, e.inst.Addr, e.inst.EffSize(), now, uint64(ld))
-		return
+	if c.model.Invisible {
+		// A load the snoop could squash, or the gate hold, before it
+		// retires reads invisibly: the snoop's own tests, asked at the
+		// load's LQ position.
+		if k := c.lqPos(e); c.mSpeculative(k, e) || c.saSpeculative(k) {
+			e.invisible = true
+			c.st.InvisibleLoads++
+			c.hier.LoadInvisible(c.id, e.inst.Addr, e.inst.EffSize(), now, uint64(ld))
+			return
+		}
 	}
 	c.hier.Load(c.id, e.inst.Addr, e.inst.EffSize(), now, uint64(ld))
 }
@@ -962,8 +969,7 @@ func (c *Core) OnLoadDone(ref, val, when uint64) {
 	c.ar.inflight[li] = false
 	c.markDone(li, le, when)
 	if c.tr != nil {
-		c.tr.Record(obs.Event{Cycle: when, Kind: obs.KPerform, Op: le.inst.Op,
-			Seq: le.dynSeq, TraceIdx: int32(le.traceIdx), Key: obs.KeyNone, Addr: le.inst.Addr, N: val})
+		c.tr.Record(le.event(when, obs.KPerform, obs.KeyNone, val))
 	}
 }
 
@@ -1040,8 +1046,7 @@ func (c *Core) dispatchOne(in isa.Inst, now uint64) {
 	}
 
 	if c.tr != nil {
-		c.tr.Record(obs.Event{Cycle: now, Kind: obs.KDispatch, Op: in.Op,
-			Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obs.KeyNone, Addr: in.Addr})
+		c.tr.Record(e.event(now, obs.KDispatch, obs.KeyNone, 0))
 	}
 
 	c.ready.set(c.rob.push(ref))

@@ -1,207 +1,60 @@
 package core
 
 import (
-	"fmt"
-
 	"sesa/internal/config"
 	"sesa/internal/obs"
 )
 
-// Policy is the per-machine consistency policy: every decision point that
-// used to be a `switch c.model` in the core lives behind this interface, so
-// registering a machine is writing one implementation here plus one
-// config.ModelInfo entry. Implementations are stateless singletons — all
-// machine state stays in the Core, which keeps the policies trivially safe
-// to share across cores and keeps the hot path allocation-free.
+// The machine a core runs is its registry row (config.ModelInfo), copied at
+// Reset into c.model. Every decision the paper varies per machine branches
+// on the row's plain fields, at the call site the decision belongs to:
 //
-// Determinism: a policy only reads and writes core-local state through the
-// *Core it is handed, inside the same call sites the old switches occupied.
-// The cycle-by-cycle decision sequence is therefore a pure function of the
-// (model, trace, seed) triple exactly as before, which is why the policy
-// extraction leaves every golden of the five paper machines byte-identical.
-type Policy interface {
-	// LoadRetireBlocked applies the machine's retirement policy to the
-	// done load at the ROB head (arena slot i) and accounts the stall;
-	// true holds retirement this cycle.
-	LoadRetireBlocked(c *Core, i int32, e *entry, now uint64) bool
-	// ClosesGate reports whether a retiring SLF load whose forwarding
-	// store is still in the SQ/SB closes the retire gate behind it
-	// (Fig. 8 step b).
-	ClosesGate() bool
-	// KeyedGate reports whether the gate closes with the forwarding
-	// store's key, reopening as soon as that store writes to the L1,
-	// rather than unkeyed.
-	KeyedGate() bool
-	// ReopensGateOnSBDrain reports whether an unkeyed closed gate reopens
-	// when the store buffer fully drains (the keyless SoS variant).
-	ReopensGateOnSBDrain() bool
-	// BlanketLoadOrdering reports whether a load matching an older SQ/SB
-	// store must wait for that store's L1 write instead of forwarding
-	// (IBM 370 blanket enforcement).
-	BlanketLoadOrdering() bool
-	// SpeculatesPastFences reports whether loads may issue while an older
-	// fence is still in flight (Louvre versioned ordering); such loads
-	// stay squashable until the fence retires.
-	SpeculatesPastFences() bool
-	// InvisibleSpeculation reports whether loads that are speculative at
-	// issue time read the hierarchy without perturbing directory or cache
-	// state and are value-validated at retirement (RCP).
-	InvisibleSpeculation() bool
-	// SASpeculative reports whether the performed load at LQ position k
-	// is SA-speculative — squashable by an invalidation or eviction under
-	// the machine's store-atomicity rules.
-	SASpeculative(c *Core, k int, e *entry) bool
-	// VersionSpeculative reports machine-specific squashability beyond
-	// the baseline in-window M-speculation (Louvre: the load's fence
-	// barrier is still in flight).
-	VersionSpeculative(c *Core, e *entry) bool
-}
+//   - retire: loadRetireBlocked, below (Enforce, and Invisible's validation);
+//   - gate close and gate key: doRetire (Enforce == EnforceGate, KeyedGate);
+//   - gate reopen on SB drain: storeWrote (an unkeyed gate);
+//   - blanket ordering: tryIssueLoad (Enforce == EnforceBlanket);
+//   - fence bypass: tryIssueLoad (PastFences);
+//   - invisible issue: issueToMemory (Invisible);
+//   - the snoop's two tests: mSpeculative (PastFences) and saSpeculative
+//     (Enforce).
+//
+// Each branch reads only core-local state, so the decision sequence is a
+// pure function of (model, trace, seed).
 
-// basePolicy is the all-permissive default every machine embeds: no retire
-// blocking, no gate, no blanket ordering, no extra speculation sources.
-type basePolicy struct{}
-
-func (basePolicy) LoadRetireBlocked(*Core, int32, *entry, uint64) bool { return false }
-func (basePolicy) ClosesGate() bool                                    { return false }
-func (basePolicy) KeyedGate() bool                                     { return false }
-func (basePolicy) ReopensGateOnSBDrain() bool                          { return false }
-func (basePolicy) BlanketLoadOrdering() bool                           { return false }
-func (basePolicy) SpeculatesPastFences() bool                          { return false }
-func (basePolicy) InvisibleSpeculation() bool                          { return false }
-func (basePolicy) SASpeculative(*Core, int, *entry) bool               { return false }
-func (basePolicy) VersionSpeculative(*Core, *entry) bool               { return false }
-
-// x86Policy is the non-store-atomic TSO baseline: unrestricted SLF, free
-// retirement, baseline load-load speculation only.
-type x86Policy struct{ basePolicy }
-
-// noSpecPolicy is IBM 370 blanket enforcement: no speculation, loads
-// matching an SQ/SB store wait for its L1 write.
-type noSpecPolicy struct{ basePolicy }
-
-func (noSpecPolicy) BlanketLoadOrdering() bool { return true }
-
-// slfSpecPolicy is SC-like speculation adapted to 370: the SLF load itself
-// is speculative, performs early, but retires only after the SB drains.
-type slfSpecPolicy struct{ basePolicy }
-
-func (slfSpecPolicy) LoadRetireBlocked(c *Core, i int32, e *entry, now uint64) bool {
-	// SC-like speculation: the SLF load itself is speculative and
-	// cannot retire until the store buffer empties.
-	if e.slf && c.sq.anyOlderUnwritten(&c.ar, e.dynSeq) {
-		if !e.gateStalled {
-			e.gateStalled = true
-			c.st.SLFSpecRetWaits++
-			c.progressed = true
-		}
-		c.st.GateStallCycles++
-		c.delta.gateStall = 1
-		return true
-	}
-	return false
-}
-
-func (slfSpecPolicy) SASpeculative(c *Core, k int, e *entry) bool {
-	for j := 0; j <= k; j++ {
-		li := c.lq.at(j).index()
-		l := &c.ar.ents[li]
-		if l.slf && c.ar.stat[li] >= stDone && c.sq.anyOlderUnwritten(&c.ar, l.dynSeq) {
+// loadRetireBlocked applies the machine's retirement rule to the done load
+// at the ROB head (arena slot i) and accounts the stall; true holds
+// retirement this cycle.
+func (c *Core) loadRetireBlocked(i int32, e *entry, now uint64) bool {
+	switch c.model.Enforce {
+	case config.EnforceSLFSpec:
+		// SC-like speculation: the SLF load itself is speculative and
+		// cannot retire until the store buffer empties.
+		if e.slf && c.sq.anyOlderUnwritten(&c.ar, e.dynSeq) {
+			c.retireStall(e, &c.st.SLFSpecRetWaits)
 			return true
 		}
-	}
-	return false
-}
-
-// gatePolicy is the shared source-of-speculation machinery of the SoS
-// family (SoS, SoS-key, Louvre, RCP): retirement stalls while the gate is
-// closed, and a load is SA-speculative when the gate is closed or an older
-// SLF load's forwarding store has not yet written to the L1. The SLF load
-// itself is NOT speculative (Section IV-A).
-type gatePolicy struct{ basePolicy }
-
-func (gatePolicy) LoadRetireBlocked(c *Core, i int32, e *entry, now uint64) bool {
-	return c.gateRetireBlocked(e)
-}
-
-func (gatePolicy) ClosesGate() bool { return true }
-
-func (gatePolicy) SASpeculative(c *Core, k int, e *entry) bool {
-	if c.gate.Closed() {
-		return true
-	}
-	for j := 0; j < k; j++ {
-		l := &c.ar.ents[c.lq.at(j).index()]
-		// A live forwarding-store ref is by construction a store
-		// that has not yet written to the L1.
-		if l.slf && c.ar.live(l.slfStore) {
+	case config.EnforceGate:
+		// The load waits while the retire gate is closed (Table IV "Gate
+		// Stalls"); a load that read invisibly validates once it is open.
+		if c.gate.Closed() {
+			c.retireStall(e, &c.st.GateStalls)
 			return true
 		}
+		return c.validateInvisible(i, e, now)
 	}
 	return false
 }
 
-// sosPolicy is the keyless SoS variant: the gate closes unkeyed and
-// reopens only when the store buffer becomes empty.
-type sosPolicy struct{ gatePolicy }
-
-func (sosPolicy) ReopensGateOnSBDrain() bool { return true }
-
-// sosKeyPolicy is the paper's full proposal: the gate closes with the
-// forwarding store's key and reopens on that store's L1 write.
-type sosKeyPolicy struct{ gatePolicy }
-
-func (sosKeyPolicy) KeyedGate() bool { return true }
-
-// louvrePolicy layers Louvre-style versioned ordering (Kumar et al.) on
-// the keyed machine: loads issue speculatively past in-flight fences
-// instead of stalling, and remain squashable — as if holding an unvalidated
-// version — until the fence retires. In-order retirement discharges the
-// version check: the fence (which waits for SB drain) always retires before
-// the load, and invalidations are delivered before the conflicting store's
-// memory-order insertion, so a load that retires unsquashed performed
-// legally.
-type louvrePolicy struct{ sosKeyPolicy }
-
-func (louvrePolicy) SpeculatesPastFences() bool { return true }
-
-func (louvrePolicy) VersionSpeculative(c *Core, e *entry) bool {
-	// A live barrier ref is an in-flight fence: the load's version is
-	// still unvalidated.
-	return e.fenceBarrier != nilRef && c.ar.live(e.fenceBarrier)
-}
-
-// rcpPolicy rides a reversible-coherence idea (Wu et al.) on the keyed
-// machine: a load that is speculative at issue time reads the hierarchy
-// invisibly — no directory, cache or replacement state changes — and is
-// value-validated against memory at retirement. A mismatch squashes from
-// the load; a match proves the load could legally perform at its
-// memory-order point (value-based validation, so the check is sound even
-// when the invisible line was never installed and thus never snooped).
-type rcpPolicy struct{ sosKeyPolicy }
-
-func (rcpPolicy) InvisibleSpeculation() bool { return true }
-
-func (rcpPolicy) LoadRetireBlocked(c *Core, i int32, e *entry, now uint64) bool {
-	if c.gateRetireBlocked(e) {
-		return true
+// retireStall accounts one cycle of the done load e held at the ROB head:
+// the first cycle of its wait also counts one episode in *episodes.
+func (c *Core) retireStall(e *entry, episodes *uint64) {
+	if !e.gateStalled {
+		e.gateStalled = true
+		*episodes++
+		c.progressed = true
 	}
-	return c.validateInvisible(i, e, now)
-}
-
-// gateRetireBlocked holds the done load at the ROB head while the retire
-// gate is closed, accounting the stall (Table IV "Gate Stalls").
-func (c *Core) gateRetireBlocked(e *entry) bool {
-	if c.gate.Closed() {
-		if !e.gateStalled {
-			e.gateStalled = true
-			c.st.GateStalls++
-			c.progressed = true
-		}
-		c.st.GateStallCycles++
-		c.delta.gateStall = 1
-		return true
-	}
-	return false
+	c.st.GateStallCycles++
+	c.delta.gateStall = 1
 }
 
 // validateInvisible re-reads memory at retirement for a load that performed
@@ -224,62 +77,4 @@ func (c *Core) validateInvisible(i int32, e *entry, now uint64) bool {
 	c.st.ValidationSquashes++
 	c.squashFrom(i, now, true, true, obs.CauseValidation, e.inst.Addr)
 	return true
-}
-
-// speculativeAtIssue reports whether a load issuing to memory now is
-// consistency-speculative: squashable by the LQ snoop or blockable by the
-// retire gate before it retires. These are the loads RCP sends down the
-// invisible path. The conditions mirror loadSpeculative, evaluated at
-// issue time: a closed gate, an older unperformed LQ load, an older SLF
-// load whose forwarding store has not written, or an older in-flight RMW.
-func (c *Core) speculativeAtIssue(e *entry) bool {
-	if c.gate.Closed() {
-		return true
-	}
-	n := c.lq.len()
-	for k := 0; k < n; k++ {
-		li := c.lq.at(k).index()
-		l := &c.ar.ents[li]
-		if l.dynSeq >= e.dynSeq {
-			break // the LQ is program-ordered; e itself and younger follow
-		}
-		if c.ar.stat[li] < stDone {
-			return true
-		}
-		if l.slf && c.ar.live(l.slfStore) {
-			return true
-		}
-	}
-	for _, r := range c.rmws {
-		ri := r.index()
-		if c.ar.gens[ri] != r.gen() || c.ar.stat[ri] >= stDone {
-			continue
-		}
-		if c.ar.ents[ri].dynSeq < e.dynSeq {
-			return true
-		}
-	}
-	return false
-}
-
-// policies maps each registered model to its policy singleton. The roster
-// must stay in lockstep with the config registry; policyFor panics (and
-// TestPolicyRosterMatchesRegistry fails) on a registered model without a
-// policy.
-var policies = [...]Policy{
-	config.X86:          x86Policy{},
-	config.NoSpec370:    noSpecPolicy{},
-	config.SLFSpec370:   slfSpecPolicy{},
-	config.SLFSoS370:    sosPolicy{},
-	config.SLFSoSKey370: sosKeyPolicy{},
-	config.Louvre370:    louvrePolicy{},
-	config.RCP370:       rcpPolicy{},
-}
-
-// policyFor returns the policy implementing the model's machine.
-func policyFor(m config.Model) Policy {
-	if int(m) >= 0 && int(m) < len(policies) && policies[m] != nil {
-		return policies[m]
-	}
-	panic(fmt.Sprintf("core: no policy registered for model %v", m))
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"sort"
+
+	"sesa/internal/config"
 	"sesa/internal/hist"
 	"sesa/internal/isa"
 	"sesa/internal/obs"
@@ -38,7 +41,7 @@ func (c *Core) OnLineRemoved(lineAddr uint64, when uint64, eviction bool) {
 			continue
 		}
 		e := &c.ar.ents[i]
-		mspec, sa := c.loadSpeculative(k, e)
+		mspec, sa := c.mSpeculative(k, e), c.saSpeculative(k)
 		if !mspec && !sa {
 			continue
 		}
@@ -65,50 +68,79 @@ func (c *Core) OnLineRemoved(lineAddr uint64, when uint64, eviction bool) {
 	c.lqLines = lines
 }
 
-// loadSpeculative decides whether the performed load at LQ position k may
-// still be squashed, under the core's consistency policy.
+// mSpeculative and saSpeculative are the snoop's two tests: whether the
+// performed load at LQ position k may still be squashed, under the machine
+// the core runs, and whether that would be a store-atomicity squash.
 //
-// All machines use in-window load-load speculation: a load that performed
-// while an older load is unperformed is M-speculative. The chain through
-// older performed-but-speculative loads is implied: if the oldest
-// unperformed load L0 precedes them both, every younger performed load sees
-// L0 as an older unperformed load.
-//
-// Beyond that baseline the policy decides: Policy.VersionSpeculative adds
-// machine-specific M-speculation sources (Louvre holds loads squashable
-// while their fence barrier is in flight), and Policy.SASpeculative is the
-// machine's store-atomicity speculation state — the SoS family keys it on
-// the retire gate and older SLF loads with unwritten forwarding stores
-// (Section IV-A), SLFSpec on the SLF load itself until the SB drains.
-func (c *Core) loadSpeculative(k int, e *entry) (mspec, sa bool) {
-	// M-speculative: any older unperformed load. This is the baseline
-	// load-load in-window speculation every model (including x86) uses.
+// mSpeculative is in-window load-load speculation, which every machine
+// (x86 included) uses: a load that performed while an older load is
+// unperformed. The chain through older performed-but-speculative loads is
+// implied: if the oldest unperformed load L0 precedes them both, every
+// younger performed load sees L0 as an older unperformed load. Louvre
+// (PastFences) adds one source: a load that issued past a fence still in
+// flight.
+func (c *Core) mSpeculative(k int, e *entry) bool {
 	for j := 0; j < k; j++ {
 		if c.ar.stat[c.lq.at(j).index()] < stDone {
-			mspec = true
-			break
+			return true
 		}
 	}
-	if !mspec {
-		// An in-flight atomic RMW is an older unperformed read too; it
-		// occupies no LQ slot, but a load that performed past it is just
-		// as speculative. A stale ref is a retired or squashed RMW.
-		for _, r := range c.rmws {
-			ri := r.index()
-			if c.ar.gens[ri] != r.gen() || c.ar.stat[ri] >= stDone {
-				continue
+	// An in-flight atomic RMW is an older unperformed read too; it occupies
+	// no LQ slot, but a load that performed past it is just as speculative.
+	// A stale ref is a retired or squashed RMW.
+	for _, r := range c.rmws {
+		ri := r.index()
+		if c.ar.gens[ri] != r.gen() || c.ar.stat[ri] >= stDone {
+			continue
+		}
+		if c.ar.ents[ri].dynSeq < e.dynSeq {
+			return true
+		}
+	}
+	// A live barrier ref is an in-flight fence: the load's version is still
+	// unvalidated.
+	return c.model.PastFences && e.fenceBarrier != nilRef && c.ar.live(e.fenceBarrier)
+}
+
+// saSpeculative reports whether the load at LQ position k is SA-speculative
+// under the machine's enforcement: the SoS family keys it on the retire gate
+// and older SLF loads with unwritten forwarding stores (Section IV-A),
+// SLFSpec on the SLF load itself until the SB drains; x86 and 370-NoSpec
+// have none.
+func (c *Core) saSpeculative(k int) bool {
+	switch c.model.Enforce {
+	case config.EnforceSLFSpec:
+		// An SLF load stays speculative, and so does every younger load,
+		// until every store older than it has written.
+		for j := 0; j <= k; j++ {
+			li := c.lq.at(j).index()
+			l := &c.ar.ents[li]
+			if l.slf && c.ar.stat[li] >= stDone && c.sq.anyOlderUnwritten(&c.ar, l.dynSeq) {
+				return true
 			}
-			if c.ar.ents[ri].dynSeq < e.dynSeq {
-				mspec = true
-				break
+		}
+	case config.EnforceGate:
+		// The gate is closed, or an older SLF load's forwarding store has
+		// not written (a live ref is by construction an unwritten store).
+		// The SLF load itself is not speculative.
+		if c.gate.Closed() {
+			return true
+		}
+		for j := 0; j < k; j++ {
+			if l := &c.ar.ents[c.lq.at(j).index()]; l.slf && c.ar.live(l.slfStore) {
+				return true
 			}
 		}
 	}
-	if !mspec && c.policy.VersionSpeculative(c, e) {
-		mspec = true
-	}
-	sa = c.policy.SASpeculative(c, k, e)
-	return
+	return false
+}
+
+// lqPos returns the LQ position of the load e. The LQ is in program order,
+// so its loads' dynSeqs ascend.
+func (c *Core) lqPos(e *entry) int {
+	return sort.Search(c.lq.len(), func(k int) bool {
+		return c.ar.ents[c.lq.at(k).index()].dynSeq >= e.dynSeq
+	})
 }
 
 // squashFrom flushes the pipeline from the entry in arena slot fromIdx
@@ -137,9 +169,9 @@ func (c *Core) squashFrom(fromIdx int32, now uint64, countReexec, saOnly bool, c
 	}
 	flushed := n - pos
 	if c.tr != nil {
-		c.tr.Record(obs.Event{Cycle: now, Kind: obs.KSquash, Cause: cause, Op: from.inst.Op,
-			Seq: from.dynSeq, TraceIdx: int32(from.traceIdx), Key: obs.KeyNone, Addr: addr,
-			N: uint64(flushed)})
+		ev := from.event(now, obs.KSquash, obs.KeyNone, uint64(flushed))
+		ev.Cause, ev.Addr = cause, addr
+		c.tr.Record(ev)
 	}
 	for k := n - 1; k >= pos; k-- {
 		p := c.rob.pos(k)
@@ -147,8 +179,9 @@ func (c *Core) squashFrom(fromIdx int32, now uint64, countReexec, saOnly bool, c
 		i := r.index()
 		e := &c.ar.ents[i]
 		if c.tr != nil {
-			c.tr.Record(obs.Event{Cycle: now, Kind: obs.KFlush, Cause: cause, Op: e.inst.Op,
-				Seq: e.dynSeq, TraceIdx: int32(e.traceIdx), Key: obs.KeyNone, Addr: e.inst.Addr})
+			ev := e.event(now, obs.KFlush, obs.KeyNone, 0)
+			ev.Cause = cause
+			c.tr.Record(ev)
 		}
 		// Take the position out of the ready set and, for a parked load,
 		// out of its blocker's waiters. The blocker is older, so it is

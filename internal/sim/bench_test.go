@@ -86,11 +86,13 @@ func BenchmarkMachineStepSkip(b *testing.B) {
 }
 
 // BenchmarkMachineStepNaivePolicy runs the same hot loop under three more
-// policies: Louvre's fence bypassing and RCP's invisible speculative loads
-// both sit on the per-cycle path, and 370-NoSpec's blanket enforcement is
-// the machine whose loads park on the store they wait for. The perf-guard
-// pins them at 0 allocs/op too (the regex `MachineStepNaive` matches the
-// sub-benchmarks).
+// machines, each taking per-cycle branches of its registry row that x86
+// never takes: Louvre's fence bypass (PastFences); RCP's invisible issue,
+// where each load issuing to memory asks the snoop's speculation test at
+// its LQ position, and its retirement validation (Invisible); and
+// 370-NoSpec's blanket enforcement, whose loads park on the store they wait
+// for. The perf-guard pins them at 0 allocs/op too (the regex
+// `MachineStepNaive` matches the sub-benchmarks).
 func BenchmarkMachineStepNaivePolicy(b *testing.B) {
 	for _, model := range []config.Model{config.Louvre370, config.RCP370, config.NoSpec370} {
 		b.Run(model.String(), func(b *testing.B) {

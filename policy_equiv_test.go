@@ -106,8 +106,9 @@ func policyEquivSnapshot(t *testing.T) []byte {
 // TestPolicyEquivalence pins the five paper machines across the consistency
 // policy extraction: litmus outcome histograms over the full suite and two
 // characterization sweeps must be byte-identical to the golden generated
-// before the per-model switches moved behind core.Policy. Runs under -race
-// in CI. Regenerate with:
+// before the core's per-model switches were replaced, first by a policy
+// interface and now by branches on the machine's registry row. Runs under
+// -race in CI. Regenerate with:
 //
 //	go test -run TestPolicyEquivalence -update-policy-equiv .
 func TestPolicyEquivalence(t *testing.T) {
