@@ -16,6 +16,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"sesa/internal/isa"
 )
@@ -214,12 +215,28 @@ func (t *thread) forwarded(li int) (uint64, bool) {
 	return 0, false
 }
 
+// memo is the storage an enumeration's search keeps beside its machine
+// state: the visited-state set and the key buffer.
+type memo struct {
+	seen stateSet
+	key  []byte
+}
+
+// memos holds the memos of finished enumerations, emptied, for later ones to
+// reuse: growing a new set was most of what an enumeration allocated.
+var memos = sync.Pool{New: func() any { return new(memo) }}
+
 // Enumerate explores every interleaving of p under model m and returns the
 // set of reachable final outcomes. Final states require all program
 // counters at the end and all store buffers drained.
 func Enumerate(p Program, m Model) OutcomeSet {
 	x := newMachine(p, m)
+	mo := memos.Get().(*memo)
+	x.seen, x.key = mo.seen, mo.key
 	x.visit()
+	x.seen.reset()
+	mo.seen, mo.key = x.seen, x.key
+	memos.Put(mo)
 	return x.out.Outcomes()
 }
 

@@ -396,19 +396,25 @@ func TestDependentValueFlow(t *testing.T) {
 }
 
 // TestEnumerateAllocBudget pins what enumerating iriw allocates under each
-// model. The search changes one machine state in place and appends each
-// distinct state's memo key (164 under both TSO flavours, 97 under SC) to
-// one arena, so it allocates the machine, the memo's and the recorder's
-// growth and one rendering per outcome (15): 87 allocations under both
-// TSO flavours and 84 under SC, the program's 8 included. A string key per state in a map, as the
-// memo once kept, cost 386, 386 and 317; copying the state on every
-// transition as well, 2,206, 2,206 and 1,063.
+// model. The search changes one machine state in place and takes its memo,
+// the visited-state set and the key buffer, from a pool that the previous
+// enumeration returned it to, emptied, so it allocates the machine, the
+// recorder's growth and one rendering per outcome (15): 60 allocations
+// under each model, the program's 8 included. A new memo per enumeration
+// cost 87 under both TSO flavours and 84 under SC; a string key per state
+// in a map, as the memo once kept, 386, 386 and 317; copying the state on
+// every transition as well, 2,206, 2,206 and 1,063. Under the race
+// detector, sync.Pool drops a random quarter of what it is given, so the
+// count varies and the bound stays at the 120 it had before the pool.
 func TestEnumerateAllocBudget(t *testing.T) {
-	const budget = 120
+	budget := 60.0
+	if raceEnabled {
+		budget = 120
+	}
 	for _, m := range []Model{X86TSO, TSO370, SC} {
 		allocs := testing.AllocsPerRun(10, func() { Enumerate(iriw(), m) })
 		if allocs > budget {
-			t.Errorf("%s: enumerating iriw allocated %.0f times, budget %d", m, allocs, budget)
+			t.Errorf("%s: enumerating iriw allocated %.0f times, budget %.0f", m, allocs, budget)
 		}
 	}
 }

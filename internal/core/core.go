@@ -74,7 +74,7 @@ type Core struct {
 	// a memory access in flight, with a pending complete at execDone).
 	ready bitset
 	// waiting holds one ROB-position set per arena slot (len(ready) words
-	// each): the loads parked on that entry (see park).
+	// each): the entries parked on that entry (see park).
 	waiting []uint64
 
 	// wakeHints gates the wakeCycle scan. The two-level skip clock is the
@@ -646,7 +646,7 @@ func (c *Core) issue(now uint64) {
 							c.tr.Record(e.event(now, obs.KPerform, obs.KeyNone, 0))
 						}
 					}
-				} else if e.isLoad() {
+				} else {
 					c.park(p, e)
 				}
 			}

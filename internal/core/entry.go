@@ -105,9 +105,9 @@ type entry struct {
 	// it and stays squashable instead). A stale ref is a retired fence:
 	// no barrier.
 	fenceBarrier entryRef
-	// parkedOn is the entry this load is parked on, out of the issue
+	// parkedOn is the entry this one is parked on, out of the issue
 	// stage's ready set until that entry completes or writes to the L1
-	// (see Core.park); nilRef when the load is not parked.
+	// (see Core.park); nilRef when it is not parked.
 	parkedOn entryRef
 	// invisible marks a load that performed without touching directory or
 	// cache state (370-RCP); it must value-validate at retirement.

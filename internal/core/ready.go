@@ -39,24 +39,49 @@ func (s bitset) next(p, hi int) int {
 	return -1
 }
 
-// waiters returns the set of ROB positions of the loads parked on arena
+// waiters returns the set of ROB positions of the entries parked on arena
 // slot i.
 func (c *Core) waiters(i int32) bitset {
 	n := len(c.ready)
 	return c.waiting[int(i)*n : int(i)*n+n]
 }
 
-// park takes the load at ROB position p, which has just failed to issue, out
-// of the ready set while one named entry blocks it: its address producer
-// until that completes, or its waitStore until that store writes to the L1.
-// Until then every poll would fail without an observable effect (DESIGN.md
-// §6 item 3). Other causes leave the load in the set; a matched store's
-// unknown data, in particular, counts an SQ search on every poll.
+// park takes the entry at ROB position p, which has just failed to issue,
+// out of the ready set while one named older entry blocks it. Until that
+// entry completes (or, for a load's waitStore, writes to the L1) every poll
+// would fail without an observable effect (DESIGN.md §6 item 3):
+//   - an ALU op waits on its first unready operand's producer, a branch on
+//     its source's;
+//   - a store waits on its address producer until the address resolves,
+//     then on its data producer;
+//   - a load waits on its address producer, or on its live waitStore.
+//
+// Other causes leave the entry in the set: RMWs, which wait on the ROB head
+// and the SB, and loads held by a fence, an older RMW, waitAddr or a matched
+// store's unknown data (each such poll counts an SQ search).
 func (c *Core) park(p int, e *entry) {
-	on := e.waitStore
-	if !c.ar.addrKnown(e) {
-		on = e.src2Prod
-	} else if !c.ar.live(on) {
+	var on entryRef
+	switch e.inst.Op {
+	case isa.OpALU:
+		on = e.src1Prod
+		if c.operandReady(e, 1) {
+			on = e.src2Prod
+		}
+	case isa.OpBranch:
+		on = e.src1Prod
+	case isa.OpStore:
+		on = e.src1Prod
+		if !e.addrResolved {
+			on = e.src2Prod
+		}
+	case isa.OpLoad:
+		on = e.waitStore
+		if !c.ar.addrKnown(e) {
+			on = e.src2Prod
+		} else if !c.ar.live(on) {
+			return
+		}
+	default:
 		return
 	}
 	c.ready.clear(p)
@@ -64,10 +89,10 @@ func (c *Core) park(p int, e *entry) {
 	c.waiters(on.index()).set(p)
 }
 
-// wake returns the loads parked on arena slot i to the ready set. A wake
-// only lets the issue scan poll the load again, so waking a load whose
+// wake returns the entries parked on arena slot i to the ready set. A wake
+// only lets the issue scan poll the entry again, so waking one whose
 // blocker has not resolved costs one failed poll; a missed wake would leave
-// the load parked for good.
+// the entry parked for good.
 func (c *Core) wake(i int32) {
 	ws := c.waiters(i)
 	for w, word := range ws {
@@ -83,8 +108,8 @@ func (c *Core) wake(i int32) {
 }
 
 // markDone records that entry i's result is available at cycle when. An
-// entry that writes a register may be a parked load's address producer, so
-// its waiters wake.
+// entry that writes a register may be the producer a parked entry waits on,
+// so its waiters wake.
 func (c *Core) markDone(i int32, e *entry, when uint64) {
 	c.ar.stat[i] = stDone
 	c.ar.execDone[i] = when

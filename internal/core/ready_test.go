@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"sesa/internal/config"
@@ -32,9 +33,53 @@ type readyMachine struct {
 	hier  *mem.Hierarchy
 	cores []*Core
 	naive *readyMachine
-	// parks counts, over every check, the loads found parked on an
-	// address producer and on a waitStore.
-	addrParks, storeParks int
+	// parks holds every parking the checks observed: an entry, by core
+	// and dynamic sequence number, parked on one blocker.
+	parks map[parking]bool
+}
+
+// parkKind names what a parked entry waits on.
+type parkKind int
+
+const (
+	parkLoadAddr  parkKind = iota // a load on its address producer
+	parkLoadStore                 // a load on its waitStore
+	parkALU                       // an ALU op on an operand's producer
+	parkBranch                    // a branch on its source's producer
+	parkStoreAddr                 // a store on its address producer
+	parkStoreData                 // a store, its address resolved, on its data producer
+)
+
+// parking is one entry parked on one blocker.
+type parking struct {
+	kind parkKind
+	core int
+	seq  uint64
+	on   entryRef
+}
+
+// parked returns the number of entries seen parked as kind.
+func (m *readyMachine) parked(kind parkKind) int {
+	entries := map[[2]uint64]bool{}
+	for p := range m.parks {
+		if p.kind == kind {
+			entries[[2]uint64{uint64(p.core), p.seq}] = true
+		}
+	}
+	return len(entries)
+}
+
+// maxBlockers returns the most blockers any one entry was seen parked on in
+// turn.
+func (m *readyMachine) maxBlockers() (most int) {
+	blockers := map[[2]uint64]int{}
+	for p := range m.parks {
+		blockers[[2]uint64{uint64(p.core), p.seq}]++
+	}
+	for _, n := range blockers {
+		most = max(most, n)
+	}
+	return most
 }
 
 func newReadyMachine(t *testing.T, cfg config.Config, progs []isa.Program) *readyMachine {
@@ -48,7 +93,7 @@ func newReadyMachine(t *testing.T, cfg config.Config, progs []isa.Program) *read
 }
 
 func buildReadyMachine(t *testing.T, cfg config.Config, progs []isa.Program) *readyMachine {
-	m := &readyMachine{t: t, clock: sched.NewClock(cfg.Cores)}
+	m := &readyMachine{t: t, clock: sched.NewClock(cfg.Cores), parks: map[parking]bool{}}
 	m.hier = mem.NewHierarchy(cfg.Cores, cfg.Mem, noc.New(cfg.NoC, cfg.Jitter, cfg.JitterSeed), &m.clock.EventQueue)
 	st := stats.New(cfg.Model.String(), "ready", cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
@@ -109,15 +154,15 @@ func (m *readyMachine) done() bool {
 
 func (m *readyMachine) check(c *Core, when string) {
 	m.t.Helper()
-	a, s, err := readyInvariants(c)
+	err := readyInvariants(c, func(kind parkKind, seq uint64, on entryRef) {
+		m.parks[parking{kind, c.id, seq, on}] = true
+	})
 	if err == nil {
 		err = snoopFilterInvariant(c)
 	}
 	if err != nil {
 		m.t.Fatalf("core %d, cycle %d, %s: %v", c.id, m.clock.Now(), when, err)
 	}
-	m.addrParks += a
-	m.storeParks += s
 }
 
 // snoopFilterInvariant checks that the LQ snoop filter covers every issued
@@ -138,13 +183,17 @@ func snoopFilterInvariant(c *Core) error {
 }
 
 // readyInvariants checks c's ready set and waiter sets against the entries
-// they describe, and counts the parked loads by cause:
+// they describe, and reports each parked entry to parked:
 //   - a position is in the ready set exactly when it holds a dispatched
 //     entry that is not parked, or an entry executing locally;
-//   - a parked load's blocker is live and unresolved: its address producer,
-//     not yet done, or its waitStore, not yet written;
-//   - the load's position is in that blocker's waiter set and in no other.
-func readyInvariants(c *Core) (addrParks, storeParks int, err error) {
+//   - a parked entry is dispatched, and its blocker is live and is what the
+//     entry waits for: for a load, its address producer, not yet done, or
+//     its waitStore, not yet written; for an ALU op, the producer of one of
+//     its operands, not yet done; for a branch, its source's producer, not
+//     yet done; for a store, its address producer until the address
+//     resolves and its data producer after, not yet done;
+//   - the entry's position is in that blocker's waiter set and in no other.
+func readyInvariants(c *Core, parked func(kind parkKind, seq uint64, on entryRef)) error {
 	size := len(c.rob.buf)
 	occupied := make([]bool, len(c.ready)*64)
 	for k := 0; k < c.rob.len(); k++ {
@@ -153,7 +202,7 @@ func readyInvariants(c *Core) (addrParks, storeParks int, err error) {
 	for p := range occupied {
 		if !occupied[p] {
 			if c.ready.has(p) {
-				return 0, 0, fmt.Errorf("empty ROB position %d (of %d) is in the ready set", p, size)
+				return fmt.Errorf("empty ROB position %d (of %d) is in the ready set", p, size)
 			}
 			continue
 		}
@@ -162,40 +211,62 @@ func readyInvariants(c *Core) (addrParks, storeParks int, err error) {
 		st := c.ar.stat[i]
 		member := st == stDispatched && e.parkedOn == nilRef || st == stIssued && !c.ar.inflight[i]
 		if c.ready.has(p) != member {
-			return 0, 0, fmt.Errorf("position %d (%v, status %d, inflight %v, parked on %#x): in ready set = %v",
+			return fmt.Errorf("position %d (%v, status %d, inflight %v, parked on %#x): in ready set = %v",
 				p, e.inst, st, c.ar.inflight[i], uint64(e.parkedOn), c.ready.has(p))
 		}
 		b := e.parkedOn
 		if b == nilRef {
 			continue
 		}
-		switch {
-		case st != stDispatched || !e.isLoad():
-			return 0, 0, fmt.Errorf("position %d (%v, status %d) is parked", p, e.inst, st)
-		case !c.ar.live(b):
-			return 0, 0, fmt.Errorf("load at position %d (%v) is parked on a stale entry", p, e.inst)
-		case b == e.src2Prod && c.ar.stat[b.index()] < stDone:
-			addrParks++
-		case b == e.waitStore:
-			storeParks++
-		default:
-			return 0, 0, fmt.Errorf("load at position %d (%v) is parked on an entry that is neither its unresolved address producer nor its waitStore", p, e.inst)
+		if st != stDispatched {
+			return fmt.Errorf("position %d (%v, status %d) is parked", p, e.inst, st)
+		}
+		if !c.ar.live(b) {
+			return fmt.Errorf("position %d (%v) is parked on a stale entry", p, e.inst)
+		}
+		kind, ok := parkedKind(c, e, b)
+		if !ok {
+			return fmt.Errorf("position %d (%v) is parked on an entry it does not wait for", p, e.inst)
 		}
 		if !c.waiters(b.index()).has(p) {
-			return 0, 0, fmt.Errorf("load at position %d (%v) is missing from its blocker's waiters", p, e.inst)
+			return fmt.Errorf("position %d (%v) is missing from its blocker's waiters", p, e.inst)
 		}
+		parked(kind, e.dynSeq, b)
 	}
 	for j := range c.ar.ents {
 		for w, word := range c.waiters(int32(j)) {
 			for ; word != 0; word &= word - 1 {
 				p := w<<6 | bits.TrailingZeros64(word)
 				if !occupied[p] || c.ar.ents[c.rob.buf[p].index()].parkedOn.index() != int32(j) {
-					return 0, 0, fmt.Errorf("arena slot %d lists position %d, which holds no load parked on it", j, p)
+					return fmt.Errorf("arena slot %d lists position %d, which holds no entry parked on it", j, p)
 				}
 			}
 		}
 	}
-	return addrParks, storeParks, nil
+	return nil
+}
+
+// parkedKind reports why the dispatched entry e is parked on the live entry
+// b, and false when e does not wait for b.
+func parkedKind(c *Core, e *entry, b entryRef) (parkKind, bool) {
+	pending := c.ar.stat[b.index()] < stDone
+	switch e.inst.Op {
+	case isa.OpLoad:
+		if b == e.src2Prod && pending {
+			return parkLoadAddr, true
+		}
+		return parkLoadStore, b == e.waitStore
+	case isa.OpALU:
+		return parkALU, pending && (b == e.src1Prod || b == e.src2Prod)
+	case isa.OpBranch:
+		return parkBranch, pending && b == e.src1Prod
+	case isa.OpStore:
+		if e.addrResolved {
+			return parkStoreData, pending && b == e.src1Prod
+		}
+		return parkStoreAddr, pending && b == e.src2Prod
+	}
+	return 0, false
 }
 
 // readyConfigs are the two core shapes the test runs: the paper's, whose
@@ -214,63 +285,126 @@ const (
 	addrF
 )
 
-// TestReadySetWakePaths runs one small program per way a parked load is
-// woken on every machine and both core shapes. Each program must park a
-// load and end with the expected register values.
+// TestReadySetWakePaths runs one small program per way an entry is parked
+// and woken on every machine and both core shapes. Each program must park
+// its entry and end with the expected register values.
 func TestReadySetWakePaths(t *testing.T) {
 	partial := isa.StoreImm(addrF, 0x11223344)
 	partial.Size = 4
+	lateAddr := isa.StoreImm(addrC, 9)
+	lateAddr.Src2 = 30
 	for _, tc := range []struct {
 		name string
 		mem  map[uint64]uint64
 		prog isa.Program
 		regs map[isa.Reg]uint64
-		// storePark marks a program that must park a load on its
-		// waitStore on the machine storeParkOn; the others must park a
-		// load on its address producer on every machine.
-		storePark   bool
-		storeParkOn config.Model
+		// parks are the parkings the program must show, on every machine
+		// or only on those parkOn lists; twice asks that one entry park on
+		// two blockers in turn.
+		parks  []parkKind
+		parkOn []config.Model
+		twice  bool
 	}{{
-		name: "address from a missed load",
-		mem:  map[uint64]uint64{addrA: 5, addrB: 7},
-		prog: isa.Program{isa.Load(1, addrA), withDep(isa.Load(2, addrB), 1)},
-		regs: map[isa.Reg]uint64{1: 5, 2: 7},
+		name:  "address from a missed load",
+		mem:   map[uint64]uint64{addrA: 5, addrB: 7},
+		prog:  isa.Program{isa.Load(1, addrA), withDep(isa.Load(2, addrB), 1)},
+		regs:  map[isa.Reg]uint64{1: 5, 2: 7},
+		parks: []parkKind{parkLoadAddr},
 	}, {
-		name: "address from an ALU op with latency",
-		mem:  map[uint64]uint64{addrB: 7},
-		prog: isa.Program{isa.ALUImm(3, isa.RegNone, 1, 20), withDep(isa.Load(4, addrB), 3)},
-		regs: map[isa.Reg]uint64{3: 1, 4: 7},
+		name:  "address from an ALU op with latency",
+		mem:   map[uint64]uint64{addrB: 7},
+		prog:  isa.Program{isa.ALUImm(3, isa.RegNone, 1, 20), withDep(isa.Load(4, addrB), 3)},
+		regs:  map[isa.Reg]uint64{3: 1, 4: 7},
+		parks: []parkKind{parkLoadAddr},
 	}, {
-		name: "address from an SLF load",
-		mem:  map[uint64]uint64{addrB: 7},
-		prog: isa.Program{isa.StoreImm(addrC, 9), isa.Load(5, addrC), withDep(isa.Load(6, addrB), 5)},
-		regs: map[isa.Reg]uint64{5: 9, 6: 7},
+		name:  "address from an SLF load",
+		mem:   map[uint64]uint64{addrB: 7},
+		prog:  isa.Program{isa.StoreImm(addrC, 9), isa.Load(5, addrC), withDep(isa.Load(6, addrB), 5)},
+		regs:  map[isa.Reg]uint64{5: 9, 6: 7},
+		parks: []parkKind{parkLoadAddr},
 	}, {
-		name: "address from an RMW",
-		mem:  map[uint64]uint64{addrB: 7, addrD: 11},
-		prog: isa.Program{isa.RMW(7, addrD, 3), withDep(isa.Load(8, addrB), 7)},
-		regs: map[isa.Reg]uint64{7: 11, 8: 7},
+		name:  "address from an RMW",
+		mem:   map[uint64]uint64{addrB: 7, addrD: 11},
+		prog:  isa.Program{isa.RMW(7, addrD, 3), withDep(isa.Load(8, addrB), 7)},
+		regs:  map[isa.Reg]uint64{7: 11, 8: 7},
+		parks: []parkKind{parkLoadAddr},
 	}, {
 		// Program.Validate accepts a destination on any op, so a store
 		// can be a load's address producer; it completes in place.
-		name: "address from a store that names a register",
-		mem:  map[uint64]uint64{addrA: 5, addrB: 7},
-		prog: isa.Program{isa.Load(1, addrA), withDst(isa.StoreReg(addrC, 1), 11), withDep(isa.Load(12, addrB), 11)},
-		regs: map[isa.Reg]uint64{1: 5, 11: 0, 12: 7},
+		name:  "address from a store that names a register",
+		mem:   map[uint64]uint64{addrA: 5, addrB: 7},
+		prog:  isa.Program{isa.Load(1, addrA), withDst(isa.StoreReg(addrC, 1), 11), withDep(isa.Load(12, addrB), 11)},
+		regs:  map[isa.Reg]uint64{1: 5, 11: 0, 12: 7},
+		parks: []parkKind{parkLoadAddr},
 	}, {
-		name:        "matching store under 370-NoSpec",
-		mem:         map[uint64]uint64{addrE: 1},
-		prog:        isa.Program{isa.StoreImm(addrE, 13), isa.Load(9, addrE)},
-		regs:        map[isa.Reg]uint64{9: 13},
-		storePark:   true,
-		storeParkOn: config.NoSpec370,
+		name:   "matching store under 370-NoSpec",
+		mem:    map[uint64]uint64{addrE: 1},
+		prog:   isa.Program{isa.StoreImm(addrE, 13), isa.Load(9, addrE)},
+		regs:   map[isa.Reg]uint64{9: 13},
+		parks:  []parkKind{parkLoadStore},
+		parkOn: []config.Model{config.NoSpec370},
 	}, {
-		name:        "partially overlapping store under x86",
-		mem:         map[uint64]uint64{addrF: 0xaaaaaaaaaaaaaaaa},
-		prog:        isa.Program{partial, isa.Load(10, addrF)},
-		regs:        map[isa.Reg]uint64{10: 0xaaaaaaaa11223344},
-		storePark:   true,
-		storeParkOn: config.X86,
+		name:   "partially overlapping store under x86",
+		mem:    map[uint64]uint64{addrF: 0xaaaaaaaaaaaaaaaa},
+		prog:   isa.Program{partial, isa.Load(10, addrF)},
+		regs:   map[isa.Reg]uint64{10: 0xaaaaaaaa11223344},
+		parks:  []parkKind{parkLoadStore},
+		parkOn: []config.Model{config.X86},
+	}, {
+		name:  "ALU operand from a load",
+		mem:   map[uint64]uint64{addrA: 5},
+		prog:  isa.Program{isa.Load(1, addrA), isa.ALUImm(2, 1, 3, 0)},
+		regs:  map[isa.Reg]uint64{1: 5, 2: 8},
+		parks: []parkKind{parkALU},
+	}, {
+		// The second load's address waits for the first, so the ALU op
+		// wakes with its first operand ready and parks again on its
+		// second.
+		name:  "ALU operands from two loads",
+		mem:   map[uint64]uint64{addrA: 5, addrB: 7},
+		prog:  isa.Program{isa.Load(1, addrA), withDep(isa.Load(2, addrB), 1), isa.ALU(3, 1, 2)},
+		regs:  map[isa.Reg]uint64{1: 5, 2: 7, 3: 12},
+		parks: []parkKind{parkALU},
+		twice: true,
+	}, {
+		name:  "branch source from a load",
+		mem:   map[uint64]uint64{addrA: 5},
+		prog:  isa.Program{isa.Load(1, addrA), withSrc(isa.Branch(0x40, true), 1), isa.ALUImm(2, 1, 1, 0)},
+		regs:  map[isa.Reg]uint64{1: 5, 2: 6},
+		parks: []parkKind{parkBranch},
+	}, {
+		// The WithSBPressure shape: the store's address waits for a
+		// 200-cycle ALU op.
+		name:  "store address from a long ALU op",
+		mem:   map[uint64]uint64{addrC: 1},
+		prog:  isa.Program{isa.ALUImm(30, 30, 1, 200), lateAddr, isa.Load(13, addrC)},
+		regs:  map[isa.Reg]uint64{30: 1, 13: 9},
+		parks: []parkKind{parkStoreAddr},
+	}, {
+		// The address waits 20 cycles, the data 200: the store parks on
+		// its address producer, then on its data producer.
+		name:  "store address, then data, from two ALU ops",
+		mem:   map[uint64]uint64{addrC: 1},
+		prog:  isa.Program{isa.ALUImm(29, isa.RegNone, 4, 200), isa.ALUImm(30, isa.RegNone, 0, 20), withDep(isa.StoreReg(addrC, 29), 30), isa.Load(16, addrC)},
+		regs:  map[isa.Reg]uint64{29: 4, 30: 0, 16: 4},
+		parks: []parkKind{parkStoreAddr, parkStoreData},
+		twice: true,
+	}, {
+		// The data is ready long before the address: the store stays
+		// parked on its address producer.
+		name:  "store data, then address, from two ALU ops",
+		mem:   map[uint64]uint64{addrC: 1},
+		prog:  isa.Program{isa.ALUImm(29, isa.RegNone, 4, 0), isa.ALUImm(30, isa.RegNone, 0, 200), withDep(isa.StoreReg(addrC, 29), 30), isa.Load(17, addrC)},
+		regs:  map[isa.Reg]uint64{29: 4, 30: 0, 17: 4},
+		parks: []parkKind{parkStoreAddr},
+	}, {
+		// The store's first poll resolves its address and then parks it
+		// on its data.
+		name:  "store data from a load",
+		mem:   map[uint64]uint64{addrA: 5},
+		prog:  isa.Program{isa.Load(1, addrA), isa.StoreReg(addrC, 1), isa.Load(14, addrC)},
+		regs:  map[isa.Reg]uint64{1: 5, 14: 5},
+		parks: []parkKind{parkStoreData},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, model := range config.AllModels() {
@@ -285,15 +419,16 @@ func TestReadySetWakePaths(t *testing.T) {
 							t.Errorf("%s, ROB %d: r%d = %#x, want %#x", model, cfg.Core.ROBEntries, r, got, want)
 						}
 					}
-					parked := m.addrParks
-					if tc.storePark {
-						if model != tc.storeParkOn {
-							continue
-						}
-						parked = m.storeParks
+					if tc.parkOn != nil && !slices.Contains(tc.parkOn, model) {
+						continue
 					}
-					if parked == 0 {
-						t.Errorf("%s, ROB %d: no load was parked", model, cfg.Core.ROBEntries)
+					for _, kind := range tc.parks {
+						if m.parked(kind) == 0 {
+							t.Errorf("%s, ROB %d: nothing was parked as kind %d", model, cfg.Core.ROBEntries, kind)
+						}
+					}
+					if tc.twice && m.maxBlockers() < 2 {
+						t.Errorf("%s, ROB %d: no entry parked on two blockers in turn", model, cfg.Core.ROBEntries)
 					}
 				}
 			}
@@ -309,6 +444,11 @@ func withDep(in isa.Inst, r isa.Reg) isa.Inst {
 
 func withDst(in isa.Inst, r isa.Reg) isa.Inst {
 	in.Dst = r
+	return in
+}
+
+func withSrc(in isa.Inst, r isa.Reg) isa.Inst {
+	in.Src1 = r
 	return in
 }
 
@@ -332,14 +472,14 @@ func TestReadySetTraceSlices(t *testing.T) {
 				for _, cfg := range readyConfigs(tc.cores, model) {
 					m := newReadyMachine(t, cfg, w.Programs)
 					m.run(10_000_000)
-					parks += m.addrParks + m.storeParks
+					parks += m.parked(parkLoadAddr) + m.parked(parkLoadStore)
 					for _, c := range m.cores {
 						squashes += c.st.Squashes + c.st.DepSquashes
 					}
 				}
 			}
 			if parks == 0 || squashes == 0 {
-				t.Errorf("%d parked-load observations and %d squashes; the slice must exercise both", parks, squashes)
+				t.Errorf("%d parked loads and %d squashes; the slice must exercise both", parks, squashes)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"sesa/internal/axiomatic"
 	"sesa/internal/checker"
 	"sesa/internal/config"
+	"sesa/internal/isa"
 	"sesa/internal/litmus"
 	"sesa/internal/sim"
 )
@@ -72,11 +73,14 @@ func DefaultOptions() Options {
 	}
 }
 
-// modelPairs are the operational/axiomatic formulations compared pairwise.
-var modelPairs = []struct {
+// modelPair is one model's operational and axiomatic formulations.
+type modelPair struct {
 	op checker.Model
 	ax axiomatic.Model
-}{
+}
+
+// modelPairs are the operational/axiomatic formulations compared pairwise.
+var modelPairs = []modelPair{
 	{checker.SC, axiomatic.SC},
 	{checker.TSO370, axiomatic.TSO370},
 	{checker.X86TSO, axiomatic.X86TSO},
@@ -106,8 +110,12 @@ func (r *Report) Ok() bool { return len(r.Mismatches) == 0 }
 // against the axiomatic enumerator (exact outcome-set equality per model),
 // and the timing simulator's witnessed outcomes against the operational
 // model bounding each machine (set inclusion — the simulator is one
-// implementation, so it witnesses a subset).
+// implementation, so it witnesses a subset). A program no engine can run is
+// an error before any engine runs (see checkProgram).
 func CrossValidate(p checker.Program, opt Options) (*Report, error) {
+	if err := checkProgram(p); err != nil {
+		return nil, err
+	}
 	r := &Report{Prog: p}
 
 	var opSets [3]checker.OutcomeSet
@@ -118,10 +126,14 @@ func CrossValidate(p checker.Program, opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		opSets[pr.op] = checker.Enumerate(p, pr.op)
-		r.OpCount[pr.op] = len(opSets[pr.op])
+		opSet := checker.Enumerate(p, pr.op)
+		opSets[pr.op] = opSet
+		r.OpCount[pr.op] = len(opSet)
+		if len(opSet) == len(axSet) && subset(opSet, axSet) {
+			continue
+		}
 		pair := fmt.Sprintf("%s/%s", pr.op, pr.ax)
-		for _, o := range opSets[pr.op].Sorted() {
+		for _, o := range opSet.Sorted() {
 			if !axSet.Contains(o) {
 				r.Mismatches = append(r.Mismatches, Mismatch{
 					Kind: KindOpVsAx, Model: pair, Outcome: o,
@@ -129,7 +141,7 @@ func CrossValidate(p checker.Program, opt Options) (*Report, error) {
 			}
 		}
 		for _, o := range axSet.Sorted() {
-			if !opSets[pr.op].Contains(o) {
+			if !opSet.Contains(o) {
 				r.Mismatches = append(r.Mismatches, Mismatch{
 					Kind: KindOpVsAx, Model: pair, Outcome: o,
 					Detail: "axiomatic allows, operational forbids"})
@@ -167,8 +179,13 @@ func CrossValidate(p checker.Program, opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, o := range observed.Sorted() {
+		for o := range observed {
 			witnessed[o] = true
+		}
+		if len(observed) <= len(allowed) && subset(observed, allowed) {
+			continue
+		}
+		for _, o := range observed.Sorted() {
 			if !allowed.Contains(o) {
 				r.Mismatches = append(r.Mismatches, Mismatch{
 					Kind: KindSimForbidden, Model: m.String(), Outcome: o,
@@ -179,6 +196,38 @@ func CrossValidate(p checker.Program, opt Options) (*Report, error) {
 	}
 	r.Witnessed = len(witnessed)
 	return r, nil
+}
+
+// subset reports whether every outcome of a is in b. It reads the sets in
+// map order, so CrossValidate sorts a set only to report a mismatch.
+func subset(a, b checker.OutcomeSet) bool {
+	for o := range a {
+		if !b.Contains(o) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkProgram rejects a program the engines cannot run: a thread that
+// fails isa.Program.Validate (a register beyond the file, an unsupported
+// size, a misaligned address), or a register observable that names a
+// thread or register out of range.
+func checkProgram(p checker.Program) error {
+	for ti, th := range p.Threads {
+		if err := th.Validate(); err != nil {
+			return fmt.Errorf("fuzz: thread %d: %w", ti, err)
+		}
+	}
+	for _, ro := range p.Regs {
+		if ro.Thread < 0 || ro.Thread >= len(p.Threads) {
+			return fmt.Errorf("fuzz: observable %s names thread %d of a %d-thread program", ro.Name, ro.Thread, len(p.Threads))
+		}
+		if ro.Reg >= isa.NumRegs {
+			return fmt.Errorf("fuzz: observable %s names register %d, beyond r%d", ro.Name, ro.Reg, isa.NumRegs-1)
+		}
+	}
+	return nil
 }
 
 // witnessConfigs returns the witness search's base configurations for model

@@ -2,11 +2,13 @@ package fuzz
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"sesa/internal/axiomatic"
 	"sesa/internal/checker"
 	"sesa/internal/config"
+	"sesa/internal/isa"
 )
 
 // agreementShapes are the budgets the agreement property is checked on,
@@ -76,13 +78,7 @@ func FuzzCheckerVsAxiomatic(f *testing.F) {
 // against the 370 axiomatic model on n6 must produce mismatches — the
 // detector is live, not vacuously green.
 func TestCrossValidateDetectsOpVsAxDivergence(t *testing.T) {
-	p, err := Parse(`
-init x=0 y=0
-st x, 1    | st y, 2
-ld x -> a0 | st x, 2
-ld y -> a1 | .
-observe [x] [y]
-`)
+	p, err := Parse(n6Text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +89,95 @@ observe [x] [y]
 	}
 	if reflect.DeepEqual(op, ax) {
 		t.Fatal("x86 operational and 370 axiomatic unexpectedly agree on n6; the oracle would be blind")
+	}
+}
+
+// n6Text is the paper's n6 (Fig. 2) in the text format.
+const n6Text = `
+init x=0 y=0
+st x, 1    | st y, 2
+ld x -> a0 | st x, 2
+ld y -> a1 | .
+observe [x] [y]
+`
+
+// TestCrossValidateReportsMismatchesSorted: CrossValidate compares sets by
+// membership and sorts them only to report a difference, so a report still
+// lists each pair's and each machine's mismatches in outcome order. Pairing
+// x86-TSO's operational checker with the 370 axiomatic enumerator must
+// report n6's store-atomicity gap, as Compare lists it; with no x86-TSO
+// pair, every outcome the x86 machine witnesses is outside its (empty)
+// bound and must be reported, in order.
+func TestCrossValidateReportsMismatchesSorted(t *testing.T) {
+	p, err := Parse(n6Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(saved []modelPair) { modelPairs = saved }(modelPairs)
+
+	modelPairs = []modelPair{{checker.X86TSO, axiomatic.TSO370}}
+	rep, err := CrossValidate(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []checker.Outcome
+	for _, m := range rep.Mismatches {
+		if m.Kind != KindOpVsAx || m.Detail != "operational allows, axiomatic forbids" {
+			t.Fatalf("unexpected mismatch %v", m)
+		}
+		got = append(got, m.Outcome)
+	}
+	if want := checker.Compare(p, checker.X86TSO, checker.TSO370); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("x86-TSO against 370 axiomatic reported %v, want %v", got, want)
+	}
+
+	modelPairs = []modelPair{{checker.SC, axiomatic.SC}, {checker.TSO370, axiomatic.TSO370}}
+	opt := DefaultOptions()
+	opt.Models = []config.Model{config.X86}
+	rep, err = CrossValidate(p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Mismatches) != rep.Witnessed || rep.Witnessed < 2 {
+		t.Fatalf("%d mismatches for %d witnessed outcomes; want one per outcome, at least two", len(rep.Mismatches), rep.Witnessed)
+	}
+	for i, m := range rep.Mismatches {
+		if m.Kind != KindSimForbidden || i > 0 && m.Outcome <= rep.Mismatches[i-1].Outcome {
+			t.Fatalf("mismatch %d of %v is out of kind or order", i, rep.Mismatches)
+		}
+	}
+}
+
+// TestCrossValidateRejectsUnrunnable: a hand-built program that an engine
+// cannot run is an error before any engine runs, not a panic.
+func TestCrossValidateRejectsUnrunnable(t *testing.T) {
+	build := func() checker.Program {
+		return checker.Program{
+			Threads: []isa.Program{{isa.StoreImm(VarAddr(0), 1)}, {isa.Load(1, VarAddr(0))}},
+			Init:    map[uint64]uint64{VarAddr(0): 0},
+			Regs:    []checker.RegObs{{Thread: 1, Reg: 1, Name: "a0"}},
+		}
+	}
+	if rep, err := CrossValidate(build(), DefaultOptions()); err != nil || !rep.Ok() {
+		t.Fatalf("the valid program: %v, %+v", err, rep)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(p *checker.Program)
+		want string
+	}{
+		{"load into r32", func(p *checker.Program) { p.Threads[1][0].Dst = isa.NumRegs }, "thread 1"},
+		{"misaligned store", func(p *checker.Program) { p.Threads[0][0].Addr += 4 }, "thread 0"},
+		{"observable of thread 2", func(p *checker.Program) { p.Regs[0].Thread = 2 }, "thread 2"},
+		{"observable of thread -1", func(p *checker.Program) { p.Regs[0].Thread = -1 }, "thread -1"},
+		{"observable of r32", func(p *checker.Program) { p.Regs[0].Reg = isa.NumRegs }, "register 32"},
+		{"observable of no register", func(p *checker.Program) { p.Regs[0].Reg = isa.RegNone }, "register 255"},
+	} {
+		p := build()
+		tc.edit(&p)
+		if _, err := CrossValidate(p, DefaultOptions()); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want an error naming %q, got %v", tc.name, tc.want, err)
+		}
 	}
 }
 

@@ -307,13 +307,20 @@ func Parse(src string) (checker.Program, error) {
 	return p, nil
 }
 
+// maxReads is the most loads and RMWs one thread may hold: each takes a
+// register of its own, r1 to r31.
+const maxReads = isa.NumRegs - 1
+
 // parseInst parses one cell. lookup resolves a register observable name
 // bound earlier in the same thread; nextReg allocates fresh registers.
 func parseInst(cell string, lookup func(string) (isa.Reg, bool), nextReg *isa.Reg) (isa.Inst, string, error) {
 	fields := strings.Fields(cell)
-	alloc := func() isa.Reg {
+	alloc := func() (isa.Reg, error) {
+		if *nextReg == maxReads {
+			return 0, fmt.Errorf("more than %d loads and RMWs, the registers r1 to r%d", maxReads, maxReads)
+		}
 		*nextReg++
-		return *nextReg
+		return *nextReg, nil
 	}
 	switch fields[0] {
 	case "fence":
@@ -347,7 +354,11 @@ func parseInst(cell string, lookup func(string) (isa.Reg, bool), nextReg *isa.Re
 		if vi < 0 {
 			return isa.Inst{}, "", fmt.Errorf("bad load %q", cell)
 		}
-		return isa.Load(alloc(), VarAddr(vi)), strings.TrimSpace(obs), nil
+		dst, err := alloc()
+		if err != nil {
+			return isa.Inst{}, "", err
+		}
+		return isa.Load(dst, VarAddr(vi)), strings.TrimSpace(obs), nil
 
 	case "rmw":
 		rest := strings.TrimSpace(strings.TrimPrefix(cell, "rmw"))
@@ -361,7 +372,11 @@ func parseInst(cell string, lookup func(string) (isa.Reg, bool), nextReg *isa.Re
 		if _, err := fmt.Sscanf(strings.TrimSpace(immStr), "%d", &imm); err != nil {
 			return isa.Inst{}, "", fmt.Errorf("bad rmw %q: %v", cell, err)
 		}
-		return isa.RMW(alloc(), VarAddr(vi), imm), strings.TrimSpace(obs), nil
+		dst, err := alloc()
+		if err != nil {
+			return isa.Inst{}, "", err
+		}
+		return isa.RMW(dst, VarAddr(vi), imm), strings.TrimSpace(obs), nil
 	}
 	return isa.Inst{}, "", fmt.Errorf("unknown instruction %q", cell)
 }

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -103,22 +104,65 @@ st y, a0   | .
 
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		"",                         // no rows
-		".",                        // no instructions
-		"init x=0\n. | .",          // no instructions in any thread
-		"ld q -> a0",               // unknown variable
-		"st x",                     // malformed store
-		"st x, nosuch",             // unknown register name
-		"frob x",                   // unknown mnemonic
-		"init x=zz\nld x",          // bad init value
-		"ld x\nobserve [q]",        // bad observe
-		"rmw x -> a0",              // rmw without addend
-		"init x=1\ninit y=2\nld x", // duplicate init
+		"",                           // no rows
+		".",                          // no instructions
+		"init x=0\n. | .",            // no instructions in any thread
+		"ld q -> a0",                 // unknown variable
+		"st x",                       // malformed store
+		"st x, nosuch",               // unknown register name
+		"frob x",                     // unknown mnemonic
+		"init x=zz\nld x",            // bad init value
+		"ld x\nobserve [q]",          // bad observe
+		"rmw x -> a0",                // rmw without addend
+		"init x=1\ninit y=2\nld x",   // duplicate init
+		readsInThread1(maxReads + 1), // more reads than registers
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {
 			t.Fatalf("Parse(%q) unexpectedly succeeded", src)
 		}
+	}
+}
+
+// readsInThread1 is a two-thread program whose second thread holds n reads,
+// every fourth an RMW and the rest loads, each observed.
+func readsInThread1(n int) string {
+	var b strings.Builder
+	b.WriteString("st x, 1 | ")
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteString(". | ")
+		}
+		if i%4 == 3 {
+			fmt.Fprintf(&b, "rmw x, 1 -> a%d\n", i)
+		} else {
+			fmt.Fprintf(&b, "ld x -> a%d\n", i)
+		}
+	}
+	return b.String()
+}
+
+// TestParseReadLimit: each load or RMW of a thread takes a register of its
+// own, so a thread may hold 31. Parse rejects the 32nd, naming the thread
+// and the limit, and a thread of 31 cross-validates three ways.
+func TestParseReadLimit(t *testing.T) {
+	_, err := Parse(readsInThread1(maxReads + 1))
+	if err == nil || !strings.Contains(err.Error(), "thread 1") || !strings.Contains(err.Error(), "r31") {
+		t.Fatalf("32 reads in thread 1: want an error naming the thread and r31, got %v", err)
+	}
+	p, err := Parse(readsInThread1(maxReads))
+	if err != nil {
+		t.Fatalf("31 reads in thread 1: %v", err)
+	}
+	if n := len(p.Threads[1]); n != maxReads {
+		t.Fatalf("thread 1 holds %d instructions, want %d", n, maxReads)
+	}
+	rep, err := CrossValidate(p, DefaultOptions())
+	if err != nil {
+		t.Fatalf("31 reads in thread 1: %v", err)
+	}
+	if !rep.Ok() || rep.Witnessed == 0 {
+		t.Fatalf("31 reads in thread 1: %d witnessed outcomes, mismatches %v", rep.Witnessed, rep.Mismatches)
 	}
 }
 
@@ -133,9 +177,10 @@ func TestRenderRejectsUnnameableAddr(t *testing.T) {
 }
 
 // FuzzParseRender checks the text format on any input: Parse returns an
-// error rather than panicking, Render accepts every program Parse accepts,
-// and the rendered text is a fixed point: parsing and rendering it again
-// gives it back. The seed corpus is the regression corpus's programs.
+// error rather than panicking, every thread of a program it accepts passes
+// isa.Program.Validate, Render accepts the program, and the rendered text is
+// a fixed point: parsing and rendering it again gives it back. The seed
+// corpus is the regression corpus's programs.
 func FuzzParseRender(f *testing.F) {
 	files, err := filepath.Glob("../../testdata/fuzz_corpus/*.litmus")
 	if err != nil || len(files) == 0 {
@@ -152,6 +197,11 @@ func FuzzParseRender(f *testing.F) {
 		p, err := Parse(src)
 		if err != nil {
 			return
+		}
+		for ti, th := range p.Threads {
+			if err := th.Validate(); err != nil {
+				t.Fatalf("Parse accepts thread %d, which fails Validate: %v\ninput:\n%s", ti, err, src)
+			}
 		}
 		text, err := Render(p)
 		if err != nil {

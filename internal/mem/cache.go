@@ -196,6 +196,26 @@ func (a *Array) SetState(lineAddr uint64, s State) {
 	}
 }
 
+// Absorb takes back a line evicted from the level above: it reports whether
+// the line is resident and, when the evicted copy was dirty, marks it
+// Modified, in one walk of the set. Like Peek and SetState it leaves
+// recency alone, and it changes nothing when the line is absent.
+func (a *Array) Absorb(lineAddr uint64, dirty bool) bool {
+	set := a.sets.set(a.setIndex(lineAddr))
+	for i := range set {
+		if set[i].holds(lineAddr) {
+			if dirty {
+				set[i].setState(Modified)
+			}
+			return true
+		}
+		if set[i].tag == 0 {
+			break
+		}
+	}
+	return false
+}
+
 // Victim describes a line evicted by Insert.
 type Victim struct {
 	LineAddr uint64

@@ -323,11 +323,7 @@ func (h *Hierarchy) fillPrivate(core int, lineAddr uint64, s State, when uint64)
 		// The LQ must be snooped on L1 evictions: an eviction filters
 		// out future invalidations for loads that performed against
 		// this line (Section IV, "Evictions").
-		if h.l2[core].Resident(v.LineAddr) {
-			if v.Dirty {
-				h.l2[core].SetState(v.LineAddr, Modified)
-			}
-		} else {
+		if !h.l2[core].Absorb(v.LineAddr, v.Dirty) {
 			h.dropFromDirectory(core, v.LineAddr, v.Dirty)
 		}
 		h.notifyEviction(core, v.LineAddr, when)

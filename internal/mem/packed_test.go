@@ -67,6 +67,18 @@ func (a *refArray) SetState(lineAddr uint64, s State) {
 	}
 }
 
+// Absorb is the Peek and SetState pair fillPrivate made before Array had
+// the method.
+func (a *refArray) Absorb(lineAddr uint64, dirty bool) bool {
+	if a.Peek(lineAddr) == Invalid {
+		return false
+	}
+	if dirty {
+		a.SetState(lineAddr, Modified)
+	}
+	return true
+}
+
 func (a *refArray) Insert(lineAddr uint64, s State) (Victim, bool) {
 	set := a.sets.alloc(a.geom.setIndex(lineAddr))
 	a.stamp++
@@ -180,8 +192,8 @@ func TestPackedEntrySizes(t *testing.T) {
 
 // TestPackedArrayMatchesReference drives a packed array and the reference
 // layout, straight and hashed, at 8- and 64-byte lines, with the same random
-// Insert, Lookup, Peek and SetState sequences over a pool of lines that
-// overfills the sets. Both must return the same states and victims. After
+// Insert, Lookup, Peek, Absorb and SetState sequences over a pool of lines
+// that overfills the sets. Both must return the same states and victims. After
 // every call each set must hold the reference's valid lines, with their
 // states and dirty flags, first and in descending LRU-stamp order (most
 // recently used first), and every way after them must be empty.
@@ -206,7 +218,7 @@ func TestPackedArrayMatchesReference(t *testing.T) {
 				la := pool[r.IntN(len(pool))]
 				s := State(r.IntN(4))
 				var got, want any
-				switch op := r.IntN(8); {
+				switch op := r.IntN(9); {
 				case op < 3:
 					// Insert fills a line; removing one is SetState's.
 					s = State(1 + r.IntN(3))
@@ -217,6 +229,9 @@ func TestPackedArrayMatchesReference(t *testing.T) {
 					got, want = a.Lookup(la), ref.Lookup(la)
 				case op < 6:
 					got, want = a.Peek(la), ref.Peek(la)
+				case op < 7:
+					dirty := r.IntN(2) == 0
+					got, want = a.Absorb(la, dirty), ref.Absorb(la, dirty)
 				default:
 					a.SetState(la, s)
 					ref.SetState(la, s)

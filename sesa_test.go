@@ -168,3 +168,16 @@ func TestLoadProgramValidates(t *testing.T) {
 		}
 	}
 }
+
+// TestFuzzCrossValidateRejectsUnrunnable: a hand-built program whose load
+// writes a register beyond the file is an error, not a panic in an engine.
+func TestFuzzCrossValidateRejectsUnrunnable(t *testing.T) {
+	p := sesa.CheckerProgram{
+		Threads: []sesa.Program{{sesa.StoreImm(0x1000, 1)}, {sesa.Load(40, 0x1000)}},
+		Init:    map[uint64]uint64{0x1000: 0},
+		Regs:    []sesa.RegObs{{Thread: 1, Reg: 40, Name: "r"}},
+	}
+	if _, err := sesa.FuzzCrossValidate(p, sesa.DefaultFuzzOptions()); err == nil {
+		t.Fatal("FuzzCrossValidate accepted a load into r40")
+	}
+}
