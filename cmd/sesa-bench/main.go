@@ -16,6 +16,8 @@
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -111,13 +113,7 @@ func main() {
 	var err error
 	tableFormat, err = report.ParseFormat(*format)
 	if err == nil {
-		err = outs.Check()
-	}
-	if err == nil {
-		err = trace.CheckInstPerCore(*n)
-	}
-	if err == nil {
-		err = checkSuite(*suite)
+		err = cmp.Or(outs.Check(), trace.CheckInstPerCore(*n), checkSuite(*suite), checkJobs(*jobs))
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -167,6 +163,14 @@ func checkSuite(s string) error {
 		return nil
 	}
 	return fmt.Errorf("unknown -suite %q (want parallel, sequential or both)", s)
+}
+
+// checkJobs rejects a -jobs below one, which the pool takes as GOMAXPROCS.
+func checkJobs(n int) error {
+	if n < 1 {
+		return errors.New("-jobs must be >= 1")
+	}
+	return nil
 }
 
 func forSuites(f func(sesa.Suite)) {

@@ -23,3 +23,16 @@ func TestCheckSuite(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckJobs: -jobs below one fails, as it does in sesa-fuzz, instead of
+// running on GOMAXPROCS workers.
+func TestCheckJobs(t *testing.T) {
+	for _, tc := range []struct {
+		jobs int
+		ok   bool
+	}{{1, true}, {8, true}, {0, false}, {-3, false}} {
+		if err := checkJobs(tc.jobs); (err == nil) != tc.ok {
+			t.Errorf("checkJobs(%d) = %v, want ok=%v", tc.jobs, err, tc.ok)
+		}
+	}
+}

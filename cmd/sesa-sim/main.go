@@ -64,10 +64,12 @@ func run(args []string, w io.Writer) error {
 	if err := trace.CheckInstPerCore(*n); err != nil {
 		return err
 	}
-	if *statusAddr != "" && (*traceIn != "" || *dump != "" || *list) {
-		return errors.New("-status-addr reports a sweep, and -trace, -dump and -list run none")
+	if *jobs < 1 {
+		return errors.New("-jobs must be >= 1")
 	}
-	traceOpts := outs.TraceOptions()
+	if *statusAddr != "" && (*dump != "" || *list) {
+		return errors.New("-status-addr reports a sweep, and -dump and -list run none")
+	}
 
 	if *list {
 		fmt.Fprintln(w, "parallel (SPLASH-3 + PARSEC, 8 cores):")
@@ -113,76 +115,62 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 
-	// A replayed trace file labels the runs with its file name; a generated
-	// workload with the benchmark name.
-	label := *bench
-	var replay []sesa.Program
+	// A generated workload is labelled with the benchmark name, and its
+	// models share one cached trace. A replayed trace file is labelled with
+	// its file name alone, as it ignores -n and -seed, and runs on each
+	// model's machine widened to the file's thread count.
+	label, title := *bench, fmt.Sprintf("%s, %d instructions/core, seed %d", *bench, *n, *seed)
+	var replay *sesa.Workload
 	if *traceIn != "" {
 		label = filepath.Base(*traceIn)
+		title = label
 		f, err := os.Open(*traceIn)
 		if err != nil {
 			return err
 		}
-		replay, err = sesa.ReadPrograms(f)
+		progs, err := sesa.ReadPrograms(f)
 		f.Close()
 		if err != nil {
 			return err
 		}
+		replay = &sesa.Workload{Name: *traceIn, Programs: progs}
 	}
-
-	// The generated-benchmark path fans the models across -jobs workers,
-	// replaying one cached trace; replaying an external trace file keeps the
-	// serial path (its programs bypass the profile-keyed cache).
-	var results []sesa.SweepResult
-	if replay == nil {
-		var progress *sesa.SweepProgress
-		if *statusAddr != "" {
-			progress = sesa.NewSweepProgress()
-			addr, err := sesa.ServeStatus(*statusAddr, progress)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "status endpoints up at http://%s/metrics\n", addr)
-		}
-		js := make([]sesa.SweepJob, len(models))
-		for i, model := range models {
+	js := make([]sesa.SweepJob, len(models))
+	for i, model := range models {
+		if replay == nil {
 			j, err := sesa.BenchmarkJob(*bench, model, *n, *seed)
 			if err != nil {
 				return err
 			}
-			j.Trace = traceOpts
 			js[i] = j
+		} else {
+			cfg := sesa.DefaultConfig(model)
+			cfg.Cores = max(cfg.Cores, len(replay.Programs))
+			js[i] = sesa.SweepJob{Workload: replay, Model: model, Config: &cfg, MaxCycles: 1_000_000_000}
 		}
-		var summary sesa.SweepSummary
-		results, summary = sesa.RunSweepMonitored(js, *jobs, progress)
-		if *jobs > 1 {
-			fmt.Fprintln(os.Stderr, summary)
+		js[i].Trace = outs.TraceOptions()
+	}
+
+	var progress *sesa.SweepProgress
+	if *statusAddr != "" {
+		progress = sesa.NewSweepProgress()
+		addr, err := sesa.ServeStatus(*statusAddr, progress)
+		if err != nil {
+			return err
 		}
+		fmt.Fprintf(os.Stderr, "status endpoints up at http://%s/metrics\n", addr)
+	}
+	results, summary := sesa.RunSweepMonitored(js, *jobs, progress)
+	if *jobs > 1 {
+		fmt.Fprintln(os.Stderr, summary)
 	}
 
 	var base uint64
-	for mi, model := range models {
-		var ch sesa.Characterization
-		var st *sesa.Stats
-		var tr *sesa.Tracer
-		var err error
-		if replay != nil {
-			cfg := sesa.DefaultConfig(model)
-			if len(replay) > cfg.Cores {
-				cfg.Cores = len(replay)
-			}
-			wl := sesa.Workload{Name: *traceIn, Programs: replay}
-			st, tr, err = runReplay(model, cfg, wl, traceOpts)
-			if err == nil {
-				ch = st.Characterize()
-			}
-		} else {
-			res := results[mi]
-			ch, st, err, tr = res.Char, res.Stats, res.Err, res.Trace
-		}
-		outs.Add(label+"/"+model.String(), tr, tr.Hists())
-		if err != nil {
-			return err
+	for _, res := range results {
+		ch, st, model := res.Char, res.Stats, res.Job.Model
+		outs.Add(label+"/"+model.String(), res.Trace, res.Trace.Hists())
+		if res.Err != nil {
+			return res.Err
 		}
 		if base == 0 {
 			base = ch.Cycles
@@ -200,30 +188,5 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "   %s\n", st.NoC)
 	}
 
-	title := fmt.Sprintf("latency distributions: %s, %d instructions/core, seed %d", label, *n, *seed)
-	return outs.Write(w, os.Stderr, title)
-}
-
-// runReplay runs a trace-file workload on one machine, optionally attaching
-// an observability tracer (the sweep path does this via SweepJob.Trace).
-func runReplay(model sesa.Model, cfg sesa.Config, w sesa.Workload, opts *sesa.TraceOptions) (*sesa.Stats, *sesa.Tracer, error) {
-	cfg.Model = model
-	sys, err := sesa.NewSystem(cfg, w.Name)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i, p := range w.Programs {
-		if err := sys.LoadProgram(i, p); err != nil {
-			return nil, nil, err
-		}
-	}
-	var tr *sesa.Tracer
-	if opts != nil {
-		tr = sesa.NewTracer(cfg.Cores, *opts)
-		sys.AttachTracer(tr)
-	}
-	if err := sys.Run(1_000_000_000); err != nil {
-		return nil, nil, err
-	}
-	return sys.Stats(), tr, nil
+	return outs.Write(w, os.Stderr, "latency distributions: "+title)
 }

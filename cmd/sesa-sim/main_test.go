@@ -16,7 +16,8 @@ import (
 // TestReplayLabelsRunsWithTraceFileName: a run replayed from a -trace file
 // is named after that file, not after the default -bench, in the report
 // header, the trace's process names, the metrics run column and the
-// histogram runs.
+// histogram runs, and its histogram title names the file alone, not the
+// -n and -seed a replay ignores.
 func TestReplayLabelsRunsWithTraceFileName(t *testing.T) {
 	dir := t.TempDir()
 	traceFile := filepath.Join(dir, "mcf.trace")
@@ -34,7 +35,7 @@ func TestReplayLabelsRunsWithTraceFileName(t *testing.T) {
 	report := out.String()
 	for _, want := range []string{
 		"== mcf.trace on x86\n",
-		"== latency distributions: mcf.trace, ",
+		"== latency distributions: mcf.trace ==\n",
 		"\n-- mcf.trace/x86 (merged) --\n",
 	} {
 		if !strings.Contains(report, want) {
@@ -43,6 +44,9 @@ func TestReplayLabelsRunsWithTraceFileName(t *testing.T) {
 	}
 	if strings.Contains(report, "barnes") {
 		t.Errorf("replay report names the default benchmark:\n%s", report)
+	}
+	if strings.Contains(report, "100000 instructions/core") {
+		t.Errorf("replay histogram title reports the -n it ignored:\n%s", report)
 	}
 
 	trace, err := os.ReadFile(chrome)
@@ -72,31 +76,78 @@ func TestReplayLabelsRunsWithTraceFileName(t *testing.T) {
 	}
 }
 
-// TestRejectsOutOfRangeN: an -n no trace can have fails before any
-// simulation, with nothing on stdout.
-func TestRejectsOutOfRangeN(t *testing.T) {
-	for _, n := range []string{"-1", "0", strconv.Itoa(trace.MaxInstPerCore + 1)} {
+// TestReplayMatchesGeneratedRun: a dumped trace replayed on every machine
+// reports what the generated run reports, apart from its label, and the
+// same at any -jobs.
+func TestReplayMatchesGeneratedRun(t *testing.T) {
+	traceFile := filepath.Join(t.TempDir(), "mcf.trace")
+	gen := []string{"-bench", "505.mcf", "-n", "2000", "-model", "all", "-jobs", "1"}
+	if err := run(append(gen, "-dump", traceFile), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := run(gen, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, jobs := range []string{"1", "4"} {
 		var out bytes.Buffer
-		if err := run([]string{"-bench", "radix", "-n", n}, &out); err == nil {
-			t.Errorf("-n %s: run succeeded, want an error", n)
+		if err := run([]string{"-trace", traceFile, "-model", "all", "-jobs", jobs}, &out); err != nil {
+			t.Fatal(err)
 		}
-		if out.Len() != 0 {
-			t.Errorf("-n %s: wrote %q to stdout, want nothing", n, out.String())
+		got := strings.ReplaceAll(out.String(), "== mcf.trace on ", "== 505.mcf on ")
+		if got != want.String() {
+			t.Errorf("-jobs %s: replay report differs from the generated run's:\n%s\nwant:\n%s", jobs, got, want.String())
 		}
 	}
 }
 
-// TestRejectsStatusAddrWithReplay: a -trace replay, a -dump and a -list run
-// no sweep, so -status-addr would serve nothing; each combination fails
-// before any simulation, with nothing on stdout.
-func TestRejectsStatusAddrWithReplay(t *testing.T) {
-	dir := t.TempDir()
-	traceFile := filepath.Join(dir, "radix.trace")
+// TestReplayServesStatus: a replay is a sweep, so -status-addr serves it
+// and leaves the report as it is without the flag.
+func TestReplayServesStatus(t *testing.T) {
+	traceFile := filepath.Join(t.TempDir(), "radix.trace")
 	if err := run([]string{"-bench", "radix", "-n", "200", "-dump", traceFile}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
+	args := []string{"-trace", traceFile, "-model", "x86,370-SLFSoS-key"}
+	var plain, served bytes.Buffer
+	if err := run(args, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-status-addr", "127.0.0.1:0"), &served); err != nil {
+		t.Fatalf("-trace with -status-addr: %v", err)
+	}
+	if served.String() != plain.String() {
+		t.Errorf("-status-addr changed the report:\n%s\nwant:\n%s", served.String(), plain.String())
+	}
+}
+
+// TestRejectsOutOfRangeN: an -n no trace can have, or a -jobs below one,
+// fails before any simulation, with nothing on stdout.
+func TestRejectsOutOfRangeN(t *testing.T) {
 	for _, args := range [][]string{
-		{"-trace", traceFile, "-model", "x86"},
+		{"-n", "-1"},
+		{"-n", "0"},
+		{"-n", strconv.Itoa(trace.MaxInstPerCore + 1)},
+		{"-jobs", "0"},
+		{"-jobs", "-3"},
+	} {
+		var out bytes.Buffer
+		if err := run(append([]string{"-bench", "radix"}, args...), &out); err == nil {
+			t.Errorf("%v: run succeeded, want an error", args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote %q to stdout, want nothing", args, out.String())
+		}
+	}
+}
+
+// TestRejectsStatusAddrWithReplay: a -dump and a -list run no sweep, so
+// -status-addr would serve nothing; each combination fails before any
+// simulation, with nothing on stdout. (A -trace replay is a sweep and
+// serves it: TestReplayServesStatus.)
+func TestRejectsStatusAddrWithReplay(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
 		{"-bench", "radix", "-n", "200", "-dump", filepath.Join(dir, "again.trace")},
 		{"-list"},
 	} {

@@ -1,5 +1,5 @@
-// Characterize: run a few Table IV benchmarks under all five consistency
-// models and print the paper's key metrics — forwarding rate, gate stalls,
+// Characterize: run a few Table IV benchmarks on all seven machine models
+// and print the paper's key metrics — forwarding rate, gate stalls,
 // store-atomicity re-execution, and execution time normalized to x86.
 //
 //	go run ./examples/characterize
@@ -34,7 +34,10 @@ func main() {
 	}
 
 	fmt.Println()
-	fmt.Println("Expected shape (paper, Section VI): x86 fastest; 370-NoSpec pays the")
+	fmt.Println("The paper's shape (Section VI): x86 fastest; 370-NoSpec pays the")
 	fmt.Println("blanket-enforcement cost; 370-SLFSpec recovers some; the retire gate")
 	fmt.Println("(370-SLFSoS) and the key (370-SLFSoS-key) close most of the gap.")
+	fmt.Println("This repository's: 370-SLFSpec is slower than 370-NoSpec on both suites'")
+	fmt.Println("geomeans at every seed, and 370-SLFSoS-key is the cheapest store-atomic")
+	fmt.Println("machine (EXPERIMENTS.md, Figure 10).")
 }

@@ -330,6 +330,19 @@ func (h *Hierarchy) fillPrivate(core int, lineAddr uint64, s State, when uint64)
 	}
 }
 
+// refillL1 inserts lineAddr, which core's L2 holds, into core's L1 with
+// state s, handling the victim at cycle when: a dirty victim is marked
+// Modified in the L2 and the core's LQ is snooped. Unlike fillPrivate it
+// leaves the directory untouched, even for a victim the L2 no longer holds.
+func (h *Hierarchy) refillL1(core int, lineAddr uint64, s State, when uint64) {
+	if v, ok := h.l1[core].Insert(lineAddr, s); ok {
+		if v.Dirty {
+			h.l2[core].SetState(v.LineAddr, Modified)
+		}
+		h.notifyEviction(core, v.LineAddr, when)
+	}
+}
+
 // dropFromDirectory processes a non-silent private-cache eviction: the
 // directory clears the core's presence and accounts a writeback for dirty
 // data.
@@ -476,12 +489,7 @@ func (h *Hierarchy) loadLine(core int, addr uint64, t uint64, prefetch bool) (ui
 	if s := h.l2[core].Lookup(lineAddr); s != Invalid {
 		h.Stats.L2Hits++
 		// Fill L1 from L2; L1 state mirrors L2's.
-		if v, ok := h.l1[core].Insert(lineAddr, s); ok {
-			if v.Dirty {
-				h.l2[core].SetState(v.LineAddr, Modified)
-			}
-			h.notifyEviction(core, v.LineAddr, t2)
-		}
+		h.refillL1(core, lineAddr, s, t2)
 		return h.claimLine(lineAddr, t2), hist.LoadL2
 	}
 	h.Stats.L2Misses++
@@ -658,12 +666,7 @@ func (h *Hierarchy) storeLine(core int, addr uint64, t, notBefore uint64) uint64
 			h.Stats.L1Misses++
 			h.Stats.L2Hits++
 			h.l2[core].SetState(lineAddr, Modified)
-			if v, ok := h.l1[core].Insert(lineAddr, Modified); ok {
-				if v.Dirty {
-					h.l2[core].SetState(v.LineAddr, Modified)
-				}
-				h.notifyEviction(core, v.LineAddr, t2)
-			}
+			h.refillL1(core, lineAddr, Modified, t2)
 			return seal(t2)
 		}
 	} else if s2 = h.l2[core].Peek(lineAddr); s2 >= Exclusive || h.l1[core].Peek(lineAddr) >= Exclusive {

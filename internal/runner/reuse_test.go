@@ -20,7 +20,7 @@ import (
 // runner must reproduce.
 func freshRunOne(ctx context.Context, cache *trace.Cache, i int, j Job) Result {
 	res := Result{Job: j, Index: i}
-	if err := trace.CheckInstPerCore(j.InstPerCore); err != nil {
+	if err := trace.CheckInstPerCore(j.InstPerCore); j.Workload == nil && err != nil {
 		res.Err = err
 		return res
 	}
@@ -35,7 +35,9 @@ func freshRunOne(ctx context.Context, cache *trace.Cache, i int, j Job) Result {
 	cfg.StepMode = j.StepMode
 
 	var w trace.Workload
-	if cache != nil {
+	if j.Workload != nil {
+		w = *j.Workload
+	} else if cache != nil {
 		w = cache.Workload(j.Profile, cfg.Cores, j.InstPerCore, j.Seed)
 	} else {
 		w = trace.Build(j.Profile, cfg.Cores, j.InstPerCore, j.Seed)
@@ -73,7 +75,8 @@ func freshRunOne(ctx context.Context, cache *trace.Cache, i int, j Job) Result {
 // two profiles under all seven models on the default 8-core machine, a
 // 2-core small machine between two default-shape jobs, a job cut short by
 // its cycle bound followed by a full job of its shape, a traced job and a
-// histogram job each followed by plain jobs, and a naive-stepper job.
+// histogram job each followed by plain jobs, a job given the first job's
+// generated programs as its Workload, and a naive-stepper job.
 func reuseJobs(t *testing.T) []Job {
 	t.Helper()
 	lookup := func(name string) trace.Profile {
@@ -93,6 +96,7 @@ func reuseJobs(t *testing.T) []Job {
 			jobs = append(jobs, Job{Profile: p, Model: m, InstPerCore: 800, Seed: 42})
 		}
 	}
+	w := trace.Build(barnes, config.Default(jobs[0].Model).Cores, 800, 42)
 	return append(jobs,
 		Job{Profile: x264, Model: config.SLFSoSKey370, InstPerCore: 800, Seed: 3, Config: &small},
 		Job{Profile: x264, Model: config.X86, InstPerCore: 800, Seed: 3},
@@ -102,6 +106,7 @@ func reuseJobs(t *testing.T) []Job {
 		Job{Profile: x264, Model: config.SLFSpec370, InstPerCore: 800, Seed: 7},
 		Job{Profile: mcf, Model: config.NoSpec370, InstPerCore: 800, Seed: 9, Trace: hists},
 		Job{Profile: mcf, Model: config.NoSpec370, InstPerCore: 800, Seed: 9},
+		Job{Workload: &w, Model: jobs[0].Model},
 		Job{Profile: barnes, Model: config.Louvre370, InstPerCore: 800, Seed: 11, StepMode: config.StepNaive},
 		Job{Profile: barnes, Model: config.SLFSoS370, InstPerCore: 800, Seed: 11, Config: &small},
 	)
@@ -151,6 +156,19 @@ func TestReusedMachineEqualsFresh(t *testing.T) {
 	want := make([]string, len(jobs))
 	for i, j := range jobs {
 		want[i] = resultBytes(t, freshRunOne(context.Background(), cache, i, j))
+	}
+	// The Workload job runs the programs the first job generates, so it
+	// reports what that job reports, on a new machine and on a reused one.
+	for i, j := range jobs {
+		if j.Workload == nil {
+			continue
+		}
+		if name, wantName := j.Name(), "barnes/"+jobs[0].Model.String(); name != wantName {
+			t.Errorf("workload job %d: Name() = %q, want %q", i, name, wantName)
+		}
+		if want[i] != want[0] {
+			t.Errorf("workload job %d differs from the job its programs came from:\n%s\nwant:\n%s", i, want[i], want[0])
+		}
 	}
 	timedOut := 0
 	for _, workers := range []int{1, 3} {

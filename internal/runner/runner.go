@@ -37,9 +37,11 @@ import (
 	"sesa/internal/trace"
 )
 
-// Job is one experiment: a workload profile run to completion on one machine
-// model.
+// Job is one experiment: a workload run to completion on one machine model.
 type Job struct {
+	// Workload, when non-nil, is the programs the job runs; it bypasses
+	// the trace cache, and Profile, InstPerCore and Seed are unused.
+	Workload *trace.Workload
 	// Profile is the workload to generate (or fetch from the trace cache).
 	Profile trace.Profile
 	// Model selects the consistency-model implementation.
@@ -55,9 +57,9 @@ type Job struct {
 	// applied over Config. The zero value is the default two-level skip
 	// clock, whose output is byte-identical to naive stepping.
 	StepMode config.StepMode
-	// MaxCycles bounds the run; 0 applies the default bound of
-	// 200*InstPerCore + 2M cycles, the liveness bound the benchmark
-	// harnesses have always used.
+	// MaxCycles bounds the run; 0 applies the default bound of 200 cycles
+	// per instruction of the longest program plus 2M, the liveness bound
+	// the benchmark harnesses have always used.
 	MaxCycles uint64
 	// Trace, when non-nil, attaches an observability tracer to the job's
 	// machine: events, interval metrics and latency histograms, as the
@@ -68,8 +70,12 @@ type Job struct {
 	Trace *obs.Options
 }
 
-// Name identifies the job in progress reports: workload profile plus model.
+// Name identifies the job in progress reports: workload (or profile and
+// seed) plus model.
 func (j Job) Name() string {
+	if j.Workload != nil {
+		return fmt.Sprintf("%s/%s", j.Workload.Name, j.Model)
+	}
 	return fmt.Sprintf("%s/%s/seed%d", j.Profile.Name, j.Model, j.Seed)
 }
 
@@ -78,7 +84,14 @@ func (j Job) DefaultMaxCycles() uint64 {
 	if j.MaxCycles != 0 {
 		return j.MaxCycles
 	}
-	return uint64(j.InstPerCore)*200 + 2_000_000
+	n := j.InstPerCore
+	if j.Workload != nil {
+		n = 0
+		for _, p := range j.Workload.Programs {
+			n = max(n, len(p))
+		}
+	}
+	return uint64(n)*200 + 2_000_000
 }
 
 // Result is the outcome of one job, in the same position as its job.
@@ -245,8 +258,8 @@ func (p Pool) runJob(ctx context.Context, i int, j Job, m **sim.Machine) Result 
 	return r
 }
 
-// runOne executes a single job on the calling goroutine. A job whose
-// instruction count no trace can have fails without building one.
+// runOne executes a single job on the calling goroutine. A generated trace
+// whose instruction count no trace can have fails without building one.
 //
 // The job runs on the worker's machine *m, reset, when the job has its
 // shape (sim.Machine.Fits), and otherwise on a new machine, which *m then
@@ -255,22 +268,20 @@ func (p Pool) runJob(ctx context.Context, i int, j Job, m **sim.Machine) Result 
 // result depends only on the job, whatever ran on the machine before.
 func (p Pool) runOne(ctx context.Context, i int, j Job, m **sim.Machine) Result {
 	res := Result{Job: j, Index: i}
-	if err := trace.CheckInstPerCore(j.InstPerCore); err != nil {
-		res.Err = err
-		return res
-	}
-
-	var cfg config.Config
+	cfg := config.Default(j.Model)
 	if j.Config != nil {
 		cfg = *j.Config
-	} else {
-		cfg = config.Default(j.Model)
 	}
 	cfg.Model = j.Model
 	cfg.StepMode = j.StepMode
 
 	var w trace.Workload
-	if p.Cache != nil {
+	if j.Workload != nil {
+		w = *j.Workload
+	} else if err := trace.CheckInstPerCore(j.InstPerCore); err != nil {
+		res.Err = err
+		return res
+	} else if p.Cache != nil {
 		w = p.Cache.Workload(j.Profile, cfg.Cores, j.InstPerCore, j.Seed)
 	} else {
 		w = trace.Build(j.Profile, cfg.Cores, j.InstPerCore, j.Seed)

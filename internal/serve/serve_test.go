@@ -303,7 +303,7 @@ func TestDeleteRunningSweepFreesWorkers(t *testing.T) {
 	// guest, and for longer under the race detector, so the delays stay
 	// inside it.
 	radix, _ := trace.Lookup("radix")
-	trace.CachedWorkload(radix, config.Default(config.X86).Cores, 100_000, 11)
+	trace.Shared().Workload(radix, config.Default(config.X86).Cores, 100_000, 11)
 	req := SweepRequest{Jobs: []JobSpec{
 		{Profile: "radix", Model: "x86", InstPerCore: 100_000, Seed: 11},
 	}}

@@ -86,10 +86,3 @@ var shared = NewCache()
 
 // Shared returns the process-wide cache.
 func Shared() *Cache { return shared }
-
-// CachedWorkload fetches (or generates once) the workload from the
-// process-wide cache. The returned programs are shared and must be treated
-// as read-only.
-func CachedWorkload(p Profile, cores, instPerCore int, seed uint64) Workload {
-	return shared.Workload(p, cores, instPerCore, seed)
-}

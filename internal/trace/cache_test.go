@@ -90,13 +90,3 @@ func TestCacheConcurrentReaders(t *testing.T) {
 		t.Errorf("hits+misses = %d, want %d requests", hits+misses, goroutines*rounds)
 	}
 }
-
-// TestSharedCache: the process-wide cache serves CachedWorkload.
-func TestSharedCache(t *testing.T) {
-	p, _ := Lookup("fft")
-	a := CachedWorkload(p, 8, 300, 1234)
-	b := Shared().Workload(p, 8, 300, 1234)
-	if &a.Programs[0][0] != &b.Programs[0][0] {
-		t.Error("CachedWorkload and Shared().Workload disagree")
-	}
-}

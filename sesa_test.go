@@ -108,6 +108,23 @@ func TestWorkloadTooManyPrograms(t *testing.T) {
 	}
 }
 
+// TestRunWorkloadDefaultBound: a maxCycles of 0 applies the default bound,
+// as SweepJob.MaxCycles does, instead of timing out at cycle 0.
+func TestRunWorkloadDefaultBound(t *testing.T) {
+	p, _ := sesa.LookupProfile("barnes")
+	w, err := sesa.BuildWorkload(p, 2, 500, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sesa.RunWorkload(sesa.X86, sesa.SkylakeConfig(2, sesa.X86), w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Total().RetiredInsts != 1000 {
+		t.Errorf("retired %d, want 1000", st.Total().RetiredInsts)
+	}
+}
+
 // TestBuildWorkloadRejectsInstCount checks that an instruction count
 // outside 1..trace.MaxInstPerCore is an error, not a panic in the
 // generator.
@@ -116,6 +133,18 @@ func TestBuildWorkloadRejectsInstCount(t *testing.T) {
 	for _, n := range []int{-1, 0, trace.MaxInstPerCore + 1} {
 		if _, err := sesa.BuildWorkload(p, 8, n, 1); err == nil {
 			t.Errorf("BuildWorkload(radix, 8, %d, 1) returned no error", n)
+		}
+	}
+}
+
+// TestRunBenchmarkRejectsInstCount: RunBenchmark runs as a sweep job, so
+// an instruction count no trace can have returns the job's check error
+// instead of panicking in the generator or running an empty trace.
+func TestRunBenchmarkRejectsInstCount(t *testing.T) {
+	for _, n := range []int{0, -5, trace.MaxInstPerCore + 1} {
+		want := trace.CheckInstPerCore(n)
+		if _, _, err := sesa.RunBenchmark("radix", sesa.X86, n, 1); err == nil || err.Error() != want.Error() {
+			t.Errorf("RunBenchmark(radix, x86, %d, 1) = %v, want %v", n, err, want)
 		}
 	}
 }

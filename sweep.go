@@ -21,7 +21,7 @@ type SweepResult = runner.Result
 type SweepSummary = report.SweepSummary
 
 // BenchmarkJob builds the sweep job for a named Table IV benchmark, the
-// parallel analogue of RunBenchmark.
+// job RunBenchmark runs.
 func BenchmarkJob(name string, model Model, instPerCore int, seed uint64) (SweepJob, error) {
 	p, ok := LookupProfile(name)
 	if !ok {

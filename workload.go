@@ -1,7 +1,6 @@
 package sesa
 
 import (
-	"fmt"
 	"io"
 
 	"sesa/internal/isa"
@@ -45,27 +44,14 @@ func BuildWorkload(p Profile, cores, instPerCore int, seed uint64) (Workload, er
 	return trace.Build(p, cores, instPerCore, seed), nil
 }
 
-// RunWorkload builds a machine for the model, runs the workload to
-// completion and returns the statistics. Cores without a program idle.
+// RunWorkload runs the workload to completion under the model on a machine
+// configured by cfg, as a one-job sweep, and returns the statistics (partial
+// beside a timeout). Cores without a program idle. A maxCycles of 0 applies
+// the default bound, as SweepJob.MaxCycles does.
 func RunWorkload(model Model, cfg Config, w Workload, maxCycles uint64) (*Stats, error) {
-	cfg.Model = model
-	sys, err := NewSystem(cfg, w.Name)
-	if err != nil {
-		return nil, err
-	}
-	if len(w.Programs) > cfg.Cores {
-		return nil, fmt.Errorf("sesa: workload %s has %d programs but machine has %d cores",
-			w.Name, len(w.Programs), cfg.Cores)
-	}
-	for i, p := range w.Programs {
-		if err := sys.LoadProgram(i, p); err != nil {
-			return nil, err
-		}
-	}
-	if err := sys.Run(maxCycles); err != nil {
-		return nil, err
-	}
-	return sys.Stats(), nil
+	res, _ := RunSweep([]SweepJob{{Workload: &w, Model: model, Config: &cfg,
+		StepMode: cfg.StepMode, MaxCycles: maxCycles}}, 1)
+	return res[0].Stats, res[0].Err
 }
 
 // GeoMean returns the geometric mean of positive values, the aggregation
@@ -94,21 +80,17 @@ func ReadPrograms(r io.Reader) ([]Program, error) {
 	return out, nil
 }
 
-// RunBenchmark generates the named Table IV benchmark and runs it under the
-// model on the paper's 8-core machine (sequential benchmarks use core 0),
-// returning the Table IV characterization row and the raw statistics. The
-// trace comes from the process-wide cache, so running the same benchmark
-// under several models generates it only once.
+// RunBenchmark runs BenchmarkJob, the named Table IV benchmark under the
+// model on the paper's 8-core machine (sequential benchmarks use core 0)
+// within the default cycle bound, and returns the Table IV characterization
+// row and the raw statistics (partial beside a timeout). The trace comes
+// from the process-wide cache, so running the same benchmark under several
+// models generates it only once.
 func RunBenchmark(name string, model Model, instPerCore int, seed uint64) (Characterization, *Stats, error) {
-	p, ok := LookupProfile(name)
-	if !ok {
-		return Characterization{}, nil, fmt.Errorf("sesa: unknown benchmark %q", name)
-	}
-	cfg := DefaultConfig(model)
-	w := trace.CachedWorkload(p, cfg.Cores, instPerCore, seed)
-	st, err := RunWorkload(model, cfg, w, uint64(instPerCore)*200+2_000_000)
+	j, err := BenchmarkJob(name, model, instPerCore, seed)
 	if err != nil {
 		return Characterization{}, nil, err
 	}
-	return st.Characterize(), st, nil
+	res, _ := RunSweep([]SweepJob{j}, 1)
+	return res[0].Char, res[0].Stats, res[0].Err
 }
